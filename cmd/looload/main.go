@@ -13,19 +13,15 @@
 //	looload -curve 0.25,0.5,1,2,4        # saturation curve over rate scales
 //	looload -target http://host:8087     # live open-loop replay
 //	looload -printspec > traffic.json    # dump the built-in spec to edit
-//	looload -selfcheck                   # CI: determinism + live loopback smoke
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -49,16 +45,7 @@ func main() {
 	clientCap := flag.Int("clientcap", 0, "modeled per-client queue cap (0 = none)")
 	curve := flag.String("curve", "", "comma-separated rate scales for a saturation curve (model mode)")
 	target := flag.String("target", "", "comma-separated loosimd base URLs for live replay")
-	selfcheck := flag.Bool("selfcheck", false, "verify determinism and drive a loopback fleet, then exit")
 	flag.Parse()
-
-	if *selfcheck {
-		if err := runSelfcheck(os.Stdout); err != nil {
-			log.Fatalf("looload: selfcheck: %v", err)
-		}
-		fmt.Println("looload selfcheck ok")
-		return
-	}
 
 	spec := load.DefaultSpec()
 	if *specPath != "" {
@@ -261,240 +248,4 @@ func submitLive(client *http.Client, target string, spec load.Spec, a load.Arriv
 		return liveFailed, latency
 	}
 	return liveCompleted, latency
-}
-
-// runSelfcheck is the CI gate: the model replay and saturation curve must
-// be byte-identical across two runs of the same seeded spec and satisfy
-// the conservation law, and a live loopback fleet must serve the same
-// admission semantics over real HTTP — including 429s that carry
-// Retry-After and /metrics that conserve jobs exactly.
-func runSelfcheck(w io.Writer) error {
-	spec := load.DefaultSpec()
-	cfg := load.FleetConfig{Nodes: 2, Workers: 1, QueueDepth: 8, ClientCap: 6}
-
-	render := func() (string, error) {
-		arrivals, err := load.Generate(spec)
-		if err != nil {
-			return "", err
-		}
-		res, err := load.RunModel(spec, arrivals, cfg)
-		if err != nil {
-			return "", err
-		}
-		if err := res.Check(); err != nil {
-			return "", err
-		}
-		var buf bytes.Buffer
-		if err := load.WriteReport(&buf, spec, res); err != nil {
-			return "", err
-		}
-		points, err := load.SaturationCurve(spec, cfg, []float64{0.5, 1, 2})
-		if err != nil {
-			return "", err
-		}
-		if err := load.WriteSaturation(&buf, points); err != nil {
-			return "", err
-		}
-		return buf.String(), nil
-	}
-	first, err := render()
-	if err != nil {
-		return err
-	}
-	second, err := render()
-	if err != nil {
-		return err
-	}
-	if first != second {
-		return fmt.Errorf("model replay is not deterministic:\n--- first\n%s--- second\n%s", first, second)
-	}
-	if _, err := io.WriteString(w, first); err != nil {
-		return err
-	}
-
-	return loopbackSmoke()
-}
-
-// loopbackSmoke boots one real serve.Server on a loopback port and drives
-// the admission-control surface looload depends on: queue-full and shed
-// 429s with Retry-After, cancellation returning queue capacity, and a
-// /metrics snapshot that conserves jobs.
-func loopbackSmoke() error {
-	srv := serve.New(serve.Options{
-		Workers:    1,
-		QueueDepth: 2,
-		RetryAfter: 2 * time.Second,
-		Now:        time.Now,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() {
-		if serr := hs.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			log.Printf("looload: smoke server: %v", serr)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-	longJob := func(seed int64, slo string) []byte {
-		warmup := uint64(0)
-		b, _ := json.Marshal(serve.JobSpec{
-			Bench: "gcc", Seed: seed, Warmup: &warmup, Inst: 1 << 40,
-			NoCache: true, Client: "smoke", SLO: slo,
-		})
-		return b
-	}
-	submit := func(body []byte) (*http.Response, serve.Status, error) {
-		resp, err := http.Post(base+"/api/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, serve.Status{}, err
-		}
-		payload, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		if cerr := resp.Body.Close(); rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return nil, serve.Status{}, rerr
-		}
-		var st serve.Status
-		if resp.StatusCode/100 == 2 {
-			if err := json.Unmarshal(payload, &st); err != nil {
-				return nil, serve.Status{}, err
-			}
-		}
-		return resp, st, nil
-	}
-
-	// Pin the sole worker on a long job; poll until it is running so the
-	// queue occupancy below is exact.
-	resp, st, err := submit(longJob(1, ""))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("smoke submit 1: status %d, want 202", resp.StatusCode)
-	}
-	ids := []string{st.ID}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		gr, err := http.Get(base + "/api/v1/jobs/" + st.ID)
-		if err != nil {
-			return err
-		}
-		var got serve.Status
-		derr := json.NewDecoder(gr.Body).Decode(&got)
-		if cerr := gr.Body.Close(); derr == nil {
-			derr = cerr
-		}
-		if derr != nil {
-			return derr
-		}
-		if got.State == serve.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("smoke blocker stuck in %q", got.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// One queued job: occupancy 1, which is exactly batch's shed limit
-	// (ceil(0.5*2)) while interactive still has room.
-	resp, st, err = submit(longJob(2, ""))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("smoke submit 2: status %d, want 202", resp.StatusCode)
-	}
-	ids = append(ids, st.ID)
-
-	// Batch is shed with the configured Retry-After.
-	resp, _, err = submit(longJob(5, "batch"))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		return fmt.Errorf("smoke shed status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		return fmt.Errorf("smoke shed Retry-After %q, want \"2\"", got)
-	}
-
-	// Interactive still fits: fill the queue to its hard bound.
-	resp, st, err = submit(longJob(3, ""))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("smoke submit 3: status %d, want 202", resp.StatusCode)
-	}
-	ids = append(ids, st.ID)
-
-	// Full queue: 429 with the configured Retry-After, any class.
-	resp, _, err = submit(longJob(4, ""))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		return fmt.Errorf("smoke queue-full status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		return fmt.Errorf("smoke queue-full Retry-After %q, want \"2\"", got)
-	}
-
-	// Cancel everything; cancelled queued jobs must return their capacity.
-	for _, id := range ids {
-		req, err := http.NewRequest(http.MethodDelete, base+"/api/v1/jobs/"+id, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		if cerr := resp.Body.Close(); cerr != nil {
-			return cerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("smoke cancel %s: status %d", id, resp.StatusCode)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := srv.Drain(ctx); err != nil {
-		return err
-	}
-
-	// The drained server's ledger must conserve exactly.
-	m := srv.Metrics()
-	sum := m.Jobs.Completed + m.Jobs.Failed + m.Jobs.Cancelled + m.Jobs.Rejected + m.Jobs.Shed
-	if m.Jobs.Submitted != sum {
-		return fmt.Errorf("smoke conservation violated: %+v", m.Jobs)
-	}
-	if m.Jobs.Rejected != 1 || m.Jobs.Shed != 1 || m.Jobs.Cancelled != 3 {
-		return fmt.Errorf("smoke tallies rejected=%d shed=%d cancelled=%d, want 1/1/3", m.Jobs.Rejected, m.Jobs.Shed, m.Jobs.Cancelled)
-	}
-	if m.QueueDepth != 0 {
-		return fmt.Errorf("smoke queue depth %d after drain, want 0", m.QueueDepth)
-	}
-	var prom bytes.Buffer
-	if err := serve.WriteProm(&prom, m); err != nil {
-		return err
-	}
-	if err := serve.CheckPromText(prom.Bytes()); err != nil {
-		return err
-	}
-	for _, want := range []string{`loosim_jobs_total{state="shed"} 1`, `loosim_client_jobs_total{client="smoke",state="cancelled"} 3`} {
-		if !strings.Contains(prom.String(), want) {
-			return fmt.Errorf("smoke prom output missing %q", want)
-		}
-	}
-	return nil
 }

@@ -9,21 +9,14 @@
 //	curl -s localhost:8087/metrics
 //
 // SIGINT/SIGTERM drain gracefully: submissions stop, queued and running
-// jobs finish (up to -drain), then the process exits. -selfcheck starts
-// the server on a loopback port, drives one job through the full HTTP API,
-// verifies /metrics, drains, and exits — the CI smoke test.
+// jobs finish (up to -drain), then the process exits.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -43,7 +36,6 @@ func main() {
 	retryAfter := flag.Duration("retryafter", 0, "Retry-After hint on 429 responses (0 = default 1s)")
 	cacheDir := flag.String("cache", "", "persist the result cache in this directory (default: in-memory)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
-	selfcheck := flag.Bool("selfcheck", false, "run one job through the HTTP API on a loopback port and exit")
 	traceFile := flag.String("trace", "", "append job lifecycle spans (JSONL) to this file; loostrace renders them")
 	traceSeed := flag.Int64("trace-seed", 1, "seed for deterministic trace IDs")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -86,14 +78,6 @@ func main() {
 		Tracer:     tracer,
 	})
 
-	if *selfcheck {
-		if err := runSelfcheck(srv, *drain); err != nil {
-			log.Fatalf("loosimd: selfcheck: %v", err)
-		}
-		fmt.Println("loosimd selfcheck ok")
-		return
-	}
-
 	handler := srv.Handler()
 	if *pprofOn {
 		// pprof is opt-in: the profiling surface stays off the wire unless
@@ -131,107 +115,4 @@ func main() {
 		log.Fatalf("loosimd: %v", err)
 	}
 	<-drained
-}
-
-// runSelfcheck exercises the full service over real HTTP: submit a small
-// job twice (the second must hit the cache), check /metrics, and drain.
-func runSelfcheck(srv *serve.Server, drain time.Duration) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("loosimd: selfcheck server: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-
-	spec := []byte(`{"bench":"apsi","warmup":20000,"inst":60000,"events":true}`)
-	var first, second struct {
-		ID     string `json:"id"`
-		State  string `json:"state"`
-		Cached bool   `json:"cached"`
-	}
-	if err := postJSON(base+"/api/v1/jobs?wait=1", spec, &first); err != nil {
-		return fmt.Errorf("first submit: %w", err)
-	}
-	if first.State != "done" {
-		return fmt.Errorf("first job state = %q, want done", first.State)
-	}
-	if err := postJSON(base+"/api/v1/jobs?wait=1", spec, &second); err != nil {
-		return fmt.Errorf("second submit: %w", err)
-	}
-	if second.State != "done" || !second.Cached {
-		return fmt.Errorf("second job state = %q cached = %v, want a cache hit", second.State, second.Cached)
-	}
-
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	var m serve.Metrics
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	if m.Cache.Hits < 1 || m.Cache.HitRate <= 0 {
-		return fmt.Errorf("metrics cache hits = %d rate = %v, want a hit", m.Cache.Hits, m.Cache.HitRate)
-	}
-	if m.Jobs.Completed < 2 {
-		return fmt.Errorf("metrics completed = %d, want >= 2", m.Jobs.Completed)
-	}
-	if len(m.Loops) == 0 {
-		return errors.New("metrics has no loop aggregates despite an events-enabled job")
-	}
-
-	// The Prometheus view of the same snapshot must parse as exposition
-	// text, and the JSON default above must be unaffected by its presence.
-	resp, err = http.Get(base + "/metrics?format=prom")
-	if err != nil {
-		return err
-	}
-	promText, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("prom metrics: %w", err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
-		return fmt.Errorf("prom metrics content type = %q", ct)
-	}
-	if err := serve.CheckPromText(promText); err != nil {
-		return fmt.Errorf("prom metrics: %w", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return err
-	}
-	return srv.Drain(ctx)
-}
-
-// postJSON posts body and decodes the JSON response into out, treating
-// non-2xx statuses as errors.
-func postJSON(url string, body []byte, out any) error {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := resp.Body.Close(); cerr != nil {
-			log.Printf("loosimd: response close: %v", cerr)
-		}
-	}()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("status %d: %s", resp.StatusCode, msg)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

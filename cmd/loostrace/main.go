@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	loosweep -selfcheck -trace spans.jsonl && loostrace spans.jsonl
+//	loosweep -backends http://a:8087 -fig 4 -trace spans.jsonl && loostrace spans.jsonl
 //	loostrace -top 3 spans.jsonl     # only the 3 slowest traces' waterfalls
 //	loostrace -json spans.jsonl      # machine-readable fleet summary
 //	cat a.jsonl b.jsonl | loostrace -

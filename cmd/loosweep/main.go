@@ -10,29 +10,22 @@
 //
 //	loosweep -backends http://a:8087,http://b:8087 -fig 4
 //	loosweep -backends http://a:8087 -fig all -json > report.json
-//	loosweep -selfcheck       # coordinator + 2 loopback backends, CI smoke
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"loosesim"
 	"loosesim/internal/dispatch"
 	"loosesim/internal/experiments"
-	"loosesim/internal/pipeline"
-	"loosesim/internal/serve"
-	"loosesim/internal/serve/servetest"
 	"loosesim/internal/trace"
 )
 
@@ -55,19 +48,11 @@ func main() {
 		noCache   = flag.Bool("nocache", false, "ask backends to bypass their result caches")
 		asJSON    = flag.Bool("json", false, "emit tables as JSON")
 		asCSV     = flag.Bool("csv", false, "emit tables as CSV")
-		selfcheck = flag.Bool("selfcheck", false, "verify the coordinator against 2 loopback backends and exit")
 		traceFile = flag.String("trace", "", "append coordinator spans (JSONL) to this file; loostrace renders them")
 		traceSeed = flag.Int64("trace-seed", 1, "seed for deterministic trace IDs")
 	)
 	flag.Parse()
 
-	if *selfcheck {
-		if err := runSelfcheck(*traceFile); err != nil {
-			log.Fatalf("selfcheck: %v", err)
-		}
-		fmt.Println("loosweep selfcheck ok")
-		return
-	}
 	if *fig == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -231,290 +216,4 @@ func printFleetSummary(m dispatch.Metrics) {
 		}
 		log.Printf("fleet: backend %s: %d requests, %d failures, %s", b.URL, b.Requests, b.Failures, state)
 	}
-}
-
-// runSelfcheck is the CI smoke test: a coordinator over two loopback
-// backends (one of them briefly faulty) must reproduce a local serial
-// sweep byte for byte, convert a repeated sweep into backend cache hits,
-// and — against a dead fleet — degrade to local simulation with identical
-// output. A final traced phase re-runs the sweep with tracing on and
-// demands a byte-identical span stream across runs that reconstructs every
-// job's full submit-to-run path; a non-empty traceFile receives the stream.
-func runSelfcheck(traceFile string) error {
-	ctx := context.Background()
-
-	// A small grid: 4 workloads x 4 seeds, short runs.
-	benches := []string{"gcc", "comp", "swim", "m88-comp"}
-	var cfgs []pipeline.Config
-	for seed := int64(1); seed <= 4; seed++ {
-		for _, bench := range benches {
-			cfg, err := loosesim.DefaultMachine(bench)
-			if err != nil {
-				return err
-			}
-			cfg.Seed = seed
-			cfg.WarmupInstructions = 0
-			cfg.MeasureInstructions = 2000
-			cfgs = append(cfgs, cfg)
-		}
-	}
-
-	want, err := loosesim.RunAllContext(ctx, cfgs)
-	if err != nil {
-		return fmt.Errorf("local baseline: %w", err)
-	}
-
-	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 2})
-	defer closeAll()
-
-	// A short fault script chews on the first requests; attempts
-	// comfortably outnumber the faults so nothing ends up local.
-	tr := &servetest.Tripper{}
-	tr.Script(
-		servetest.FaultSpec{Fault: servetest.DropConn},
-		servetest.FaultSpec{Fault: servetest.Status500},
-	)
-	coord, err := dispatch.New(dispatch.Options{
-		Backends:    servetest.URLs(backends),
-		Client:      &http.Client{Transport: tr},
-		Attempts:    6,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  10 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-
-	for pass := 1; pass <= 2; pass++ {
-		got, err := coord.RunAll(ctx, cfgs)
-		if err != nil {
-			return fmt.Errorf("fleet pass %d: %w", pass, err)
-		}
-		if err := compareResults(got, want); err != nil {
-			return fmt.Errorf("fleet pass %d: %w", pass, err)
-		}
-	}
-	m := coord.Metrics()
-	if m.LocalFallbacks != 0 {
-		return fmt.Errorf("fleet passes used %d local fallbacks, want 0", m.LocalFallbacks)
-	}
-	if m.CacheHits == 0 {
-		return fmt.Errorf("repeated sweep produced no backend cache hits: %+v", m)
-	}
-	fmt.Printf("fleet: %d requests over %d backends, %d cache hits, %d retries\n",
-		m.Requests, len(m.Backends), m.CacheHits, m.Retries)
-
-	// Dead fleet: everything must come back local and still match.
-	dead, err := dispatch.New(dispatch.Options{
-		Backends:    []string{"http://127.0.0.1:9", "http://127.0.0.1:10"},
-		Attempts:    1,
-		BackoffBase: time.Microsecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer dead.Close()
-	got, err := dead.RunAll(ctx, cfgs)
-	if err != nil {
-		return fmt.Errorf("dead-fleet pass: %w", err)
-	}
-	if err := compareResults(got, want); err != nil {
-		return fmt.Errorf("dead-fleet pass: %w", err)
-	}
-	if dm := dead.Metrics(); dm.LocalFallbacks == 0 {
-		return fmt.Errorf("dead fleet reported no local fallbacks: %+v", dm)
-	}
-	fmt.Println("fleet: dead-fleet sweep degraded to local and matched")
-
-	// Traced determinism: the same grid through a fresh traced fleet,
-	// twice, must produce byte-identical span streams whose trees
-	// reconstruct every job's path.
-	stream, err := tracedSweep(ctx, cfgs, want)
-	if err != nil {
-		return fmt.Errorf("traced pass: %w", err)
-	}
-	again, err := tracedSweep(ctx, cfgs, want)
-	if err != nil {
-		return fmt.Errorf("traced pass 2: %w", err)
-	}
-	if !bytes.Equal(stream, again) {
-		return fmt.Errorf("traced sweeps differ: %d vs %d span bytes", len(stream), len(again))
-	}
-	if err := checkSpans(stream, len(cfgs)); err != nil {
-		return fmt.Errorf("traced pass: %w", err)
-	}
-	if traceFile != "" {
-		if err := os.WriteFile(traceFile, stream, 0o644); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("fleet: traced sweep reconstructed %d job paths, byte-identical across runs\n", 2*len(cfgs))
-	return nil
-}
-
-// tracedSweep runs the grid through a fresh two-backend fleet with tracing
-// on and returns the canonical span stream. One tracer serves both sides:
-// the coordinator roots job traces (every key in the grid is distinct, so
-// occurrence order cannot race) and the backends only continue coordinator
-// parents. No clock is injected — structural spans with zero timestamps are
-// exactly what byte-identity requires.
-func tracedSweep(ctx context.Context, cfgs []pipeline.Config, want []*pipeline.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	tracer := trace.New(trace.Options{Seed: 1, Sink: w})
-	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 2, Tracer: tracer})
-	defer closeAll()
-	// The consistent-hash ring shards by backend URL, and loopback test
-	// servers sit on ephemeral ports — so hand the coordinator stable
-	// names and rewrite them to the real addresses in the transport.
-	// Identical fleet identity across runs is what makes shard
-	// assignment, and therefore the span stream, byte-identical.
-	stable := []string{"http://fleet-0.invalid", "http://fleet-1.invalid"}
-	rewrite := make(map[string]string, len(stable))
-	for i, u := range servetest.URLs(backends) {
-		rewrite[strings.TrimPrefix(stable[i], "http://")] = strings.TrimPrefix(u, "http://")
-	}
-	coord, err := dispatch.New(dispatch.Options{
-		Backends:      stable,
-		Client:        &http.Client{Transport: &rewriteTransport{targets: rewrite}},
-		ProbeInterval: time.Hour, // parked: probe spans would land nondeterministically mid-sweep
-		Tracer:        tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Close()
-	// Two passes: the first misses every backend cache and runs, the
-	// second hits — two distinct trace shapes per config.
-	for pass := 1; pass <= 2; pass++ {
-		got, err := coord.RunAll(ctx, cfgs)
-		if err != nil {
-			return nil, fmt.Errorf("pass %d: %w", pass, err)
-		}
-		if err := compareResults(got, want); err != nil {
-			return nil, fmt.Errorf("pass %d: %w", pass, err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// rewriteTransport maps the coordinator's stable backend names to the
-// loopback servers' real ephemeral addresses.
-type rewriteTransport struct {
-	targets map[string]string
-}
-
-func (t *rewriteTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if real, ok := t.targets[req.URL.Host]; ok {
-		clone := req.Clone(req.Context())
-		clone.URL.Host = real
-		req = clone
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// checkSpans verifies the reconstruction promise on a span stream: one
-// trace per job submission, each with a single coordinator root, a post
-// attempt, and a backend serve span continuing the post span; across the
-// two passes every config contributes one ran-on-a-worker trace and one
-// backend-cache-hit trace.
-func checkSpans(stream []byte, jobs int) error {
-	byTrace := make(map[string][]trace.Span)
-	var order []string
-	for i, line := range bytes.Split(stream, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var s trace.Span
-		if err := json.Unmarshal(line, &s); err != nil {
-			return fmt.Errorf("span line %d: %w", i+1, err)
-		}
-		if _, seen := byTrace[s.Trace]; !seen {
-			order = append(order, s.Trace)
-		}
-		byTrace[s.Trace] = append(byTrace[s.Trace], s)
-	}
-	jobTraces, ran, hits := 0, 0, 0
-	for _, id := range order {
-		spans := byTrace[id]
-		ids := make(map[uint64]bool, len(spans))
-		roots := 0
-		for _, s := range spans {
-			ids[s.Span] = true
-			if s.Parent == 0 {
-				roots++
-				if s.Name != "job" {
-					return fmt.Errorf("trace %s rooted by %q, want job", id, s.Name)
-				}
-			}
-		}
-		if roots != 1 {
-			return fmt.Errorf("trace %s has %d roots, want 1", id, roots)
-		}
-		jobTraces++
-		var hasPost, hasServe, hasRun, hasHit bool
-		for _, s := range spans {
-			switch s.Name {
-			case "post":
-				hasPost = true
-				if !s.Winner {
-					return fmt.Errorf("trace %s: unhedged post not marked winner", id)
-				}
-			case "serve":
-				hasServe = true
-				if !ids[s.Parent] {
-					return fmt.Errorf("trace %s: serve span parent %d not in trace", id, s.Parent)
-				}
-			case "run":
-				hasRun = true
-			case "cache":
-				if s.Status == "hit" {
-					hasHit = true
-				}
-			}
-		}
-		if !hasPost || !hasServe {
-			return fmt.Errorf("trace %s misses post/serve spans (post=%v serve=%v)", id, hasPost, hasServe)
-		}
-		if hasRun {
-			ran++
-		} else if hasHit {
-			hits++
-		} else {
-			return fmt.Errorf("trace %s neither ran nor hit the cache", id)
-		}
-	}
-	if jobTraces != 2*jobs {
-		return fmt.Errorf("%d job traces, want %d", jobTraces, 2*jobs)
-	}
-	if ran != jobs || hits != jobs {
-		return fmt.Errorf("%d ran / %d cache-hit traces, want %d each", ran, hits, jobs)
-	}
-	return nil
-}
-
-// compareResults demands byte-identity between a fleet sweep and the
-// local baseline, result by result.
-func compareResults(got, want []*pipeline.Result) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("result count %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		g, err := json.Marshal(got[i])
-		if err != nil {
-			return err
-		}
-		w, err := json.Marshal(want[i])
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(g, w) {
-			return fmt.Errorf("result %d differs from local baseline\nfleet: %s\nlocal: %s", i, g, w)
-		}
-	}
-	return nil
 }

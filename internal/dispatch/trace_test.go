@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,8 @@ import (
 	"loosesim/internal/serve/servetest"
 	"loosesim/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestTraceRetrySiblingSpans drives one job through two scripted transport
 // failures and checks the span tree: one trace, one root, three sibling
@@ -264,5 +269,162 @@ func TestTraceOffCountersIdentical(t *testing.T) {
 	}
 	if len(sink.Spans()) == 0 {
 		t.Fatal("tracing-on run recorded no spans")
+	}
+}
+
+// TestTraceFleetGolden runs a 16-config grid through a two-backend traced
+// fleet twice — every job runs on a worker the first time and hits the
+// backend cache the second — and pins the whole span stream byte for byte
+// to testdata/fleet_trace.jsonl. No clock is injected, so spans carry zero
+// timestamps and the stream is pure structure. Run
+// `go test -run TestTraceFleetGolden -update` after a deliberate change to
+// the span model.
+func TestTraceFleetGolden(t *testing.T) {
+	var cfgs []pipeline.Config
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, bench := range []string{"gcc", "comp", "swim", "m88-comp"} {
+			cfgs = append(cfgs, testCfg(t, bench, seed))
+		}
+	}
+	want := localBaseline(t, cfgs)
+
+	// One tracer serves both sides: the coordinator roots job traces
+	// (every key in the grid is distinct, so occurrence order cannot race)
+	// and the backends only continue coordinator parents.
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	tracer := trace.New(trace.Options{Seed: 1, Sink: w})
+	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 2, Tracer: tracer})
+	defer closeAll()
+	// The consistent-hash ring shards by backend URL and loopback servers
+	// sit on ephemeral ports, so the coordinator gets stable names that
+	// the transport rewrites to the real addresses: the same fleet
+	// identity on every run is what makes shard assignment, and therefore
+	// the span stream, byte-identical.
+	stable := []string{"http://fleet-0.invalid", "http://fleet-1.invalid"}
+	rt := rewriteTransport{}
+	for i, u := range servetest.URLs(backends) {
+		rt[strings.TrimPrefix(stable[i], "http://")] = strings.TrimPrefix(u, "http://")
+	}
+	c, err := New(Options{
+		Backends:      stable,
+		Client:        &http.Client{Transport: rt},
+		ProbeInterval: parkProbes, // probe spans would land nondeterministically mid-sweep
+		Tracer:        tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for pass := 1; pass <= 2; pass++ {
+		got, err := c.RunAll(context.Background(), cfgs)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		assertByteIdentical(t, got, want)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	checkFleetSpans(t, stream, len(cfgs))
+
+	golden := filepath.Join("testdata", "fleet_trace.jsonl")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(stream, pinned) {
+		t.Fatalf("fleet span stream drifted from %s (%d bytes, golden %d)", golden, len(stream), len(pinned))
+	}
+}
+
+// rewriteTransport maps stable backend host names to loopback addresses.
+type rewriteTransport map[string]string
+
+func (rt rewriteTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if host, ok := rt[req.URL.Host]; ok {
+		req = req.Clone(req.Context())
+		req.URL.Host = host
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// checkFleetSpans checks that a two-pass stream reconstructs every job's
+// path: one trace per submission, each rooted by a single coordinator job
+// span, with a winning post and a backend serve span whose parent is in
+// the trace; each config contributes one trace that ran on a worker and
+// one that hit the backend cache.
+func checkFleetSpans(t *testing.T, stream []byte, jobs int) {
+	t.Helper()
+	byTrace := make(map[string][]trace.Span)
+	var order []string
+	for i, line := range bytes.Split(bytes.TrimSpace(stream), []byte("\n")) {
+		var s trace.Span
+		if err := json.Unmarshal(line, &s); err != nil {
+			t.Fatalf("span line %d: %v", i+1, err)
+		}
+		if _, seen := byTrace[s.Trace]; !seen {
+			order = append(order, s.Trace)
+		}
+		byTrace[s.Trace] = append(byTrace[s.Trace], s)
+	}
+	var ran, hits int
+	for _, id := range order {
+		spans := byTrace[id]
+		ids := make(map[uint64]bool, len(spans))
+		roots := 0
+		for _, s := range spans {
+			ids[s.Span] = true
+			if s.Parent == 0 {
+				roots++
+				if s.Name != "job" {
+					t.Fatalf("trace %s rooted by %q, want job", id, s.Name)
+				}
+			}
+		}
+		if roots != 1 {
+			t.Fatalf("trace %s has %d roots, want 1", id, roots)
+		}
+		var hasPost, hasServe, hasRun, hasHit bool
+		for _, s := range spans {
+			switch s.Name {
+			case "post":
+				hasPost = true
+				if !s.Winner {
+					t.Fatalf("trace %s: unhedged post not marked winner", id)
+				}
+			case "serve":
+				hasServe = true
+				if !ids[s.Parent] {
+					t.Fatalf("trace %s: serve span parent %d not in trace", id, s.Parent)
+				}
+			case "run":
+				hasRun = true
+			case "cache":
+				hasHit = hasHit || s.Status == "hit"
+			}
+		}
+		switch {
+		case !hasPost || !hasServe:
+			t.Fatalf("trace %s misses post/serve spans (post=%v serve=%v)", id, hasPost, hasServe)
+		case hasRun:
+			ran++
+		case hasHit:
+			hits++
+		default:
+			t.Fatalf("trace %s neither ran nor hit the cache", id)
+		}
+	}
+	if len(order) != 2*jobs || ran != jobs || hits != jobs {
+		t.Fatalf("%d job traces (%d ran, %d cache hits), want %d with %d of each", len(order), ran, hits, 2*jobs, jobs)
 	}
 }

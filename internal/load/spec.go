@@ -12,7 +12,7 @@
 // time is allowed), no global randomness (every sample comes from a
 // rand.Rand seeded by the spec seed and the client name), no map
 // iteration in any output path. Two runs of the same spec are
-// byte-identical, which is what lets check.sh diff the selfcheck.
+// byte-identical, which is what lets check.sh cmp two seeded replays.
 package load
 
 import (
@@ -170,10 +170,10 @@ func ParseSpec(data []byte) (Spec, error) {
 }
 
 // DefaultSpec is the built-in spec looload runs without -spec and the one
-// -selfcheck replays: three client populations with skewed rate shares
-// (the ServeGen observation that a few clients dominate), one of them
-// bursty, spanning all three SLO classes and both single-sim and figure
-// job kinds.
+// TestModelConservationAndDeterminism replays: three client populations
+// with skewed rate shares (the ServeGen observation that a few clients
+// dominate), one of them bursty, spanning all three SLO classes and both
+// single-sim and figure job kinds.
 func DefaultSpec() Spec {
 	return Spec{
 		Name: "default",

@@ -109,7 +109,7 @@ func promFloat(v float64) string {
 // comments must be well-formed HELP/TYPE lines, samples must be
 // "name[{labels}] value" with a parseable float value and a metric name
 // matching the exposition grammar. It is a format check, not a scraper —
-// enough for tests and the selfcheck to catch a malformed encoder without
+// enough for tests to catch a malformed encoder or handler without
 // an external parser dependency.
 func CheckPromText(text []byte) error {
 	sc := bufio.NewScanner(bytes.NewReader(text))

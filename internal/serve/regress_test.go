@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,5 +346,52 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Fatalf("/metrics shape drifted from golden:\ngot:  %s\nwant: %s", body, want)
+	}
+
+	// The Prometheus view of the same snapshot must parse as exposition
+	// text under the exposition content type.
+	resp, err = http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("/metrics?format=prom content-type = %q", ct)
+	}
+	if err := CheckPromText(prom); err != nil {
+		t.Fatalf("/metrics?format=prom: %v", err)
+	}
+}
+
+// TestWaitResponseCarriesKIPS is the regression test for KIPS recorded
+// after the terminal transition: a ?wait=1 response is written as soon as
+// the job is done, so host time and KIPS must be stored before that. The
+// clock stalls on every read and advances one second per read, which
+// holds the worker between the end of the run and the KIPS record for
+// long enough that a late record is always observed.
+func TestWaitResponseCarriesKIPS(t *testing.T) {
+	var reads atomic.Int64
+	srv := New(Options{Workers: 1, Now: func() time.Time {
+		time.Sleep(50 * time.Millisecond)
+		return time.Unix(reads.Add(1), 0)
+	}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, bench := range []string{"gcc", "swim", "comp"} {
+		st := submitWait(t, ts.URL, JobSpec{Bench: bench, Warmup: new(uint64), Inst: 2000})
+		if st.State != StateDone || st.Cached {
+			t.Fatalf("%s: state = %q cached = %v, want a cold run", bench, st.State, st.Cached)
+		}
+		if st.KIPS <= 0 || st.HostSeconds <= 0 {
+			t.Fatalf("%s: ?wait=1 response kips = %v host_seconds = %v, want both > 0", bench, st.KIPS, st.HostSeconds)
+		}
 	}
 }

@@ -728,7 +728,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one dequeued job end to end, including metrics.
+// runJob executes one dequeued job end to end, including metrics. The
+// job's host time and KIPS are recorded before its terminal transition, so
+// a waiter woken by Done (a ?wait=1 response) always sees them.
 func (s *Server) runJob(job *Job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -742,15 +744,31 @@ func (s *Server) runJob(job *Job) {
 		start = s.opts.Now()
 	}
 	var retired uint64
+	var err error
 	if job.spec.Figure != "" {
-		retired = s.runFigure(job)
+		retired, err = s.runFigure(job)
 	} else {
-		retired = s.runSim(job)
+		retired, err = s.runSim(job)
 	}
-	if s.opts.Now == nil {
-		return
+	if s.opts.Now != nil {
+		s.recordHostTime(job, s.opts.Now().Sub(start).Seconds(), retired)
 	}
-	sec := s.opts.Now().Sub(start).Seconds()
+	switch {
+	case err == nil:
+		job.finish(StateDone, nil)
+		s.countCompleted(job)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		job.finish(StateCancelled, err)
+		s.countCancelled(job)
+	default: // ErrCycleBudget, bad configs, and anything else a run reports
+		job.finish(StateFailed, err)
+		s.countFailed(job)
+	}
+}
+
+// recordHostTime stores a job's host time and KIPS and folds a positive
+// KIPS into the server-wide aggregate.
+func (s *Server) recordHostTime(job *Job, sec float64, retired uint64) {
 	kips := 0.0
 	if sec > 0 && retired > 0 {
 		kips = float64(retired) / sec / 1000
@@ -770,18 +788,15 @@ func (s *Server) runJob(job *Job) {
 }
 
 // runSim executes a single-simulation job and returns the retired
-// instruction count (0 when the job did not complete).
-func (s *Server) runSim(job *Job) uint64 {
+// instruction count (0 when no simulation completed) and the error that
+// ended the job, if any.
+func (s *Server) runSim(job *Job) (uint64, error) {
 	if err := job.ctx.Err(); err != nil {
-		job.finish(StateCancelled, err)
-		s.countCancelled(job)
-		return 0
+		return 0, err
 	}
 	cfg, err := job.spec.config() // validated at submit; rebuilt here, it's cheap
 	if err != nil {
-		job.finish(StateFailed, err)
-		s.countFailed(job)
-		return 0
+		return 0, err
 	}
 	if !job.spec.NoCache {
 		// Second cache lookup, spanned like the first: a sibling job may
@@ -795,9 +810,7 @@ func (s *Server) runSim(job *Job) uint64 {
 			job.cached = true
 			job.result = res
 			job.mu.Unlock()
-			job.finish(StateDone, nil)
-			s.countCompleted(job)
-			return 0 // no simulation ran; keep KIPS honest
+			return 0, nil // no simulation ran; keep KIPS honest
 		}
 		csp.SetStatus("miss")
 		csp.End()
@@ -813,30 +826,13 @@ func (s *Server) runSim(job *Job) uint64 {
 	} else {
 		m, err = pipeline.New(cfg)
 	}
-	if err != nil {
-		rsp.SetError(err)
-		rsp.End()
-		job.finish(StateFailed, err)
-		s.countFailed(job)
-		return 0
+	var res *pipeline.Result
+	if err == nil {
+		res, err = m.RunContext(job.ctx)
 	}
-	res, err := m.RunContext(job.ctx)
-	switch {
-	case err == nil:
-		rsp.SetStatus("ok")
-		rsp.End()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		rsp.SetStatus("cancelled")
-		rsp.End()
-		job.finish(StateCancelled, err)
-		s.countCancelled(job)
-		return 0
-	default: // ErrCycleBudget and anything else the pipeline reports
-		rsp.SetError(err)
-		rsp.End()
-		job.finish(StateFailed, err)
-		s.countFailed(job)
-		return 0
+	endRunSpan(rsp, err)
+	if err != nil {
+		return 0, err
 	}
 	if !job.spec.NoCache {
 		if err := s.store.Put(job.key, res); err != nil {
@@ -846,18 +842,15 @@ func (s *Server) runSim(job *Job) uint64 {
 	job.mu.Lock()
 	job.result = res
 	job.mu.Unlock()
-	job.finish(StateDone, nil)
-	s.countCompleted(job)
-	return res.TotalRetired
+	return res.TotalRetired, nil
 }
 
 // runFigure regenerates one paper figure through the cache and returns the
-// total retired instructions across its cache-missing simulations.
-func (s *Server) runFigure(job *Job) uint64 {
+// total retired instructions across its cache-missing simulations and the
+// error that ended the job, if any.
+func (s *Server) runFigure(job *Job) (uint64, error) {
 	if err := job.ctx.Err(); err != nil {
-		job.finish(StateCancelled, err)
-		s.countCancelled(job)
-		return 0
+		return 0, err
 	}
 	fig := figure(job.spec.Figure)
 	opt := experiments.DefaultOptions()
@@ -881,29 +874,27 @@ func (s *Server) runFigure(job *Job) uint64 {
 	}
 	rsp := job.span.Child("run")
 	table, err := fig(opt)
-	switch {
-	case err == nil:
-		rsp.SetStatus("ok")
-		rsp.End()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		rsp.SetStatus("cancelled")
-		rsp.End()
-		job.finish(StateCancelled, err)
-		s.countCancelled(job)
-		return 0
-	default:
-		rsp.SetError(err)
-		rsp.End()
-		job.finish(StateFailed, err)
-		s.countFailed(job)
-		return 0
+	endRunSpan(rsp, err)
+	if err != nil {
+		return 0, err
 	}
 	job.mu.Lock()
 	job.table = table
 	job.mu.Unlock()
-	job.finish(StateDone, nil)
-	s.countCompleted(job)
-	return retired.Load()
+	return retired.Load(), nil
+}
+
+// endRunSpan closes a job's run span with the status its outcome maps to.
+func endRunSpan(rsp *trace.ActiveSpan, err error) {
+	switch {
+	case err == nil:
+		rsp.SetStatus("ok")
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		rsp.SetStatus("cancelled")
+	default:
+		rsp.SetError(err)
+	}
+	rsp.End()
 }
 
 // jobEventSink fans one running job's loop events into the server-wide

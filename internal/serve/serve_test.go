@@ -204,7 +204,8 @@ func getMetrics(t *testing.T, url string) Metrics {
 
 // TestServerSweepHitsCacheSecondPass is the acceptance case: the same
 // sweep submitted twice must be served from the cache on the second pass,
-// with the hit rate visible in /metrics.
+// with the hit rate visible in /metrics. One job records loop events, so
+// /metrics must also carry loop aggregates.
 func TestServerSweepHitsCacheSecondPass(t *testing.T) {
 	srv := New(Options{Workers: 2, Now: time.Now})
 	defer srv.Close()
@@ -214,7 +215,7 @@ func TestServerSweepHitsCacheSecondPass(t *testing.T) {
 	sweep := []JobSpec{
 		{Bench: "gcc", Warmup: new(uint64), Inst: 3000},
 		{Bench: "gcc", Warmup: new(uint64), Inst: 3000, Seed: 2},
-		{Bench: "swim", Warmup: new(uint64), Inst: 3000},
+		{Bench: "swim", Warmup: new(uint64), Inst: 3000, Events: true},
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i, spec := range sweep {
@@ -242,6 +243,9 @@ func TestServerSweepHitsCacheSecondPass(t *testing.T) {
 	}
 	if m.KIPS.Jobs == 0 || m.KIPS.Last <= 0 {
 		t.Fatalf("per-job KIPS missing from metrics: %+v", m.KIPS)
+	}
+	if len(m.Loops) == 0 {
+		t.Fatal("metrics has no loop aggregates despite an events-enabled job")
 	}
 }
 

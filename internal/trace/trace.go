@@ -18,8 +18,8 @@
 //   - Timestamps come only from an injected clock (Options.Now), never
 //     the wall clock, keeping the package clean under simlint's noclock
 //     analyzer. A nil clock records zero timestamps: the span structure
-//     stays byte-identical across runs, which is what the selfcheck and
-//     the propagation tests pin.
+//     stays byte-identical across runs, which is what the dispatch
+//     package's fleet trace golden and the propagation tests pin.
 //
 // A nil *Tracer (tracing off) is free: every method is a nil-receiver
 // no-op, so instrumented code pays one pointer compare per site and

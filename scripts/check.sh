@@ -14,16 +14,6 @@ go vet ./...
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
-echo "==> simlint hot-path gate (hotalloc,exhaustive,fieldreset,sinkguard)"
-# Redundant with the full run above, but an explicit gate: the cross-package
-# analyzers must stay enabled and clean even if someone trims the default set.
-go run ./cmd/simlint -enable hotalloc,exhaustive,fieldreset,sinkguard ./...
-
-echo "==> simlint concurrency & determinism gate (ctxflow,goleak,lockorder,nondet-taint,chanclose)"
-# Same idea for the interprocedural dataflow analyzers: the serving and
-# dispatch stack must stay clean under them with no baseline file.
-go run ./cmd/simlint -enable ctxflow,goleak,lockorder,nondet-taint,chanclose ./...
-
 echo "==> simlint perf ratchet (hot-path escapes/inlining/bounds/dispatch vs PERF_baseline.json)"
 if ! go run ./cmd/simlint -perfbaseline PERF_baseline.json ./...; then
 	echo "check.sh: hot-path perf budget exceeded; the grown counts are listed above." >&2
@@ -35,6 +25,11 @@ fi
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> benchmark module (go -C bench vet + test -short)"
+# bench/ is its own module, so ./... above never reaches it.
+go -C bench vet ./...
+go -C bench test -short ./...
 
 echo "==> bench regression gate (BenchmarkMachine vs BENCH_machine.json)"
 ./scripts/bench.sh check
@@ -52,27 +47,12 @@ go run ./cmd/loosim -bench apsi -dra -warmup 20000 -inst 60000 \
 	-intervals "$tmp/iv.csv" -events "$tmp/ev.jsonl" >/dev/null
 go run ./cmd/loopstat -events "$tmp/ev.jsonl" -intervals "$tmp/iv.csv" >/dev/null
 
-echo "==> serving smoke (loosimd -selfcheck: submit over HTTP, cache hit, metrics)"
-go run ./cmd/loosimd -selfcheck -cache "$tmp/cache" >/dev/null
-
-echo "==> load smoke (looload -selfcheck: model determinism + loopback admission fleet)"
-go run ./cmd/looload -selfcheck >/dev/null
-
 echo "==> load replay byte-identity (two seeded replays must cmp equal)"
-# -selfcheck already byte-compares in-process; this repeats it across two
-# separate processes so process-level nondeterminism (map iteration, ASLR'd
-# pointers leaking into output) would be caught too.
+# TestModelConservationAndDeterminism byte-compares replays in-process; this
+# repeats it across two separate processes so process-level nondeterminism
+# (map iteration, ASLR'd pointers leaking into output) would be caught too.
 go run ./cmd/looload -seed 42 -curve 0.5,1,2 >"$tmp/load1.txt"
 go run ./cmd/looload -seed 42 -curve 0.5,1,2 >"$tmp/load2.txt"
 cmp "$tmp/load1.txt" "$tmp/load2.txt"
-
-echo "==> sweep smoke (loosweep -selfcheck: coordinator + 2 loopback backends)"
-go run ./cmd/loosweep -selfcheck -trace "$tmp/spans.jsonl" >/dev/null
-
-echo "==> tracing smoke (loostrace over the selfcheck span stream)"
-# The traced selfcheck already proved byte-identity; here the renderer must
-# reconstruct the same stream into waterfalls and a fleet summary.
-go run ./cmd/loostrace "$tmp/spans.jsonl" >/dev/null
-go run ./cmd/loostrace -json "$tmp/spans.jsonl" >/dev/null
 
 echo "All checks passed."
