@@ -190,27 +190,27 @@ func (t *Tournament) Predict(pc uint64) bool {
 
 // Update implements Predictor.
 func (t *Tournament) Update(pc uint64, taken bool) {
-	gi := t.globalIndex(pc)
-	ci := t.choiceIndex(pc)
-	li := t.localIndex(pc)
-	lh := uint64(t.localHist[li]) & t.lpMask
+	hist := &t.localHist[t.localIndex(pc)]
+	lp := &t.localPred[uint64(*hist)&t.lpMask]
+	gp := &t.globalPred[t.globalIndex(pc)]
 
-	localCorrect := t.localPred[lh].taken() == taken
-	globalCorrect := t.globalPred[gi].taken() == taken
+	localCorrect := lp.taken() == taken
+	globalCorrect := gp.taken() == taken
 
 	// Train the choice predictor toward whichever component was right.
 	if localCorrect != globalCorrect {
+		ci := t.choiceIndex(pc)
 		t.choice[ci] = t.choice[ci].update(globalCorrect)
 	}
-	t.localPred[lh] = t.localPred[lh].update(taken)
-	t.globalPred[gi] = t.globalPred[gi].update(taken)
+	*lp = lp.update(taken)
+	*gp = gp.update(taken)
 
 	// Shift the outcome into both history registers.
-	h := t.localHist[li] << 1
+	h := *hist << 1
 	if taken {
 		h |= 1
 	}
-	t.localHist[li] = h & uint16((1<<t.lhBits)-1)
+	*hist = h & uint16((1<<t.lhBits)-1)
 
 	t.history <<= 1
 	if taken {

@@ -8,7 +8,7 @@ import (
 )
 
 func BenchmarkCRCLookup(b *testing.B) {
-	c := NewCRC(16)
+	c := NewCRC(16, 64)
 	for p := regfile.PReg(0); p < 16; p++ {
 		c.Insert(p, 0)
 	}

@@ -162,59 +162,63 @@ type crcEntry struct {
 // bought nothing measurable). LRU replacement and entry timeouts are
 // available for the ablations that reproduce those design comparisons.
 // Values are not modelled; presence is.
+//
+// The associative match is modelled by an index rather than a search:
+// valid entries hold distinct registers, so slot maps each physical
+// register to 1 + the index of the valid entry holding it, or 0 when
+// absent.
 type CRC struct {
 	entries []crcEntry
+	slot    []int32
 	policy  ReplacementPolicy
 	timeout int64 // 0 = no timeout
 
 	hits, misses, inserts, invalidates, expirations uint64
 }
 
-// NewCRC returns a FIFO CRC with the given capacity.
-func NewCRC(entries int) *CRC { return NewCRCWith(entries, FIFO, 0) }
+// NewCRC returns a FIFO CRC with the given capacity, caching values of
+// physical registers 0..numPhys-1.
+func NewCRC(entries, numPhys int) *CRC { return NewCRCWith(entries, numPhys, FIFO, 0) }
 
-// NewCRCWith returns a CRC with the given capacity, replacement policy and
-// entry timeout (0 disables timeouts).
-func NewCRCWith(entries int, policy ReplacementPolicy, timeout int64) *CRC {
+// NewCRCWith returns a CRC with the given capacity, register range,
+// replacement policy and entry timeout (0 disables timeouts).
+func NewCRCWith(entries, numPhys int, policy ReplacementPolicy, timeout int64) *CRC {
 	if entries < 1 {
 		panic(fmt.Sprintf("core: CRC needs at least one entry, got %d", entries))
 	}
-	return &CRC{entries: make([]crcEntry, entries), policy: policy, timeout: timeout}
+	return &CRC{
+		entries: make([]crcEntry, entries),
+		slot:    make([]int32, numPhys),
+		policy:  policy,
+		timeout: timeout,
+	}
 }
 
 // Lookup reports whether preg's value is present at the given cycle,
 // updating statistics and LRU state. Timed-out entries miss and expire.
 func (c *CRC) Lookup(p regfile.PReg, cycle int64) bool {
-	i := c.probe(p)
-	if i >= 0 && c.timeout > 0 && cycle-c.entries[i].inserted > c.timeout {
-		c.entries[i].valid = false
+	slot := c.slot
+	if p < 0 || int(p) >= len(slot) || slot[p] == 0 {
+		c.misses++
+		return false
+	}
+	e := &c.entries[slot[p]-1]
+	if c.timeout > 0 && cycle-e.inserted > c.timeout {
+		e.valid = false
+		slot[p] = 0
 		c.expirations++
-		i = -1
+		c.misses++
+		return false
 	}
-	if i >= 0 {
-		c.entries[i].lastUse = cycle
-		c.hits++
-		return true
-	}
-	c.misses++
-	return false
-}
-
-// probe returns the index holding p, or -1.
-func (c *CRC) probe(p regfile.PReg) int {
-	if p == regfile.PRegInvalid {
-		return -1
-	}
-	for i := range c.entries {
-		if c.entries[i].valid && c.entries[i].preg == p {
-			return i
-		}
-	}
-	return -1
+	e.lastUse = cycle
+	c.hits++
+	return true
 }
 
 // Contains reports presence without touching statistics (for tests).
-func (c *CRC) Contains(p regfile.PReg) bool { return c.probe(p) >= 0 }
+func (c *CRC) Contains(p regfile.PReg) bool {
+	return p >= 0 && int(p) < len(c.slot) && c.slot[p] != 0
+}
 
 // Insert writes preg into the cache at the given cycle. If already present
 // the entry's timestamp refreshes; otherwise the policy picks the victim.
@@ -223,8 +227,9 @@ func (c *CRC) Insert(p regfile.PReg, cycle int64) {
 		return
 	}
 	c.inserts++
-	if i := c.probe(p); i >= 0 {
-		c.entries[i].inserted = cycle
+	slot := c.slot
+	if i := slot[p]; i != 0 {
+		c.entries[i-1].inserted = cycle
 		return
 	}
 	victim := 0
@@ -243,16 +248,24 @@ func (c *CRC) Insert(p regfile.PReg, cycle int64) {
 			victim = i
 		}
 	}
-	c.entries[victim] = crcEntry{preg: p, valid: true, inserted: cycle, lastUse: cycle}
+	e := &c.entries[victim]
+	if e.valid {
+		slot[e.preg] = 0
+	}
+	*e = crcEntry{preg: p, valid: true, inserted: cycle, lastUse: cycle}
+	slot[p] = int32(victim) + 1
 }
 
 // Invalidate removes preg if present. Called when the physical register is
 // reallocated so a stale value cannot be read (paper Section 5.5).
 func (c *CRC) Invalidate(p regfile.PReg) {
-	if i := c.probe(p); i >= 0 {
-		c.entries[i].valid = false
-		c.invalidates++
+	slot := c.slot
+	if p < 0 || int(p) >= len(slot) || slot[p] == 0 {
+		return
 	}
+	c.entries[slot[p]-1].valid = false
+	slot[p] = 0
+	c.invalidates++
 }
 
 // Occupancy returns the number of valid entries.
@@ -359,7 +372,7 @@ func New(cfg Config, numPhys int) *DRA {
 	}
 	for i := 0; i < banks; i++ {
 		d.tables = append(d.tables, NewInsertionTable(numPhys, cfg.counterMax()))
-		d.crcs = append(d.crcs, NewCRCWith(cfg.CRCEntries, cfg.Policy, cfg.TimeoutCycles))
+		d.crcs = append(d.crcs, NewCRCWith(cfg.CRCEntries, numPhys, cfg.Policy, cfg.TimeoutCycles))
 	}
 	return d
 }
@@ -412,11 +425,11 @@ func (d *DRA) RenameDest(p regfile.PReg) {
 		return
 	}
 	d.rpft.Clear(p)
-	for i := range d.crcs {
-		d.crcs[i].Invalidate(p)
+	for _, c := range d.crcs {
+		c.Invalidate(p)
 	}
-	for i := range d.tables {
-		d.tables[i].Clear(p)
+	for _, t := range d.tables {
+		t.Clear(p)
 	}
 }
 
@@ -442,10 +455,11 @@ func (d *DRA) Writeback(p regfile.PReg, cycle int64) int {
 	}
 	d.rpft.Set(p)
 	inserted := 0
-	for i := range d.tables {
-		if d.tables[i].Count(p) > 0 {
-			d.crcs[i].Insert(p, cycle)
-			d.tables[i].Clear(p)
+	crcs := d.crcs
+	for i, t := range d.tables {
+		if t.Count(p) > 0 {
+			crcs[i].Insert(p, cycle)
+			t.Clear(p)
 			inserted++
 		}
 	}

@@ -30,7 +30,7 @@ func TestRPFTLifecycle(t *testing.T) {
 }
 
 func TestCRCFIFOEviction(t *testing.T) {
-	c := NewCRC(4)
+	c := NewCRC(4, 64)
 	for p := regfile.PReg(0); p < 4; p++ {
 		c.Insert(p, 0)
 	}
@@ -49,7 +49,7 @@ func TestCRCFIFOEviction(t *testing.T) {
 }
 
 func TestCRCDuplicateInsert(t *testing.T) {
-	c := NewCRC(4)
+	c := NewCRC(4, 64)
 	c.Insert(7, 0)
 	c.Insert(7, 0)
 	if c.Occupancy() != 1 {
@@ -58,7 +58,7 @@ func TestCRCDuplicateInsert(t *testing.T) {
 }
 
 func TestCRCInvalidate(t *testing.T) {
-	c := NewCRC(4)
+	c := NewCRC(4, 64)
 	c.Insert(1, 0)
 	c.Insert(2, 0)
 	c.Invalidate(1)
@@ -72,7 +72,7 @@ func TestCRCInvalidate(t *testing.T) {
 }
 
 func TestCRCLookupStats(t *testing.T) {
-	c := NewCRC(2)
+	c := NewCRC(2, 64)
 	c.Insert(5, 0)
 	if !c.Lookup(5, 0) {
 		t.Error("lookup of resident entry must hit")
@@ -94,7 +94,7 @@ func TestCRCZeroSizePanics(t *testing.T) {
 			t.Error("zero-entry CRC must panic")
 		}
 	}()
-	NewCRC(0)
+	NewCRC(0, 64)
 }
 
 func TestInsertionTableSaturation(t *testing.T) {
@@ -270,7 +270,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestCRCInvariantsProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewCRC(4)
+		c := NewCRC(4, 64)
 		for i := 0; i < int(n); i++ {
 			p := regfile.PReg(rng.Intn(12))
 			switch rng.Intn(3) {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCRCLRUEviction(t *testing.T) {
-	c := NewCRCWith(2, LRU, 0)
+	c := NewCRCWith(2, 64, LRU, 0)
 	c.Insert(1, 10)
 	c.Insert(2, 11)
 	if !c.Lookup(1, 12) { // 1 becomes MRU
@@ -23,7 +23,7 @@ func TestCRCLRUEviction(t *testing.T) {
 }
 
 func TestCRCFIFOIgnoresRecency(t *testing.T) {
-	c := NewCRCWith(2, FIFO, 0)
+	c := NewCRCWith(2, 64, FIFO, 0)
 	c.Insert(1, 10)
 	c.Insert(2, 11)
 	c.Lookup(1, 50) // recency must not matter under FIFO
@@ -37,7 +37,7 @@ func TestCRCFIFOIgnoresRecency(t *testing.T) {
 }
 
 func TestCRCTimeout(t *testing.T) {
-	c := NewCRCWith(4, FIFO, 100)
+	c := NewCRCWith(4, 64, FIFO, 100)
 	c.Insert(5, 0)
 	if !c.Lookup(5, 100) {
 		t.Error("entry within timeout must hit")
@@ -54,7 +54,7 @@ func TestCRCTimeout(t *testing.T) {
 }
 
 func TestCRCTimeoutDisabled(t *testing.T) {
-	c := NewCRCWith(4, FIFO, 0)
+	c := NewCRCWith(4, 64, FIFO, 0)
 	c.Insert(5, 0)
 	if !c.Lookup(5, 1<<40) {
 		t.Error("without a timeout, entries never expire")

@@ -34,9 +34,13 @@ func (c *CRC) Snapshot(w *snap.Writer) {
 	w.U64(c.expirations)
 }
 
-// Restore overwrites the mutable state; c must have the snapshot's
-// capacity, and entry register names must be valid for numPhys.
-func (c *CRC) Restore(r *snap.Reader, numPhys int) {
+// Restore overwrites the mutable state and rebuilds the register index;
+// c must have the snapshot's capacity and register range. The index holds
+// one entry per register, so a register valid in two entries (or a valid
+// entry naming no register) is corrupt.
+func (c *CRC) Restore(r *snap.Reader) {
+	numPhys := len(c.slot)
+	clear(c.slot)
 	for i := range c.entries {
 		e := crcEntry{
 			preg:     regfile.PReg(r.I32()),
@@ -47,6 +51,17 @@ func (c *CRC) Restore(r *snap.Reader, numPhys int) {
 		if e.preg != regfile.PRegInvalid && (e.preg < 0 || int(e.preg) >= numPhys) {
 			r.Failf("crc entry %d: preg %d out of range", i, e.preg)
 			return
+		}
+		if e.valid {
+			if e.preg == regfile.PRegInvalid {
+				r.Failf("crc entry %d: valid without a register", i)
+				return
+			}
+			if c.slot[e.preg] != 0 {
+				r.Failf("crc entry %d: preg %d already valid in entry %d", i, e.preg, c.slot[e.preg]-1)
+				return
+			}
+			c.slot[e.preg] = int32(i) + 1
 		}
 		c.entries[i] = e
 	}
@@ -98,13 +113,12 @@ func (d *DRA) Snapshot(w *snap.Writer) {
 // Restore overwrites d's mutable state with state encoded by Snapshot.
 // d must have been constructed by New with the same config and numPhys.
 func (d *DRA) Restore(r *snap.Reader) {
-	numPhys := len(d.rpft.bits)
 	d.rpft.Restore(r)
 	for _, t := range d.tables {
 		t.Restore(r)
 	}
 	for _, c := range d.crcs {
-		c.Restore(r, numPhys)
+		c.Restore(r)
 	}
 	d.preReads = r.U64()
 	d.failedPreReads = r.U64()

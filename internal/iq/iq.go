@@ -25,12 +25,19 @@ type Config struct {
 	Clusters int
 }
 
-// Queue is the clustered instruction queue. Each cluster's list is kept in
-// age order; age order across clusters is preserved by the global Seq.
+// Queue is the clustered instruction queue. Each cluster's entry list is
+// kept in insertion order. Alongside it, each cluster keeps its Waiting
+// entries — the only ones select can pick — as a waiting list in the same
+// order, so select never walks the entries retained after issue. The queue
+// owns every state change of a held entry into or out of Waiting (Issue,
+// Revert) and out of the retained population (Retire, Remove), which keeps
+// the waiting lists and the retained count exact without rescanning.
 type Queue struct {
-	cfg       Config
-	byCluster [][]*uop.UOp
-	count     int
+	cfg      Config
+	clusters []cluster
+	count    int
+	retained int    // entries in StateIssued or StateDone
+	stamp    uint64 // next insertion stamp (uop.IQStamp)
 
 	inserted     uint64
 	occupancySum uint64
@@ -39,17 +46,26 @@ type Queue struct {
 	fullStalls   uint64
 }
 
+// cluster is one functional-unit cluster's share of the queue.
+type cluster struct {
+	entries []*uop.UOp // every held entry, insertion order
+	waiting []*uop.UOp // the StateWaiting subset, insertion order
+}
+
 // New returns an empty queue.
 func New(cfg Config) *Queue {
 	if cfg.Entries < 1 || cfg.Clusters < 1 {
 		panic(fmt.Sprintf("iq: bad config %+v", cfg))
 	}
-	q := &Queue{cfg: cfg, byCluster: make([][]*uop.UOp, cfg.Clusters)}
+	q := &Queue{cfg: cfg, clusters: make([]cluster, cfg.Clusters)}
 	// Slotting is least-loaded but nothing caps one cluster short of the
 	// whole queue, so each list is provisioned to the full capacity —
-	// Insert must never grow on the per-cycle path.
-	for c := range q.byCluster {
-		q.byCluster[c] = make([]*uop.UOp, 0, cfg.Entries)
+	// Insert and Revert must never grow on the per-cycle path.
+	for c := range q.clusters {
+		q.clusters[c] = cluster{
+			entries: make([]*uop.UOp, 0, cfg.Entries),
+			waiting: make([]*uop.UOp, 0, cfg.Entries),
+		}
 	}
 	return q
 }
@@ -67,76 +83,168 @@ func (q *Queue) Free() int { return q.cfg.Entries - q.count }
 func (q *Queue) Full() bool { return q.count >= q.cfg.Entries }
 
 // ClusterLen returns the number of entries slotted to cluster c.
-func (q *Queue) ClusterLen(c int) int { return len(q.byCluster[c]) }
+func (q *Queue) ClusterLen(c int) int { return len(q.clusters[c].entries) }
 
 // LeastLoadedCluster returns the cluster with the fewest queue entries,
 // breaking ties toward lower indices. This is the decode-time slotting
 // policy: it approximates the uniform distribution the paper assumes.
 func (q *Queue) LeastLoadedCluster() int {
-	best := 0
-	for c := 1; c < q.cfg.Clusters; c++ {
-		if len(q.byCluster[c]) < len(q.byCluster[best]) {
-			best = c
+	best, bestLen := 0, q.cfg.Entries+1
+	for c := range q.clusters {
+		if n := len(q.clusters[c].entries); n < bestLen {
+			best, bestLen = c, n
 		}
 	}
 	return best
 }
 
 // Insert places u (already slotted to u.Cluster) into the queue. It returns
-// false, counting a structural stall, if the queue is full.
+// false, counting a structural stall, if the queue is full. u's state must
+// be one an entry can hold: Waiting, Issued, Done or Retired.
 func (q *Queue) Insert(u *uop.UOp) bool {
 	if q.Full() {
 		q.fullStalls++
 		return false
 	}
-	if u.Cluster < 0 || u.Cluster >= q.cfg.Clusters {
-		panic(fmt.Sprintf("iq: uop %v has bad cluster", u))
+	if uint(u.Cluster) >= uint(len(q.clusters)) || u.InIQ ||
+		u.State == uop.StateDecode || u.State == uop.StateSquashed {
+		panic(fmt.Sprintf("iq: uop %v cannot take an entry (InIQ %v)", u, u.InIQ))
 	}
-	if u.InIQ {
-		panic(fmt.Sprintf("iq: duplicate insert of %v", u))
-	}
+	cl := &q.clusters[u.Cluster]
 	// simlint:prealloc cluster lists sized to Entries at construction
-	q.byCluster[u.Cluster] = append(q.byCluster[u.Cluster], u)
+	cl.entries = append(cl.entries, u)
 	q.count++
 	q.inserted++
 	u.InIQ = true
+	u.IQStamp = q.stamp
+	q.stamp++
+	if u.State == uop.StateWaiting {
+		cl.wait(u)
+	} else if retains(u.State) {
+		q.retained++
+	}
 	return true
 }
+
+// retains reports whether a held entry in state s counts as retained.
+func retains(s uop.State) bool { return s == uop.StateIssued || s == uop.StateDone }
 
 // Remove releases u's entry (retire-side eviction or squash).
 func (q *Queue) Remove(u *uop.UOp) {
 	if !u.InIQ {
 		return
 	}
-	list := q.byCluster[u.Cluster]
-	for i, e := range list {
-		if e == u {
-			q.byCluster[u.Cluster] = append(list[:i], list[i+1:]...)
-			q.count--
-			u.InIQ = false
-			return
-		}
+	cl := &q.clusters[u.Cluster]
+	n := len(cl.entries)
+	if cl.entries = drop(cl.entries, u); len(cl.entries) == n {
+		panic(fmt.Sprintf("iq: %v marked InIQ but not found", u))
 	}
-	panic(fmt.Sprintf("iq: %v marked InIQ but not found", u))
+	q.count--
+	u.InIQ = false
+	if u.State == uop.StateWaiting {
+		cl.waiting = drop(cl.waiting, u)
+	} else if retains(u.State) {
+		q.retained--
+	}
 }
 
-// SelectOldestReady returns the oldest waiting instruction in cluster c for
-// which ready returns true, or nil. It models the per-cluster select logic
-// (one issue per cluster per cycle).
-func (q *Queue) SelectOldestReady(c int, ready func(*uop.UOp) bool) *uop.UOp {
-	for _, u := range q.byCluster[c] {
-		// simlint:ignore ifacedispatch wakeup predicate seam; the caller binds it once at construction
-		if u.State == uop.StateWaiting && ready(u) {
-			return u
+// drop deletes u from list, keeping the order of the rest. A list without
+// u comes back unchanged.
+func drop(list []*uop.UOp, u *uop.UOp) []*uop.UOp {
+	for i, e := range list {
+		if e == u {
+			return append(list[:i], list[i+1:]...)
 		}
 	}
-	return nil
+	return list
+}
+
+// wait adds u to the waiting list at the position its insertion stamp
+// fixes: after every older entry, before every younger one.
+func (cl *cluster) wait(u *uop.UOp) {
+	// simlint:prealloc waiting lists sized to Entries at construction
+	list := append(cl.waiting, u)
+	for i := len(list) - 1; i > 0 && list[i-1].IQStamp > u.IQStamp; i-- {
+		list[i], list[i-1] = list[i-1], u
+	}
+	cl.waiting = list
+}
+
+// Issue moves an entry select returned from Waiting to Issued. The entry
+// stays held, now counted as retained, until Remove reclaims it.
+func (q *Queue) Issue(u *uop.UOp) {
+	cl := &q.clusters[u.Cluster]
+	cl.waiting = drop(cl.waiting, u)
+	u.State = uop.StateIssued
+	q.retained++
+}
+
+// Revert is loose-loop recovery at the queue: an issued instruction (the
+// only kind the execution stage sends back) returns to Waiting and, while
+// it holds its entry, rejoins its cluster's waiting list at its original
+// insertion position, so select sees it exactly where it always was.
+func (q *Queue) Revert(u *uop.UOp) {
+	u.State = uop.StateWaiting
+	if u.InIQ {
+		q.retained--
+		q.clusters[u.Cluster].wait(u)
+	}
+}
+
+// Retire moves a completed instruction from Done to Retired. Its entry, if
+// not yet reclaimed, is held until its IQ-free event but no longer counts
+// as retained.
+func (q *Queue) Retire(u *uop.UOp) {
+	if u.InIQ && retains(u.State) {
+		q.retained--
+	}
+	u.State = uop.StateRetired
+}
+
+// Wakeup is the operand-readiness view select evaluates: the issue stage
+// fills it once per cycle.
+type Wakeup struct {
+	// Cycle is the current cycle. An entry whose MinIssueCycle is later is
+	// still waiting for its recovery signal.
+	Cycle int64
+	// Horizon is the latest wakeup time that counts as ready: the cycle an
+	// instruction selected now would reach the functional units.
+	Horizon int64
+	// ReadyAt is the per-physical-register wakeup belief.
+	ReadyAt []int64
+}
+
+// SelectOldestReady models the per-cluster select logic (one issue per
+// cluster per cycle): it returns the oldest waiting instruction in cluster
+// c, at or after position from of the cluster's waiting list, whose
+// recovery gate has passed and whose sources w believes ready, or nil. The
+// second result is the position after the returned entry, from which a
+// caller that rejects it on a further condition resumes the search.
+func (q *Queue) SelectOldestReady(c, from int, w *Wakeup) (*uop.UOp, int) {
+	list := q.clusters[c].waiting
+next:
+	for i := uint(from); i < uint(len(list)); i++ {
+		u := list[i]
+		if w.Cycle < u.MinIssueCycle {
+			continue
+		}
+		for s, p := range u.Src {
+			if s >= u.NumSrc {
+				break
+			}
+			if w.ReadyAt[p] > w.Horizon {
+				continue next
+			}
+		}
+		return u, int(i) + 1
+	}
+	return nil, len(list)
 }
 
 // ForEach visits every queue entry in cluster-major, age-minor order.
 func (q *Queue) ForEach(f func(*uop.UOp)) {
-	for _, list := range q.byCluster {
-		for _, u := range list {
+	for c := range q.clusters {
+		for _, u := range q.clusters[c].entries {
 			f(u)
 		}
 	}
@@ -145,25 +253,13 @@ func (q *Queue) ForEach(f func(*uop.UOp)) {
 // Retained returns the number of entries held by instructions that have
 // issued (or completed) but whose entries have not yet been reclaimed —
 // the IQ-pressure population.
-// Iterating the cluster lists directly (rather than via ForEach) keeps the
-// per-cycle sampling path closure-free.
-func (q *Queue) Retained() int {
-	n := 0
-	for _, list := range q.byCluster {
-		for _, u := range list {
-			if u.State == uop.StateIssued || u.State == uop.StateDone {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (q *Queue) Retained() int { return q.retained }
 
 // Sample records one cycle's occupancy for the pressure statistics.
 func (q *Queue) Sample() {
 	q.samples++
 	q.occupancySum += uint64(q.count)
-	q.retainedSum += uint64(q.Retained())
+	q.retainedSum += uint64(q.retained)
 }
 
 // MeanOccupancy returns the average sampled occupancy.

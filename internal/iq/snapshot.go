@@ -9,7 +9,7 @@ import (
 // is the queue's own storage — callers must treat it as read-only. It
 // exists for the machine's snapshot encoder, which serializes the lists
 // as live-uop indices.
-func (q *Queue) ClusterEntries(c int) []*uop.UOp { return q.byCluster[c] }
+func (q *Queue) ClusterEntries(c int) []*uop.UOp { return q.clusters[c].entries }
 
 // Snapshot encodes the queue's statistics counters. The entry lists
 // themselves hold pointers into the machine's live-uop set, so the

@@ -111,12 +111,9 @@ type Machine struct {
 	// Uop recycling. fetch draws records from pool; retire and squash
 	// enqueue dead records on the delay queue, and reclaimDead returns
 	// them to the pool once every stale reference has provably expired.
-	// srcReadyFn is m.srcReady bound once: passing the bound method to the
-	// IQ avoids allocating a fresh method-value closure every issue cycle.
-	pool       uop.Pool
-	dead       []deadRecord
-	deadHead   int
-	srcReadyFn func(*uop.UOp) bool
+	pool     uop.Pool
+	dead     []deadRecord
+	deadHead int
 
 	// genDonor, when non-nil during restorePayload, is a consumed machine
 	// whose generators seed the replay fast-forward (see RestoreReusing).
@@ -175,7 +172,6 @@ func New(cfg Config) (*Machine, error) {
 	m.readyAt = make([]int64, cfg.NumPhysRegs)
 	m.actualAt = make([]int64, cfg.NumPhysRegs)
 	m.regGen = make([]uint32, cfg.NumPhysRegs)
-	m.srcReadyFn = m.srcReady
 	for i, p := range cfg.Workload.Threads {
 		m.threads = append(m.threads, &threadState{
 			id: i,
@@ -467,12 +463,9 @@ func (m *Machine) onWriteback(e event) {
 // onIQFree reclaims an issued instruction's IQ entry once the execution
 // stage has confirmed (loop delay later) that it will not reissue.
 func (m *Machine) onIQFree(e event) {
-	u := e.u
-	if int(e.tag) != u.Issues || !u.InIQ {
-		return
-	}
-	switch u.State {
-	case uop.StateIssued, uop.StateDone, uop.StateRetired:
+	// A Waiting instruction was sent back for reissue and keeps its
+	// entry; Remove ignores one whose entry is already gone.
+	if u := e.u; int(e.tag) == u.Issues && u.State != uop.StateWaiting {
 		m.q.Remove(u)
 	}
 }
@@ -491,8 +484,11 @@ func (m *Machine) onExec(e event) {
 	// Validity: did every source's value actually exist when we read it?
 	// A violation means this instruction issued inside some producer's
 	// mis-speculation shadow (typically a load miss) and consumed garbage.
-	for i := 0; i < u.NumSrc; i++ {
-		if m.actualAt[u.Src[i]] > now {
+	for i, src := range u.Src {
+		if i == u.NumSrc {
+			break
+		}
+		if m.actualAt[src] > now {
 			if !u.WrongPath {
 				m.noteDataReissue(u)
 			}
@@ -683,7 +679,7 @@ func (m *Machine) operandsDelivered(u *uop.UOp, now int64) bool {
 // before the recovery signal arrives at minIssue. Its destination's wakeup
 // state goes back to unknown so dependents stop issuing against it.
 func (m *Machine) revertToWaiting(u *uop.UOp, minIssue int64) {
-	u.State = uop.StateWaiting
+	m.q.Revert(u)
 	u.MinIssueCycle = minIssue
 	if u.Dest != regfile.PRegInvalid {
 		m.readyAt[u.Dest] = inf
@@ -837,7 +833,7 @@ func (m *Machine) retire() int {
 		}
 		idle = 0
 		t.window.popFront()
-		u.State = uop.StateRetired
+		m.q.Retire(u)
 		if m.cfg.Tracer != nil {
 			m.cfg.Tracer.record(u, m.cycle)
 		}
@@ -852,50 +848,43 @@ func (m *Machine) retire() int {
 	return m.cfg.RetireWidth - budget
 }
 
-// srcReady is the wakeup predicate: every source's value must be (believed)
-// available by the time the instruction reaches the functional units.
-func (m *Machine) srcReady(u *uop.UOp) bool {
-	if m.cycle < u.MinIssueCycle {
-		return false
-	}
-	if m.loadMustWait(u) {
-		return false
-	}
-	horizon := m.cycle + int64(m.cfg.IQExLat)
-	for i := 0; i < u.NumSrc; i++ {
-		if m.readyAt[u.Src[i]] > horizon {
-			return false
-		}
-	}
-	return true
-}
-
 // issue selects at most one ready instruction per cluster, beginning its
 // IQ-EX traversal. Destinations are announced to the wakeup state at the
 // speculative latency (loads: L1 hit), which is precisely the load-hit
 // speculation of the load resolution loop.
+//
+// The wakeup predicate is: the recovery gate (MinIssueCycle) has passed,
+// every source's value is (believed) available by the time the instruction
+// reaches the functional units, and the memory-dependence gate lets it go.
+// The queue checks the first two; a candidate the load gate holds back
+// resumes the search just past it. All three are side-effect-free, so the
+// pick is the oldest waiting entry satisfying all of them.
 func (m *Machine) issue() {
+	w := iq.Wakeup{Cycle: m.cycle, Horizon: m.cycle + int64(m.cfg.IQExLat), ReadyAt: m.readyAt}
 	for c := 0; c < m.cfg.Clusters; c++ {
-		u := m.q.SelectOldestReady(c, m.srcReadyFn)
+		var u *uop.UOp
+		for next := 0; ; {
+			if u, next = m.q.SelectOldestReady(c, next, &w); u == nil || !m.loadMustWait(u) {
+				break
+			}
+		}
 		if u == nil {
 			continue
 		}
-		u.State = uop.StateIssued
+		m.q.Issue(u)
 		u.Issues++
 		u.IssueCycle = m.cycle
 		m.ctr.IssuedTotal++
+		exec := w.Horizon // the cycle u reaches the functional units
 		if u.Dest != regfile.PRegInvalid {
-			if u.IsLoad() && m.cfg.LoadPolicy == LoadStall {
-				m.readyAt[u.Dest] = inf // no speculation: wait for resolve
-			} else {
-				spec := int64(u.Inst.Op.Latency())
-				if u.IsLoad() {
-					spec = int64(m.cfg.Mem.L1.HitLatency)
-				}
-				m.readyAt[u.Dest] = m.cycle + int64(m.cfg.IQExLat) + spec
+			ready := inf // a load under LoadStall: no speculation, wait for resolve
+			if !u.IsLoad() {
+				ready = exec + int64(u.Inst.Op.Latency())
+			} else if m.cfg.LoadPolicy != LoadStall {
+				ready = exec + int64(m.cfg.Mem.L1.HitLatency)
 			}
+			m.readyAt[u.Dest] = ready
 		}
-		exec := m.cycle + int64(m.cfg.IQExLat)
 		m.schedule(evExec, exec, event{u: u, tag: int32(u.Issues)})
 		m.schedule(evIQFree, exec+int64(m.cfg.FeedbackDelay+1+m.cfg.IQEvictDelay), event{u: u, tag: int32(u.Issues)})
 	}

@@ -39,20 +39,18 @@ func (m *Machine) refreshMemDep() {
 	}
 }
 
-// loadMustWait implements the issue-stage gate for the configured policy.
+// loadMustWait implements the issue-stage gate for the configured policy:
+// a correct-path load with an older store whose address is still unknown
+// waits always under MemDepConservative, and under MemDepStoreWait when
+// its store-wait bit is set.
 func (m *Machine) loadMustWait(u *uop.UOp) bool {
-	if u.WrongPath || !u.IsLoad() {
+	if u.WrongPath || !u.IsLoad() || m.cfg.MemDep == MemDepBlind {
 		return false
 	}
-	switch m.cfg.MemDep {
-	case MemDepConservative:
-		return u.Seq > m.threads[u.Thread].minUnexecStore
-	case MemDepStoreWait:
-		return m.swPred.ShouldWait(u.Inst.PC) &&
-			u.Seq > m.threads[u.Thread].minUnexecStore
-	default:
+	if u.Seq <= m.threads[u.Thread].minUnexecStore {
 		return false
 	}
+	return m.cfg.MemDep == MemDepConservative || m.swPred.ShouldWait(u.Inst.PC)
 }
 
 // forwardingStore returns the youngest older store with a resolved address
@@ -132,8 +130,13 @@ func (t *threadState) untrackRetired(u *uop.UOp) {
 			}
 		}
 	case u.Inst.Op.IsMem():
-		if len(t.memStores) > 0 && t.memStores[0] == u {
-			t.memStores = t.memStores[1:]
+		if s := t.memStores; len(s) > 0 && s[0] == u {
+			// Copy down rather than re-slice: s[1:] would shed the
+			// head's capacity, and trackStore's append would then
+			// reallocate.
+			copy(s, s[1:])
+			s[len(s)-1] = nil
+			t.memStores = s[:len(s)-1]
 			return
 		}
 		// A store must retire in order; reaching here is a tracking bug.

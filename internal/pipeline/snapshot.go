@@ -657,7 +657,8 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 	}
 
 	// IQ: rebuild the entry lists through Insert (which re-checks
-	// capacity), then overwrite the counters it bumped.
+	// capacity and rebuilds the waiting lists and retained count from the
+	// entries' states), then overwrite the counters it bumped.
 	inIQ := make([]bool, n)
 	for c := 0; c < m.cfg.Clusters; c++ {
 		cnt := r.Len(n)
@@ -669,6 +670,10 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 			u := uops[idx]
 			if inIQ[idx] || !u.InIQ || u.Cluster != c {
 				r.Failf("iq cluster %d entry %d: inconsistent membership for uop %d", c, i, idx)
+				return
+			}
+			if u.State == uop.StateDecode || u.State == uop.StateSquashed {
+				r.Failf("iq cluster %d entry %d: uop %d in state %v cannot hold an entry", c, i, idx, u.State)
 				return
 			}
 			inIQ[idx] = true

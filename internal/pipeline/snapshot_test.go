@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"loosesim/internal/snap"
+	"loosesim/internal/uop"
 	"loosesim/internal/workload"
 )
 
@@ -173,6 +174,36 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 		mutate(&bad)
 		if _, err := Restore(bad, data); !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("%s: mismatched config accepted (err=%v)", name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsUnholdableIQEntry: an IQ entry whose uop is still in
+// decode or already squashed cannot occur, and restoring one would corrupt
+// the queue's waiting lists and retained count — so a snapshot carrying
+// one, checksum intact, is refused.
+func TestRestoreRejectsUnholdableIQEntry(t *testing.T) {
+	cfg := snapshotConfigs(t)["base"]
+	for _, st := range []uop.State{uop.StateDecode, uop.StateSquashed} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunUntilRetired(context.Background(), 3_000); err != nil {
+			t.Fatal(err)
+		}
+		var victim *uop.UOp
+		for c := 0; c < cfg.Clusters && victim == nil; c++ {
+			if entries := m.q.ClusterEntries(c); len(entries) > 0 {
+				victim = entries[len(entries)-1]
+			}
+		}
+		if victim == nil {
+			t.Fatal("no IQ entry to corrupt")
+		}
+		victim.State = st
+		if _, err := Restore(cfg, mustSnapshot(t, m)); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("IQ entry in state %v accepted (err=%v)", st, err)
 		}
 	}
 }

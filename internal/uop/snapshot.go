@@ -6,7 +6,7 @@ import (
 )
 
 // Snapshot encodes the dynamic instruction into w, field by field in
-// declaration order. Pointers into the record (IQ entries, event-ring
+// declaration order; IQStamp is the queue's to rebuild. Pointers into the record (IQ entries, event-ring
 // slots, tracking lists) are not the uop's to encode — the machine
 // serializes those as indices into its live-uop table.
 func (u *UOp) Snapshot(w *snap.Writer) {

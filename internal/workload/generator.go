@@ -74,6 +74,11 @@ type Generator struct {
 	patternCount [numPatternSites]uint32
 	patternPer   [numPatternSites]uint32
 
+	// Geometric-draw constants: log(1-p) for the dependency-distance and
+	// hot-site skew parameters, fixed for the generator's lifetime.
+	lnDepGeo  float64
+	lnSiteGeo float64
+
 	pc        uint64
 	generated uint64
 }
@@ -93,6 +98,9 @@ func NewGenerator(prof Profile, seed int64, memBase uint64) *Generator {
 		chainReg: isa.RegInvalid,
 		memBase:  memBase,
 		pc:       codePCBase,
+
+		lnDepGeo:  math.Log(1 - prof.DepGeoP),
+		lnSiteGeo: math.Log(1 - siteSkewP),
 	}
 	for i := 0; i < prof.NumStreams; i++ {
 		g.streams = append(g.streams, uint64(i)*(prof.StreamBytes/uint64(prof.NumStreams)))
@@ -258,7 +266,7 @@ func (g *Generator) pickSource() isa.Reg {
 		d := lo + g.rng.Intn(g.ringLen-lo+1)
 		return g.at(d)
 	default:
-		d := 1 + g.geometric(p.DepGeoP)
+		d := 1 + g.geometric(g.lnDepGeo)
 		if d > g.ringLen {
 			d = g.ringLen
 		}
@@ -273,7 +281,7 @@ func (g *Generator) pickAddrSource() isa.Reg {
 	if g.rng.Float64() < 0.5 || g.ringLen == 0 {
 		return isa.Reg(g.rng.Intn(isa.NumGlobalRegs))
 	}
-	d := 1 + g.geometric(g.prof.DepGeoP)
+	d := 1 + g.geometric(g.lnDepGeo)
 	if d > g.ringLen {
 		d = g.ringLen
 	}
@@ -290,13 +298,14 @@ func (g *Generator) at(d int) isa.Reg {
 	return g.ring[idx]
 }
 
-// geometric draws from Geom(p) (number of failures before first success).
-func (g *Generator) geometric(p float64) int {
+// geometric draws from Geom(p) (number of failures before first success),
+// given lnQ = log(1-p).
+func (g *Generator) geometric(lnQ float64) int {
 	u := g.rng.Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	return int(math.Log(1-u) / math.Log(1-p))
+	return int(math.Log(1-u) / lnQ)
 }
 
 // Region base offsets within a thread's address space; regions never
@@ -334,7 +343,7 @@ func (g *Generator) pickAddr() uint64 {
 // pickSite chooses a site index within a pool, geometrically skewed toward
 // the pool's hot low-numbered sites.
 func (g *Generator) pickSite(pool int) int {
-	s := g.geometric(siteSkewP)
+	s := g.geometric(g.lnSiteGeo)
 	if s >= pool {
 		s = g.rng.Intn(pool)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,36 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 	if a.Generated() != 5000 {
 		t.Errorf("Generated = %d, want 5000", a.Generated())
+	}
+}
+
+// TestGeometricHoistExact: drawing with the precomputed log(1-p) gives the
+// same value as evaluating the closed form per draw, so hoisting the
+// constant leaves every stream bit-identical.
+func TestGeometricHoistExact(t *testing.T) {
+	for _, name := range Names() {
+		for _, p := range []float64{profiles[name].DepGeoP, siteSkewP} {
+			if p == 0 {
+				continue
+			}
+			g := NewGenerator(profiles["gcc"], 7, 0)
+			ref := rand.New(rand.NewSource(7))
+			lnQ := math.Log(1 - p)
+			for i := 0; i < 2000; i++ {
+				u := ref.Float64()
+				if u >= 1 {
+					u = math.Nextafter(1, 0)
+				}
+				if got, want := g.geometric(lnQ), int(math.Log(1-u)/math.Log(1-p)); got != want {
+					t.Fatalf("%s p=%v draw %d: geometric = %d, closed form %d", name, p, i, got, want)
+				}
+			}
+		}
+	}
+	g := NewGenerator(profiles["gcc"], 1, 0)
+	skew, dep := float64(siteSkewP), profiles["gcc"].DepGeoP // evaluated at run time, as before the hoist
+	if g.lnSiteGeo != math.Log(1-skew) || g.lnDepGeo != math.Log(1-dep) {
+		t.Errorf("hoisted constants %v/%v differ from log(1-p)", g.lnSiteGeo, g.lnDepGeo)
 	}
 }
 
