@@ -99,20 +99,20 @@ func anyContains(msgs []string, substr string) bool {
 	return false
 }
 
-func TestDetMapFixture(t *testing.T)       { runFixture(t, DetMap(), "detmap.go") }
-func TestNoClockFixture(t *testing.T)      { runFixture(t, NoClock(), "noclock.go") }
-func TestCfgValidateFixture(t *testing.T)  { runFixture(t, CfgValidate(), "cfgvalidate.go") }
-func TestLoopBoundFixture(t *testing.T)    { runFixture(t, LoopBound(), "loopbound.go") }
-func TestErrCheckLiteFixture(t *testing.T) { runFixture(t, ErrCheckLite(), "errcheck.go") }
-func TestHotAllocFixture(t *testing.T)     { runFixture(t, HotAlloc(), "hotalloc.go") }
-func TestExhaustiveFixture(t *testing.T)   { runFixture(t, Exhaustive(), "exhaustive.go") }
-func TestFieldResetFixture(t *testing.T)   { runFixture(t, FieldReset(), "fieldreset.go") }
-func TestSinkGuardFixture(t *testing.T)    { runFixture(t, SinkGuard(), "sinkguard.go") }
-func TestCtxFlowFixture(t *testing.T)      { runFixture(t, CtxFlow(), "ctxflow.go") }
-func TestGoLeakFixture(t *testing.T)       { runFixture(t, GoLeak(), "goleak.go") }
-func TestLockOrderFixture(t *testing.T)    { runFixture(t, LockOrder(), "lockorder.go") }
-func TestNonDetTaintFixture(t *testing.T)  { runFixture(t, NonDetTaint(), "nondet.go") }
-func TestChanCloseFixture(t *testing.T)    { runFixture(t, ChanClose(), "chanclose.go") }
+func TestDetMapFixture(t *testing.T)        { runFixture(t, DetMap(), "detmap.go") }
+func TestNoClockFixture(t *testing.T)       { runFixture(t, NoClock(), "noclock.go") }
+func TestCfgValidateFixture(t *testing.T)   { runFixture(t, CfgValidate(), "cfgvalidate.go") }
+func TestLoopBoundFixture(t *testing.T)     { runFixture(t, LoopBound(), "loopbound.go") }
+func TestErrCheckLiteFixture(t *testing.T)  { runFixture(t, ErrCheckLite(), "errcheck.go") }
+func TestHotAllocFixture(t *testing.T)      { runFixture(t, HotAlloc(), "hotalloc.go") }
+func TestExhaustiveFixture(t *testing.T)    { runFixture(t, Exhaustive(), "exhaustive.go") }
+func TestFieldResetFixture(t *testing.T)    { runFixture(t, FieldReset(), "fieldreset.go") }
+func TestSinkGuardFixture(t *testing.T)     { runFixture(t, SinkGuard(), "sinkguard.go") }
+func TestCtxFlowFixture(t *testing.T)       { runFixture(t, CtxFlow(), "ctxflow.go") }
+func TestGoLeakFixture(t *testing.T)        { runFixture(t, GoLeak(), "goleak.go") }
+func TestLockOrderFixture(t *testing.T)     { runFixture(t, LockOrder(), "lockorder.go") }
+func TestNonDetTaintFixture(t *testing.T)   { runFixture(t, NonDetTaint(), "nondet.go") }
+func TestChanCloseFixture(t *testing.T)     { runFixture(t, ChanClose(), "chanclose.go") }
 func TestIfaceDispatchFixture(t *testing.T) { runFixture(t, IfaceDispatch(), "ifacedispatch.go") }
 func TestDeferHotFixture(t *testing.T)      { runFixture(t, DeferHot(), "deferhot.go") }
 func TestAppendHotFixture(t *testing.T)     { runFixture(t, AppendHot(), "appendhot.go") }

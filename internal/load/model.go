@@ -126,8 +126,8 @@ func (h completionHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)         { *h = append(*h, x.(completion)) }
+func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
 func (h *completionHeap) Pop() any {
 	old := *h
 	n := len(old)

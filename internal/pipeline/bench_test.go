@@ -54,3 +54,30 @@ func BenchmarkMachineDRA(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRestore measures one checkpoint restore — the sampler's
+// per-window setup — from a checkpoint taken after 1M functionally warmed
+// instructions of the base machine.
+func BenchmarkRestore(b *testing.B) {
+	wl, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(wl)
+	chain, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain.WarmForward(1_000_000)
+	ckpt, err := chain.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Restore(cfg, ckpt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

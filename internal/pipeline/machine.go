@@ -114,10 +114,6 @@ type Machine struct {
 	pool     uop.Pool
 	dead     []deadRecord
 	deadHead int
-
-	// genDonor, when non-nil during restorePayload, is a consumed machine
-	// whose generators seed the replay fast-forward (see RestoreReusing).
-	genDonor *Machine
 }
 
 // deadRecord is one retired or squashed uop awaiting reuse: at is the first

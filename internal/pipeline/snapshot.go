@@ -32,7 +32,7 @@ import (
 
 const (
 	snapMagic   = "LOOMACH"
-	snapVersion = 1
+	snapVersion = 2
 
 	// noUop is the encoded id for a nil uop reference.
 	noUop = ^uint32(0)
@@ -41,9 +41,6 @@ const (
 	maxSnapUops = 1 << 20
 	// maxSnapReplay bounds a thread's queued replay instructions.
 	maxSnapReplay = 1 << 20
-	// maxGenReplay bounds the generator fast-forward count, mirroring
-	// Config.Validate's bound on run length.
-	maxGenReplay = uint64(1) << 40
 )
 
 // ConfigDigest returns the hex sha256 identifying the run-invariant part
@@ -83,25 +80,10 @@ func (m *Machine) Snapshot() ([]byte, error) {
 // Restore builds a machine from cfg and a checkpoint produced by
 // Snapshot under a configuration with the same ConfigDigest. Corrupt or
 // mismatched data returns an error (wrapping snap.ErrCorrupt for bad
-// bytes); it never panics.
+// bytes); it never panics. The checkpoint carries every workload
+// generator's full state, so restore costs the same at any stream
+// position.
 func Restore(cfg Config, data []byte) (*Machine, error) {
-	return RestoreReusing(cfg, data, nil)
-}
-
-// RestoreReusing is Restore with a generator donor. Checkpoints encode
-// each workload generator as its stream position and Restore rebuilds it
-// by replaying the deterministic stream from zero — O(position) work
-// that dominates restore cost deep into a run. A donor machine under the
-// same ConfigDigest whose generators sit at or before the checkpoint's
-// positions lets the replay start from where the donor left off instead:
-// the sampler passes each window's finished machine as the donor for the
-// next, turning N restores costing O(N·position) total into one
-// incremental pass over the stream.
-//
-// The donor is consumed: its generators are transplanted (or discarded)
-// and it must not be used afterwards, whether or not an error is
-// returned. A nil donor makes this identical to Restore.
-func RestoreReusing(cfg Config, data []byte, donor *Machine) (*Machine, error) {
 	m, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -109,24 +91,6 @@ func RestoreReusing(cfg Config, data []byte, donor *Machine) (*Machine, error) {
 	digest, err := ConfigDigest(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if donor != nil {
-		ddigest, err := ConfigDigest(donor.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if ddigest != digest {
-			return nil, fmt.Errorf("pipeline: donor machine has config %.12s…, restoring under %.12s…", ddigest, digest)
-		}
-		m.genDonor = donor
-		defer func() {
-			m.genDonor = nil
-			// Fail fast if the caller touches the consumed donor again:
-			// its generators may now belong to the restored machine.
-			for _, t := range donor.threads {
-				t.gen, t.wp = nil, nil
-			}
-		}()
 	}
 	meta, payload, err := snap.Open(data, snapMagic, snapVersion)
 	if err != nil {
@@ -142,6 +106,13 @@ func RestoreReusing(cfg Config, data []byte, donor *Machine) (*Machine, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// RestoreReusing is Restore; donor is ignored. It remains only for
+// callers written when restore replayed generator streams and a donor
+// machine could shorten the replay.
+func RestoreReusing(cfg Config, data []byte, donor *Machine) (*Machine, error) {
+	return Restore(cfg, data)
 }
 
 // Cycle returns the machine's current cycle.
@@ -401,12 +372,11 @@ func (m *Machine) encodePayload(w *snap.Writer) {
 		u.Snapshot(w)
 	}
 
-	// Per-thread front-end and window state. Generators are encoded as
-	// their stream positions: they are deterministic functions of the
-	// config, so the restore side rebuilds them by replay.
+	// Per-thread front-end and window state, starting with the full state
+	// of both workload generators.
 	for _, t := range m.threads {
-		w.U64(t.gen.Generated())
-		w.U64(t.wp.Generated())
+		t.gen.Snapshot(w)
+		t.wp.Snapshot(w)
 		w.Len(t.window.len())
 		for i := 0; i < t.window.len(); i++ {
 			w.U32(id(t.window.at(i)))
@@ -573,34 +543,10 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 
 	// Threads.
 	for _, t := range m.threads {
-		genN := r.U64()
-		wpN := r.U64()
-		if genN > maxGenReplay || wpN > maxGenReplay {
-			r.Failf("thread %d: generator position %d/%d implausible", t.id, genN, wpN)
-			return
-		}
+		t.gen.Restore(r)
+		t.wp.Restore(r)
 		if r.Err() != nil {
 			return
-		}
-		// Replay the deterministic streams up to the recorded positions.
-		// A donor generator already partway there (never past) resumes
-		// the replay from its position instead of from zero.
-		if d := m.genDonor; d != nil && t.id < len(d.threads) {
-			dt := d.threads[t.id]
-			if dt.gen != nil && dt.gen.Generated() <= genN {
-				t.gen = dt.gen
-			}
-			if dt.wp != nil && dt.wp.Generated() <= wpN {
-				t.wp = dt.wp
-			}
-		}
-		// simlint:bounded Generated() increments by one on every Next()
-		for t.gen.Generated() < genN {
-			t.gen.Next()
-		}
-		// simlint:bounded Generated() increments by one on every Next()
-		for t.wp.Generated() < wpN {
-			t.wp.Next()
 		}
 		wn := r.Len(n)
 		for i := 0; i < wn; i++ {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"loosesim/internal/snap"
@@ -31,11 +32,11 @@ func snapshotConfigs(t *testing.T) map[string]Config {
 		return cfg
 	}
 	return map[string]Config{
-		"base":     mk("gcc", nil),
-		"gshare":   mk("m88", func(c *Config) { c.Predictor = PredGShare }),
-		"bimodal":  mk("swim", func(c *Config) { c.Predictor = PredBimodal }),
-		"static":   mk("comp", func(c *Config) { c.Predictor = PredStatic }),
-		"smt":      mk("m88-comp", nil),
+		"base":    mk("gcc", nil),
+		"gshare":  mk("m88", func(c *Config) { c.Predictor = PredGShare }),
+		"bimodal": mk("swim", func(c *Config) { c.Predictor = PredBimodal }),
+		"static":  mk("comp", func(c *Config) { c.Predictor = PredStatic }),
+		"smt":     mk("m88-comp", nil),
 		"dra": mk("gcc", func(c *Config) {
 			c.UseDRA = true
 			c.Predictor = PredPerceptron
@@ -285,69 +286,57 @@ func TestWarmForwardAdvancesState(t *testing.T) {
 	}
 }
 
-// TestRestoreReusingMatchesFresh: a donor-accelerated restore must be
-// byte-identical to a from-zero restore — the donor only changes where
-// generator replay starts, never what state it reaches — and the donor
-// must be consumed.
-func TestRestoreReusingMatchesFresh(t *testing.T) {
-	cfg := snapshotConfigs(t)["smt"]
-	chain, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain.WarmForward(4_000)
-	early := mustSnapshot(t, chain)
-	chain.WarmForward(20_000)
-	late := mustSnapshot(t, chain)
-
-	donor, err := Restore(cfg, early)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := donor.RunUntilRetired(context.Background(), 1_000); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := Restore(cfg, late)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused, err := RestoreReusing(cfg, late, donor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustSnapshot(t, reused), mustSnapshot(t, fresh)) {
-		t.Fatal("donor-accelerated restore differs from fresh restore")
-	}
-	resA, err := fresh.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := reused.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("runs diverge after donor restore:\n%+v\nwant\n%+v", resB, resA)
-	}
-
-	// The donor's generators were transplanted; using it again must fail
-	// fast rather than silently desynchronize.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("consumed donor still usable")
+// TestRestoreContinuesGeneratorStreams: checkpoints carry the workload
+// generators' full state, so a machine restored from a checkpoint taken
+// 2M warmed instructions in continues every thread's correct-path and
+// wrong-path stream exactly as the uninterrupted chain does.
+func TestRestoreContinuesGeneratorStreams(t *testing.T) {
+	cfgs := snapshotConfigs(t)
+	for _, name := range []string{"base", "smt", "dra"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfgs[name]
+			chain, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		donor.WarmForward(10)
-	}()
+			chain.WarmForward(2_000_000)
+			m, err := Restore(cfg, mustSnapshot(t, chain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Warmed() != chain.Warmed() {
+				t.Fatalf("restored stream position %d, chain at %d", m.Warmed(), chain.Warmed())
+			}
+			for i, ct := range chain.threads {
+				rt := m.threads[i]
+				for j := 0; j < 10_000; j++ {
+					if want, got := ct.gen.Next(), rt.gen.Next(); got != want {
+						t.Fatalf("thread %d draw %d: %v, chain drew %v", i, j, got, want)
+					}
+					if want, got := ct.wp.Next(), rt.wp.Next(); got != want {
+						t.Fatalf("thread %d wrong-path draw %d: %v, chain drew %v", i, j, got, want)
+					}
+				}
+			}
+		})
+	}
+}
 
-	// A donor under a different structural config is rejected.
-	om, err := New(snapshotConfigs(t)["base"])
+// TestRestoreRejectsOldVersion: a version-1 checkpoint (generators stored
+// as stream positions) fails with a version error rather than decoding
+// under the current layout.
+func TestRestoreRejectsOldVersion(t *testing.T) {
+	cfg := snapshotConfigs(t)["base"]
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreReusing(cfg, late, om); err == nil {
-		t.Fatal("cross-config donor restore accepted")
+	meta, payload, err := snap.Open(mustSnapshot(t, m), snapMagic, snapVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Restore(cfg, snap.Seal(snapMagic, 1, meta, payload))
+	if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("v1 checkpoint restore error = %v, want a version error", err)
 	}
 }

@@ -213,11 +213,9 @@ func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Es
 }
 
 // Run is the single-process sampler: warm, checkpoint, run every window,
-// merge. Each finished window machine donates its generators to the next
-// window's restore (pipeline.RestoreReusing), so generator replay is one
-// incremental pass over the stream rather than O(windows · position) —
-// without it, restore cost alone would cancel the sampler's speedup on
-// long runs.
+// merge. Checkpoints carry the workload generators' full state, so each
+// window restores in time independent of how deep into the stream its
+// checkpoint lies, and windows need nothing from one another.
 func Run(ctx context.Context, cfg pipeline.Config, o Options) (*Estimate, error) {
 	ckpts, err := Checkpoints(cfg, o)
 	if err != nil {
@@ -225,16 +223,10 @@ func Run(ctx context.Context, cfg pipeline.Config, o Options) (*Estimate, error)
 	}
 	wcfg := WindowConfig(cfg, o)
 	results := make([]*pipeline.Result, len(ckpts))
-	var donor *pipeline.Machine
 	for i, ckpt := range ckpts {
-		m, err := pipeline.RestoreReusing(wcfg, ckpt, donor)
-		if err != nil {
+		if results[i], err = RunWindow(ctx, wcfg, ckpt); err != nil {
 			return nil, fmt.Errorf("sample: window %d: %w", i, err)
 		}
-		if results[i], err = m.RunContext(ctx); err != nil {
-			return nil, fmt.Errorf("sample: window %d: %w", i, err)
-		}
-		donor = m
 	}
 	return Merge(results, o, cfg.MeasureInstructions)
 }

@@ -12,11 +12,11 @@ import "sync"
 // the moment it is finalized, so submit-cancel-submit at exact capacity
 // admits the third job.
 type jobQueue struct {
-	mu     sync.Mutex
+	mu       sync.Mutex
 	nonEmpty sync.Cond // signalled on enqueue and close
-	adm    *Admission
-	fifo   [NumClasses][]*Job
-	closed bool
+	adm      *Admission
+	fifo     [NumClasses][]*Job
+	closed   bool
 }
 
 func newJobQueue(cfg AdmissionConfig) *jobQueue {

@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"math"
-	"math/rand"
-
-	"loosesim/internal/isa"
-)
+import "loosesim/internal/isa"
 
 // Branch-site population sizes. Sites are static branch PCs; the generator
 // draws each dynamic branch from one of three behavioural pools with a
@@ -37,7 +32,11 @@ const ringSize = isa.NumArchRegs - isa.NumGlobalRegs
 // streams.
 type Generator struct {
 	prof Profile
-	rng  *rand.Rand
+	rng  rngSource
+
+	// mix is the profile's instruction mix in pickOp's draw order, built
+	// once by NewGenerator.
+	mix [7]mixEntry
 
 	// Destination bookkeeping: ring of the most recent register-writing
 	// instructions' destinations, newest at index head-1.
@@ -74,13 +73,19 @@ type Generator struct {
 	patternCount [numPatternSites]uint32
 	patternPer   [numPatternSites]uint32
 
-	// Geometric-draw constants: log(1-p) for the dependency-distance and
-	// hot-site skew parameters, fixed for the generator's lifetime.
-	lnDepGeo  float64
-	lnSiteGeo float64
+	// Geometric-draw tables for the dependency-distance and hot-site
+	// skew parameters, fixed for the generator's lifetime.
+	depGeo  geoTable
+	siteGeo geoTable
 
-	pc        uint64
 	generated uint64
+	slot      uint64 // generated % CodeFootprint, kept without dividing
+}
+
+// mixEntry is one operation class and its fraction of the stream.
+type mixEntry struct {
+	f  float64
+	op isa.OpClass
 }
 
 // NewGenerator builds a generator for prof seeded deterministically; memBase
@@ -90,18 +95,26 @@ func NewGenerator(prof Profile, seed int64, memBase uint64) *Generator {
 		panic(err)
 	}
 	g := &Generator{
-		prof:     prof,
-		rng:      rand.New(rand.NewSource(seed)),
+		prof: prof,
+		mix: [7]mixEntry{
+			{prof.LoadFrac, isa.Load},
+			{prof.StoreFrac, isa.Store},
+			{prof.BranchFrac, isa.Branch},
+			{prof.FPAddFrac, isa.FPAdd},
+			{prof.FPMulFrac, isa.FPMul},
+			{prof.FPDivFrac, isa.FPDiv},
+			{prof.IntMulFrac, isa.IntMul},
+		},
 		nextDest: isa.NumGlobalRegs,
 		lastDest: isa.RegInvalid,
 		hotVal:   isa.RegInvalid,
 		chainReg: isa.RegInvalid,
 		memBase:  memBase,
-		pc:       codePCBase,
 
-		lnDepGeo:  math.Log(1 - prof.DepGeoP),
-		lnSiteGeo: math.Log(1 - siteSkewP),
+		depGeo:  newGeoTable(prof.DepGeoP),
+		siteGeo: newGeoTable(siteSkewP),
 	}
+	g.rng.Seed(seed)
 	for i := 0; i < prof.NumStreams; i++ {
 		g.streams = append(g.streams, uint64(i)*(prof.StreamBytes/uint64(prof.NumStreams)))
 	}
@@ -119,9 +132,12 @@ func (g *Generator) Next() isa.Inst {
 	g.generated++
 	// PCs cycle through the static code footprint so that a PC-indexed
 	// structure sees recurring instruction addresses (loop structure).
-	g.pc = codePCBase + (g.generated%uint64(g.prof.CodeFootprint))*4
+	g.slot++
+	if g.slot == uint64(g.prof.CodeFootprint) {
+		g.slot = 0
+	}
 	op := g.pickOp()
-	in := isa.Inst{PC: g.pc, Op: op, Dest: isa.RegInvalid}
+	in := isa.Inst{PC: codePCBase + g.slot*4, Op: op, Dest: isa.RegInvalid}
 	in.Src[0], in.Src[1] = isa.RegInvalid, isa.RegInvalid
 
 	switch op {
@@ -182,27 +198,17 @@ func (g *Generator) Next() isa.Inst {
 // using a hash of the slot index so the choice is a stable property of the
 // instruction address covering StoreReloadFrac of slots.
 func (g *Generator) reloadSlot() bool {
-	slot := g.generated % uint64(g.prof.CodeFootprint)
-	h := (slot*2654435761 + 97) & 0xFFFFFFFF
+	h := (g.slot*2654435761 + 97) & 0xFFFFFFFF
 	return float64(h)/float64(1<<32) < g.prof.StoreReloadFrac
 }
 
-// pickOp draws the operation class from the profile's mix.
+// pickOp draws the operation class from the profile's mix. Subtracting
+// each fraction in turn (rather than comparing against cumulative sums,
+// which round differently) keeps the draw-to-class mapping fixed.
 func (g *Generator) pickOp() isa.OpClass {
 	r := g.rng.Float64()
-	p := &g.prof
-	for _, c := range []struct {
-		f  float64
-		op isa.OpClass
-	}{
-		{p.LoadFrac, isa.Load},
-		{p.StoreFrac, isa.Store},
-		{p.BranchFrac, isa.Branch},
-		{p.FPAddFrac, isa.FPAdd},
-		{p.FPMulFrac, isa.FPMul},
-		{p.FPDivFrac, isa.FPDiv},
-		{p.IntMulFrac, isa.IntMul},
-	} {
+	for i := range g.mix {
+		c := &g.mix[i]
 		if r < c.f {
 			return c.op
 		}
@@ -266,7 +272,7 @@ func (g *Generator) pickSource() isa.Reg {
 		d := lo + g.rng.Intn(g.ringLen-lo+1)
 		return g.at(d)
 	default:
-		d := 1 + g.geometric(g.lnDepGeo)
+		d := 1 + g.depGeo.draw(g.rng.Float64())
 		if d > g.ringLen {
 			d = g.ringLen
 		}
@@ -281,7 +287,7 @@ func (g *Generator) pickAddrSource() isa.Reg {
 	if g.rng.Float64() < 0.5 || g.ringLen == 0 {
 		return isa.Reg(g.rng.Intn(isa.NumGlobalRegs))
 	}
-	d := 1 + g.geometric(g.lnDepGeo)
+	d := 1 + g.depGeo.draw(g.rng.Float64())
 	if d > g.ringLen {
 		d = g.ringLen
 	}
@@ -296,16 +302,6 @@ func (g *Generator) at(d int) isa.Reg {
 		idx += ringSize
 	}
 	return g.ring[idx]
-}
-
-// geometric draws from Geom(p) (number of failures before first success),
-// given lnQ = log(1-p).
-func (g *Generator) geometric(lnQ float64) int {
-	u := g.rng.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return int(math.Log(1-u) / lnQ)
 }
 
 // Region base offsets within a thread's address space; regions never
@@ -326,13 +322,13 @@ func (g *Generator) pickAddr() uint64 {
 	switch {
 	case r < p.StreamFrac:
 		i := g.rng.Intn(len(g.streams))
-		g.streams[i] = (g.streams[i] + p.Stride) % p.StreamBytes
+		g.streams[i] = wrapAdd(g.streams[i], p.Stride, p.StreamBytes)
 		return g.memBase + streamBase + g.streams[i]
 	case r < p.StreamFrac+p.MidFrac:
 		off := (g.rng.Uint64() % (p.MidBytes / 8)) * 8
 		return g.memBase + midBase + off
 	case r < p.StreamFrac+p.MidFrac+p.PageWalkFrac:
-		g.pageWalk = (g.pageWalk + p.PageStride) % p.PageWalkSpan
+		g.pageWalk = wrapAdd(g.pageWalk, p.PageStride, p.PageWalkSpan)
 		return g.memBase + pageWalkBase + g.pageWalk
 	default:
 		off := (g.rng.Uint64() % (p.HotBytes / 8)) * 8
@@ -340,10 +336,19 @@ func (g *Generator) pickAddr() uint64 {
 	}
 }
 
+// wrapAdd returns (x+d) % m. A walk's step seldom wraps, and below m the
+// remainder is the sum itself, so the division runs only on a wrap.
+func wrapAdd(x, d, m uint64) uint64 {
+	if s := x + d; s < m {
+		return s
+	}
+	return (x + d) % m
+}
+
 // pickSite chooses a site index within a pool, geometrically skewed toward
 // the pool's hot low-numbered sites.
 func (g *Generator) pickSite(pool int) int {
-	s := g.geometric(g.lnSiteGeo)
+	s := g.siteGeo.draw(g.rng.Float64())
 	if s >= pool {
 		s = g.rng.Intn(pool)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"loosesim/internal/isa"
+	"loosesim/internal/stats"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -94,33 +95,59 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-// TestGeometricHoistExact: drawing with the precomputed log(1-p) gives the
-// same value as evaluating the closed form per draw, so hoisting the
-// constant leaves every stream bit-identical.
+// TestGeometricHoistExact: the generator's geometric draws — log(1-p)
+// hoisted into a per-generator table that inverts the CDF by comparison
+// against the thresholds (1-p)^j — give exactly the closed form
+// int(log(1-u)/log(1-p)) evaluated per draw, so every stream stays
+// bit-identical. It checks random draws on each profile's DepGeoP and on
+// siteSkewP, then every u within ±2000 ulps of each threshold and of both
+// edges of its guard band, for those parameters, the extremes p = 1e-9
+// and p = 0.999999, and p = 0.5.
 func TestGeometricHoistExact(t *testing.T) {
-	for _, name := range Names() {
-		for _, p := range []float64{profiles[name].DepGeoP, siteSkewP} {
-			if p == 0 {
-				continue
-			}
-			g := NewGenerator(profiles["gcc"], 7, 0)
-			ref := rand.New(rand.NewSource(7))
-			lnQ := math.Log(1 - p)
-			for i := 0; i < 2000; i++ {
+	closedForm := func(u, p float64) int { return int(math.Log(1-u) / math.Log(1-p)) }
+	// p = 0.5 puts every threshold exactly on a search-bucket boundary.
+	ps := []float64{siteSkewP, 1e-9, 0.999999, 0.5}
+	for _, name := range stats.SortedKeys(profiles) {
+		g := NewGenerator(profiles[name], 7, 0)
+		ref := rand.New(rand.NewSource(7))
+		for _, c := range []struct {
+			tab *geoTable
+			p   float64
+		}{{&g.depGeo, profiles[name].DepGeoP}, {&g.siteGeo, siteSkewP}} {
+			for i := 0; i < 20_000; i++ {
 				u := ref.Float64()
-				if u >= 1 {
-					u = math.Nextafter(1, 0)
-				}
-				if got, want := g.geometric(lnQ), int(math.Log(1-u)/math.Log(1-p)); got != want {
-					t.Fatalf("%s p=%v draw %d: geometric = %d, closed form %d", name, p, i, got, want)
+				if got, want := c.tab.draw(u), closedForm(u, c.p); got != want {
+					t.Fatalf("%s p=%v draw %d (u=%v): table %d, closed form %d", name, c.p, i, u, got, want)
 				}
 			}
 		}
+		ps = append(ps, profiles[name].DepGeoP)
 	}
-	g := NewGenerator(profiles["gcc"], 1, 0)
-	skew, dep := float64(siteSkewP), profiles["gcc"].DepGeoP // evaluated at run time, as before the hoist
-	if g.lnSiteGeo != math.Log(1-skew) || g.lnDepGeo != math.Log(1-dep) {
-		t.Errorf("hoisted constants %v/%v differ from log(1-p)", g.lnSiteGeo, g.lnDepGeo)
+
+	for _, p := range ps {
+		tab := newGeoTable(p)
+		lnQ := math.Log(1 - p)
+		checked := 0
+		for j := 1; j <= geoTableLen+1; j++ {
+			// The threshold itself, where only the closed form may answer,
+			// and both edges of its guard band, where the table answers.
+			q := math.Exp(float64(j) * lnQ)
+			for _, v := range []float64{q, q * (1 - geoGuard), q * (1 + geoGuard)} {
+				lo, hi := 1-v, 1-v
+				for k := 0; k < 2000; k++ {
+					lo, hi = math.Nextafter(lo, -1), math.Nextafter(hi, 2)
+				}
+				for u := math.Max(lo, 0); u <= hi && u < 1; u = math.Nextafter(u, 2) {
+					if got, want := tab.draw(u), closedForm(u, p); got != want {
+						t.Fatalf("p=%v threshold %d u=%v: table %d, closed form %d", p, j, u, got, want)
+					}
+					checked++
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("p=%v: sweep checked nothing", p)
+		}
 	}
 }
 

@@ -11,6 +11,14 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l (testdata/ excluded: analyzer fixture positions are golden)"
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "check.sh: not gofmt-clean (run gofmt -w on them):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
