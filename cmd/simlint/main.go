@@ -17,10 +17,6 @@
 //	-list       list the available analyzers and exit
 //	-enable     comma-separated analyzers to run (default "all")
 //	-disable    comma-separated analyzers to skip
-//	-baseline   JSON findings file (as produced by -json); findings whose
-//	            analyzer, file, and message match a recorded entry are
-//	            suppressed, so a new analyzer can be adopted incrementally
-//	            while keeping the gate green
 //	-sarif      also write the findings as a SARIF 2.1.0 log to the given
 //	            file, for native PR annotation upload in CI
 //	-timing     print one wall-time line per enabled analyzer to stderr
@@ -29,14 +25,15 @@
 // The performance layer (see internal/analysis escapes.go, perfbudget.go)
 // rides behind its own flags:
 //
-//	-perf          report hot-path compiler diagnostics (heap escapes,
-//	               inlining failures, bounds checks) joined against the
-//	               call graph; a report, not a gate — exit stays 0
-//	-perfbaseline  perf budget JSON (PERF_baseline.json); exit 1 if any
-//	               hot-path count grew over the committed budget
-//	-perfupdate    with -perfbaseline, rewrite the budget from the current
-//	               counts instead of checking (run after an optimization
-//	               PR to ratchet the budget down)
+//	-perf        report hot-path compiler diagnostics (heap escapes,
+//	             inlining failures, bounds checks) joined against the
+//	             call graph; a report, not a gate — exit stays 0
+//	-perfupdate  rewrite the module root's PERF_baseline.json from the
+//	             current counts (run after an optimization PR to ratchet
+//	             the budget down)
+//
+// The budget gate itself is TestRepoWithinPerfBudget in internal/analysis,
+// so `go test ./...` fails on any hot-path count that grew.
 package main
 
 import (
@@ -63,13 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	enable := fs.String("enable", "all", "comma-separated analyzers to run")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	baseline := fs.String("baseline", "", "JSON findings file; matching findings are suppressed")
 	sarif := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	timing := fs.Bool("timing", false, "print per-analyzer wall time to stderr")
 	verbose := fs.Bool("v", false, "with -timing, also print total and call-graph time")
 	perf := fs.Bool("perf", false, "report hot-path compiler diagnostics (escapes, inlining, bounds checks)")
-	perfBaseline := fs.String("perfbaseline", "", "perf budget JSON; exit 1 if any hot-path count grew")
-	perfUpdate := fs.Bool("perfupdate", false, "with -perfbaseline, rewrite the budget from current counts")
+	perfUpdate := fs.Bool("perfupdate", false, "rewrite "+analysis.PerfBaselineFile+" from the current hot-path counts")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -145,20 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	relativize(diags, root)
-	if *baseline != "" {
-		known, err := loadBaseline(*baseline, root)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		var kept []analysis.Diagnostic
-		for _, d := range diags {
-			if !known[baselineKey(d, root)] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
 	if *sarif != "" {
 		if err := writeSARIF(*sarif, analyzers, diags); err != nil {
 			fmt.Fprintln(stderr, "simlint:", err)
@@ -187,8 +168,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		code = 1
 	}
-	if *perf || *perfBaseline != "" {
-		if pc := runPerf(stdout, stderr, loader, root, *perf, *perfBaseline, *perfUpdate); pc > code {
+	if *perf || *perfUpdate {
+		if pc := runPerf(stdout, stderr, loader, root, *perf, *perfUpdate); pc > code {
 			code = pc
 		}
 	}
@@ -215,39 +196,4 @@ func relativize(diags []analysis.Diagnostic, root string) {
 			diags[i].Position = filepath.ToSlash(rel) + suffix
 		}
 	}
-}
-
-// loadBaseline reads a -json findings file and returns the set of match
-// keys it records.
-func loadBaseline(path, root string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var recorded []analysis.Diagnostic
-	if err := json.Unmarshal(data, &recorded); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	known := make(map[string]bool, len(recorded))
-	for _, d := range recorded {
-		known[baselineKey(d, root)] = true
-	}
-	return known, nil
-}
-
-// baselineKey identifies a finding for baseline matching: analyzer, file,
-// and message. Line and column are deliberately excluded — unrelated edits
-// move findings around without resolving them — and paths under the module
-// root are normalised to root-relative slash form.
-func baselineKey(d analysis.Diagnostic, root string) string {
-	file := d.Position
-	for range [2]int{} { // strip :col then :line
-		if i := strings.LastIndex(file, ":"); i >= 0 {
-			file = file[:i]
-		}
-	}
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = rel
-	}
-	return d.Analyzer + "\x00" + filepath.ToSlash(file) + "\x00" + d.Message
 }

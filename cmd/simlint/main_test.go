@@ -50,11 +50,10 @@ func Spin() {
 	return dir
 }
 
-// TestRunJSONAndBaseline drives the CLI end to end: -json must report the
-// planted finding as machine-readable output with exit 1, and feeding that
-// very output back via -baseline must suppress it down to a clean exit 0.
-func TestRunJSONAndBaseline(t *testing.T) {
-	dir := writeTempModule(t)
+// TestRunJSON drives the CLI end to end: -json must report the planted
+// finding as machine-readable output, module-root-relative, with exit 1.
+func TestRunJSON(t *testing.T) {
+	writeTempModule(t)
 
 	var out, errb bytes.Buffer
 	code := run([]string{"-json", "./..."}, &out, &errb)
@@ -77,32 +76,24 @@ func TestRunJSONAndBaseline(t *testing.T) {
 	if !found {
 		t.Fatalf("-json output lacks the planted loopbound finding: %s", out.String())
 	}
+}
 
-	basePath := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(basePath, out.Bytes(), 0o644); err != nil {
+// TestPerfUpdateWritesRootBudget checks that -perfupdate, run from a
+// subdirectory, rewrites the budget file at the module root.
+func TestPerfUpdateWritesRootBudget(t *testing.T) {
+	dir := writeTempModule(t)
+	if err := os.Chdir(filepath.Join(dir, "internal", "pipeline")); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-baseline", basePath, "./..."}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run -baseline = exit %d; want 0\nstdout: %s\nstderr: %s",
-			code, out.String(), errb.String())
-	}
-	if out.Len() != 0 {
-		t.Fatalf("baselined run should print nothing, got: %s", out.String())
-	}
 
-	// A baseline must not mask findings it does not record: point it at an
-	// empty set and the finding comes back.
-	if err := os.WriteFile(basePath, []byte("[]"), 0o644); err != nil {
-		t.Fatal(err)
+	var out, errb bytes.Buffer
+	run([]string{"-perfupdate", "./..."}, &out, &errb) // exit 1: the planted loopbound finding
+	b, err := analysis.ReadPerfBudget(filepath.Join(dir, analysis.PerfBaselineFile))
+	if err != nil {
+		t.Fatalf("-perfupdate wrote no readable budget at the module root: %v\nstderr: %s", err, errb.String())
 	}
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-baseline", basePath, "./..."}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("run with empty baseline = exit %d; want 1", code)
+	if len(b.Budgets) != 0 {
+		t.Fatalf("budget for a module with no hot path = %v, want empty", b.Budgets)
 	}
 }
 

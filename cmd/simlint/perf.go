@@ -3,27 +3,24 @@ package main
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 
 	"loosesim/internal/analysis"
 )
 
 // runPerf drives the perf-analysis layer: compile the module with
 // diagnostic flags, join the output against the hot-path call graph, count
-// dynamic dispatch sites, and either report, check against, or rewrite the
-// committed budget. Returns the process exit code contribution: 0 clean,
-// 1 budget exceeded, 2 operational error.
-func runPerf(stdout, stderr io.Writer, loader *analysis.Loader, root string,
-	report bool, baselinePath string, update bool) int {
-
+// dynamic dispatch sites, and report them and/or rewrite the committed
+// budget. Returns the process exit code contribution: 0 done, 2
+// operational error. Checking against the budget is
+// TestRepoWithinPerfBudget's job, not this command's.
+func runPerf(stdout, stderr io.Writer, loader *analysis.Loader, root string, report, update bool) int {
 	prog := analysis.BuildProgram(loader.Fset(), loader.AllPackages())
-	raws, err := analysis.CompilerDiags(root, nil)
+	diags, sites, current, err := analysis.MeasurePerf(prog, root)
 	if err != nil {
 		fmt.Fprintln(stderr, "simlint:", err)
 		return 2
 	}
-	diags := analysis.JoinHot(prog, root, raws)
-	sites := analysis.HotDispatchSites(prog)
-	current := analysis.ComputePerfBudget(diags, sites)
 
 	if report {
 		for _, d := range diags {
@@ -32,34 +29,13 @@ func runPerf(stdout, stderr io.Writer, loader *analysis.Loader, root string,
 		fmt.Fprintf(stderr, "simlint: %d hot-path compiler diagnostic(s), %d dynamic dispatch site(s)\n",
 			len(diags), len(sites))
 	}
-
-	if baselinePath == "" {
-		return 0 // -perf alone is a report, not a gate
-	}
 	if update {
-		if err := current.Write(baselinePath); err != nil {
+		path := filepath.Join(root, analysis.PerfBaselineFile)
+		if err := current.Write(path); err != nil {
 			fmt.Fprintln(stderr, "simlint:", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "simlint: wrote perf budget %s\n", baselinePath)
-		return 0
-	}
-	baseline, err := analysis.ReadPerfBudget(baselinePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "simlint:", err)
-		return 2
-	}
-	growths, shrinks := baseline.Diff(current)
-	for _, d := range shrinks {
-		fmt.Fprintf(stderr, "simlint: perf budget improved: %s (lock it in with -perfupdate)\n", d)
-	}
-	for _, d := range growths {
-		fmt.Fprintf(stderr, "simlint: perf budget exceeded: %s\n", d)
-	}
-	if len(growths) > 0 {
-		fmt.Fprintf(stderr, "simlint: %d hot-path perf count(s) grew over %s; fix the regressions or justify a new budget\n",
-			len(growths), baselinePath)
-		return 1
+		fmt.Fprintf(stderr, "simlint: wrote perf budget %s\n", path)
 	}
 	return 0
 }

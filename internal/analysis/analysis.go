@@ -182,7 +182,6 @@ func All() []*Analyzer {
 		IfaceDispatch(),
 		DeferHot(),
 		AppendHot(),
-		ClosureCap(),
 	}
 }
 

@@ -116,12 +116,11 @@ func TestChanCloseFixture(t *testing.T)     { runFixture(t, ChanClose(), "chancl
 func TestIfaceDispatchFixture(t *testing.T) { runFixture(t, IfaceDispatch(), "ifacedispatch.go") }
 func TestDeferHotFixture(t *testing.T)      { runFixture(t, DeferHot(), "deferhot.go") }
 func TestAppendHotFixture(t *testing.T)     { runFixture(t, AppendHot(), "appendhot.go") }
-func TestClosureCapFixture(t *testing.T)    { runFixture(t, ClosureCap(), "closurecap.go") }
 
 func TestByName(t *testing.T) {
 	all, err := ByName("all")
-	if err != nil || len(all) != 18 {
-		t.Fatalf("ByName(all) = %d analyzers, err %v; want 18, nil", len(all), err)
+	if err != nil || len(all) != 17 {
+		t.Fatalf("ByName(all) = %d analyzers, err %v; want 17, nil", len(all), err)
 	}
 	two, err := ByName("detmap,noclock")
 	if err != nil || len(two) != 2 {

@@ -213,9 +213,9 @@ func hotExtents(prog *Program, root string) map[string][]funcExtent {
 // dropping everything that lands outside the hot set. Inlining failures
 // join at the function declaration itself (the compiler reports them
 // there); escapes and bounds checks join by body containment. Escapes on
-// panic-argument lines are exempt for hotalloc's reason — a panicking
-// simulator's allocation rate is irrelevant, and boxing a message for
-// panic never happens on a run that completes. A `simlint:ignore perf
+// panic-argument lines are exempt: a panicking simulator's allocation rate
+// is irrelevant, and boxing a message for panic never happens on a run
+// that completes. A `simlint:ignore perf
 // <why>` comment on or above the diagnostic line suppresses it like any
 // analyzer finding would be.
 func JoinHot(prog *Program, root string, raws []RawDiag) []PerfDiag {

@@ -1,7 +1,9 @@
 package analysis
 
 import (
-	"go/types"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -180,15 +182,172 @@ func TestComputePerfBudget(t *testing.T) {
 	}
 }
 
-// TestRunStatsTimings checks that the timed runner names every analyzer
-// exactly once even with a nil clock.
-func TestRunStatsTimings(t *testing.T) {
-	_ = types.Universe // keep go/types imported alongside the fixture helpers
-	stats := &RunStats{}
-	for _, a := range All() {
-		stats.Timings = append(stats.Timings, AnalyzerTiming{Name: a.Name})
+// writeModule lays out a throwaway module in a temp directory and returns
+// its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(stats.Timings) != 18 {
-		t.Fatalf("timings = %d, want 18", len(stats.Timings))
+	return dir
+}
+
+// loadModule typechecks every package of the module at root.
+func loadModule(t *testing.T, root string) (*Loader, []*Package) {
+	t.Helper()
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loader, pkgs
+}
+
+// escapeProbeSrc plants each allocating hot-path shape in Machine.step and
+// its non-allocating twin in Machine.quiet. A trailing `// escape: <msg>`
+// comment names the compiler message the line must join with.
+const escapeProbeSrc = `package pipeline
+
+type node struct{ v int }
+
+// Machine is a hot-path root holder; step and quiet are both hot.
+type Machine struct {
+	cycle int
+	out   []int
+	ptr   *node
+	fn    func()
+	box   any
+}
+
+var kept any
+
+func keep(v any) { kept = v }
+
+func look(v any) bool { return v != nil }
+
+func (m *Machine) step() {
+	m.out = make([]int, m.cycle) // escape: make([]int, m.cycle) escapes to heap
+	m.ptr = &node{v: m.cycle}    // escape: &node{...} escapes to heap
+	keep(m.cycle)                // escape: m.cycle escapes to heap
+	m.box = m.cycle              // escape: m.cycle escapes to heap
+	x := 0                       // escape: moved to heap: x
+	m.fn = func() { x++ }        // escape: func literal escapes to heap
+	m.quiet()
+}
+
+func (m *Machine) quiet() {
+	buf := make([]int, 8)
+	buf[0] = m.cycle
+	n := &node{v: buf[0]}
+	if look(m.cycle) {
+		n.v++
+	}
+	var local any = m.cycle
+	if local == nil {
+		n.v++
+	}
+	y := 0
+	func() { y++ }()
+	m.cycle = n.v + y
+}
+`
+
+// TestJoinHotRealCompiler runs the escape join against the real compiler:
+// each allocating shape in the hot step must surface as a PerfEscape
+// attributed to Machine.step, and the non-escaping twins in the equally hot
+// Machine.quiet must produce no escape at all.
+func TestJoinHotRealCompiler(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to the go compiler")
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod":                       "module escapetest\n\ngo 1.22\n",
+		"internal/pipeline/machine.go": escapeProbeSrc,
+	})
+	loader, _ := loadModule(t, root)
+	prog := BuildProgram(loader.Fset(), loader.AllPackages())
+	raws, err := CompilerDiags(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := JoinHot(prog, root, raws)
+
+	type key struct {
+		line int
+		msg  string
+	}
+	got := make(map[key]bool)
+	for _, d := range joined {
+		if d.Kind != PerfEscape {
+			continue
+		}
+		if d.Func != "Machine.step" {
+			t.Errorf("escape joined to %s, want only Machine.step: %s", d.Func, d)
+			continue
+		}
+		parts := strings.Split(d.Position, ":")
+		line, err := strconv.Atoi(parts[len(parts)-2])
+		if err != nil {
+			t.Fatalf("position %q: %v", d.Position, err)
+		}
+		got[key{line, d.Message}] = true
+	}
+	wantN := 0
+	for i, src := range strings.Split(escapeProbeSrc, "\n") {
+		_, msg, ok := strings.Cut(src, "// escape: ")
+		if !ok {
+			continue
+		}
+		wantN++
+		if !got[key{i + 1, msg}] {
+			t.Errorf("line %d: no PerfEscape %q joined to Machine.step; joined: %v", i+1, msg, joined)
+		}
+	}
+	if wantN != 6 {
+		t.Fatalf("probe source plants %d escapes, want 6", wantN)
+	}
+}
+
+// TestRunStatsTimings checks that the timed runner names every analyzer
+// exactly once, in registry order, even with a nil clock — and that a nil
+// clock takes no times at all.
+func TestRunStatsTimings(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "hotalloc.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod":                      "module timingtest\n\ngo 1.22\n",
+		"internal/fixture/fixture.go": string(fixture),
+	})
+	loader, pkgs := loadModule(t, root)
+	diags, stats := RunAnalyzersTimed(loader, pkgs, All(), nil)
+	if len(diags) == 0 {
+		t.Fatal("no findings over the hotalloc fixture; the analyzers did not run")
+	}
+	all := All()
+	if len(stats.Timings) != len(all) {
+		t.Fatalf("timings = %d, want one per analyzer (%d)", len(stats.Timings), len(all))
+	}
+	for i, tm := range stats.Timings {
+		if tm.Name != all[i].Name {
+			t.Errorf("timings[%d] = %s, want %s (registry order)", i, tm.Name, all[i].Name)
+		}
+		if tm.Elapsed != 0 {
+			t.Errorf("%s elapsed %v with a nil clock, want 0", tm.Name, tm.Elapsed)
+		}
+	}
+	if stats.Graph != 0 || stats.Total != 0 {
+		t.Errorf("graph %v, total %v with a nil clock, want 0", stats.Graph, stats.Total)
 	}
 }

@@ -2,24 +2,22 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // HotAlloc returns the hotalloc analyzer: inside any function the call
 // graph proves reachable from the per-cycle roots (HotPathRoots), it flags
-// the allocation patterns that turn a cycle-accurate simulator's inner
-// loop into a garbage-collector benchmark:
+// the source patterns that cost on every cycle but that the compiler's
+// escape analysis does not report per site:
 //
-//   - heap allocations: make, new, and &T{...} composite-literal escapes;
 //   - fmt calls and strings.Builder use — formatting belongs in reporting
 //     code, never on the per-cycle path;
-//   - closure creation: function literals and method values (m.f used as a
-//     value allocates a fresh closure at every evaluation);
-//   - boxing: passing or converting a non-pointer concrete value to an
-//     interface parameter, which heap-allocates the copy;
 //   - map iteration, which is both cache-hostile and (per detmap)
 //     nondeterministically ordered.
+//
+// Heap escapes (make, new, &T{...}, closures, interface boxing) are not
+// checked here: the compiler decides them, and the perf ratchet
+// (escapes.go, perfbudget.go) counts what it reports.
 //
 // Arguments to panic are exempt: a panicking simulator's allocation rate
 // is irrelevant. A function whose hot-path work is genuinely amortised or
@@ -33,7 +31,7 @@ import (
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name:      "hotalloc",
-		Doc:       "flags allocations, formatting, closures, boxing, and map iteration in hot-path-reachable functions",
+		Doc:       "flags fmt calls, strings.Builder use, and map iteration in hot-path-reachable functions",
 		AppliesTo: internalOnly,
 	}
 	a.Run = func(pass *Pass) {
@@ -41,37 +39,16 @@ func HotAlloc() *Analyzer {
 		if prog == nil {
 			return
 		}
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok || prog.HotInfo(obj) == nil {
-					continue
-				}
-				checkHotFunc(pass, prog, obj, fd)
-			}
-		}
+		forEachHotDecl(pass, prog, func(obj *types.Func, fd *ast.FuncDecl) {
+			checkHotFunc(pass, hotWhere(prog, obj), fd)
+		})
 	}
 	return a
 }
 
-// checkHotFunc walks one hot function's body and reports allocation
-// patterns, skipping panic arguments.
-func checkHotFunc(pass *Pass, prog *Program, obj *types.Func, fd *ast.FuncDecl) {
-	where := hotWhere(prog, obj)
-	// Selectors appearing as a call's Fun are ordinary method calls, not
-	// method values; collect them first so the selector case can tell the
-	// difference.
-	calledFuns := make(map[ast.Expr]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			calledFuns[call.Fun] = true
-		}
-		return true
-	})
+// checkHotFunc walks one hot function's body and reports formatting and
+// map iteration, skipping panic arguments.
+func checkHotFunc(pass *Pass, where string, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -79,20 +56,6 @@ func checkHotFunc(pass *Pass, prog *Program, obj *types.Func, fd *ast.FuncDecl) 
 				return false // terminal path: allocation cost is irrelevant
 			}
 			checkCall(pass, x, where)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := x.X.(*ast.CompositeLit); ok {
-					pass.Reportf(x.Pos(), "heap allocation (&composite literal) %s; reuse a pooled or preallocated object", where)
-				}
-			}
-		case *ast.FuncLit:
-			pass.Reportf(x.Pos(), "function literal %s allocates a closure per evaluation; hoist it or use a method on existing state", where)
-			return false // the literal's body is attributed to this function anyway
-		case *ast.SelectorExpr:
-			if sel, ok := pass.Info.Selections[x]; ok && sel.Kind() == types.MethodVal && !calledFuns[x] {
-				pass.Reportf(x.Pos(), "method value %s.%s %s allocates a closure per evaluation; bind it once at construction",
-					exprString(x.X), x.Sel.Name, where)
-			}
 		case *ast.RangeStmt:
 			if tv, ok := pass.Info.Types[x.X]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
@@ -104,98 +67,19 @@ func checkHotFunc(pass *Pass, prog *Program, obj *types.Func, fd *ast.FuncDecl) 
 	})
 }
 
-// checkCall classifies one (non-panic) call expression in a hot function.
+// checkCall reports a (non-panic) fmt call or strings.Builder method call.
 func checkCall(pass *Pass, call *ast.CallExpr, where string) {
-	// Builtin allocators.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, okb := pass.Info.Uses[id].(*types.Builtin); okb {
-			switch b.Name() {
-			case "make":
-				pass.Reportf(call.Pos(), "heap allocation (make) %s; preallocate at construction and reuse", where)
-			case "new":
-				pass.Reportf(call.Pos(), "heap allocation (new) %s; preallocate at construction and reuse", where)
-			}
-			return
-		}
-	}
-	// fmt and strings.Builder.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if packageOf(pass, sel) == "fmt" {
-			pass.Reportf(call.Pos(), "fmt.%s call %s; formatting allocates — move it off the per-cycle path", sel.Sel.Name, where)
-			return
-		}
-		if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if isStringsBuilder(s.Recv()) {
-				pass.Reportf(call.Pos(), "strings.Builder use %s; string assembly allocates — move it off the per-cycle path", where)
-				return
-			}
-		}
-	}
-	// Conversion to an interface type boxes the operand.
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 && boxes(pass, tv.Type, call.Args[0]) {
-			pass.Reportf(call.Pos(), "conversion to interface %s boxes its operand %s; keep the concrete type or pass a pointer",
-				types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), where)
-		}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return
 	}
-	// Boxing at interface-typed parameters.
-	sig := callSignature(pass, call)
-	if sig == nil {
+	if packageOf(pass, sel) == "fmt" {
+		pass.Reportf(call.Pos(), "fmt.%s call %s; formatting allocates — move it off the per-cycle path", sel.Sel.Name, where)
 		return
 	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // xs... passes the slice through, no boxing here
-			}
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if boxes(pass, pt, arg) {
-			pass.Reportf(arg.Pos(), "argument boxes a concrete value into interface %s %s; keep the concrete type or pass a pointer",
-				types.TypeString(pt, types.RelativeTo(pass.Pkg)), where)
-		}
+	if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && isStringsBuilder(s.Recv()) {
+		pass.Reportf(call.Pos(), "strings.Builder use %s; string assembly allocates — move it off the per-cycle path", where)
 	}
-}
-
-// boxes reports whether passing arg as a value of type param heap-boxes
-// it: the parameter is an interface, the argument is a concrete non-pointer
-// value (pointers fit in the interface word without copying).
-func boxes(pass *Pass, param types.Type, arg ast.Expr) bool {
-	if _, ok := param.Underlying().(*types.Interface); !ok {
-		return false
-	}
-	tv, ok := pass.Info.Types[arg]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	at := tv.Type
-	if at == types.Typ[types.UntypedNil] {
-		return false
-	}
-	switch at.Underlying().(type) {
-	case *types.Interface, *types.Pointer:
-		return false
-	}
-	return true
-}
-
-// callSignature resolves the signature of a call's callee, nil for
-// builtins and type conversions.
-func callSignature(pass *Pass, call *ast.CallExpr) *types.Signature {
-	tv, ok := pass.Info.Types[call.Fun]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	sig, _ := tv.Type.Underlying().(*types.Signature)
-	return sig
 }
 
 // isPanicCall reports whether call is the builtin panic.

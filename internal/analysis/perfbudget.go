@@ -9,11 +9,29 @@ import (
 
 // The perf ratchet. PERF_baseline.json commits the current count of
 // hot-path escapes, inlining failures, bounds checks, and dynamic dispatch
-// sites per package. check.sh recomputes the counts and fails if any cell
-// grew — the same one-way contract as the bench gate's 15% rule: the
-// budget may be re-snapshotted downward after an optimization PR, but a
-// regression cannot ride in silently. Counts (not positions) are budgeted
-// deliberately, so unrelated line churn doesn't invalidate the baseline.
+// sites per package. TestRepoWithinPerfBudget recomputes the counts and
+// fails if any cell grew — the same one-way contract as the bench gate's
+// 15% rule: the budget may be re-snapshotted downward after an
+// optimization PR, but a regression cannot ride in silently. Counts (not
+// positions) are budgeted deliberately, so unrelated line churn doesn't
+// invalidate the baseline.
+
+// PerfBaselineFile is the committed budget's path relative to the module
+// root; the ratchet test reads it and `simlint -perfupdate` rewrites it.
+const PerfBaselineFile = "PERF_baseline.json"
+
+// MeasurePerf compiles the module at root with GCDiagFlags, joins the
+// diagnostics against the program's hot set, collects the hot dispatch
+// sites, and tallies both into the budget the ratchet compares.
+func MeasurePerf(prog *Program, root string) ([]PerfDiag, []DispatchSite, *PerfBudget, error) {
+	raws, err := CompilerDiags(root, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	diags := JoinHot(prog, root, raws)
+	sites := HotDispatchSites(prog)
+	return diags, sites, ComputePerfBudget(diags, sites), nil
+}
 
 // PerfBudget is the committed hot-path cost budget: package → kind → count.
 type PerfBudget struct {

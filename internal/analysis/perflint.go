@@ -7,12 +7,12 @@ import (
 	"go/types"
 )
 
-// This file holds the perf-lint analyzers: four checks that turn known
-// per-cycle cost patterns — dynamic dispatch, defer, append growth, and
-// by-reference closure capture — into findings on hot-path-reachable
-// functions. They complement escapes.go: the compiler join reports what
-// *did* escape or fail to inline; these analyzers point at the source
-// constructs that cause it, so the fix is named at the site.
+// This file holds the perf-lint analyzers: three checks that turn known
+// per-cycle cost patterns — dynamic dispatch, defer, and append growth —
+// into findings on hot-path-reachable functions. They complement
+// escapes.go: the compiler join reports what *did* escape or fail to
+// inline, but it does not report these costs per site, so the analyzers
+// name them at the source.
 
 // SanctionedDispatch lists the interface method calls that are accepted on
 // the hot path, as "InterfaceType.Method" specs. These mirror the
@@ -72,6 +72,8 @@ func HotDispatchSites(prog *Program) []DispatchSite {
 func classifyDispatch(info *types.Info, fi *FuncInfo, call *ast.CallExpr) (DispatchSite, bool) {
 	fun := ast.Unparen(call.Fun)
 	switch x := fun.(type) {
+	case *ast.FuncLit:
+		return DispatchSite{}, false // called in place: a static call, not dispatch
 	case *ast.Ident:
 		switch info.Uses[x].(type) {
 		case *types.Func, *types.Builtin, *types.TypeName, *types.Nil, nil:
@@ -214,7 +216,8 @@ func DeferHot() *Analyzer {
 //   - a `// simlint:prealloc <why>` marker on the line or the line above,
 //     stating where the capacity was provisioned (constructor slab, pool).
 //
-// `make` on the hot path is hotalloc's finding, not this analyzer's.
+// An escaping `make` on the hot path is the perf ratchet's to count, not
+// this analyzer's.
 func AppendHot() *Analyzer {
 	a := &Analyzer{
 		Name:      "appendhot",
@@ -256,140 +259,6 @@ func AppendHot() *Analyzer {
 		}
 	}
 	return a
-}
-
-// ClosureCap returns the closurecap analyzer: function literals that
-// capture an enclosing variable by reference — the variable is assigned or
-// address-taken inside the literal — when the literal runs on the hot
-// path. A by-reference capture forces the variable itself onto the heap
-// (the compiler's "moved to heap" diagnostic), and every hot invocation
-// then chases the extra pointer. Two placements are checked: literals
-// inside hot functions, and literals handed as arguments to a call whose
-// resolved callee is hot (a callback built cold but invoked per cycle).
-// Read-only captures are not flagged — the compiler copies those.
-func ClosureCap() *Analyzer {
-	a := &Analyzer{
-		Name:      "closurecap",
-		Doc:       "flags closures capturing variables by reference on the hot path",
-		AppliesTo: internalOnly,
-	}
-	a.Run = func(pass *Pass) {
-		prog := pass.Program
-		if prog == nil {
-			return
-		}
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				enclosingHot := prog.HotInfo(obj) != nil
-				litArgOfHotCall := literalsPassedToHotCalls(pass, prog, fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					lit, ok := n.(*ast.FuncLit)
-					if !ok {
-						return true
-					}
-					hot := enclosingHot
-					context := "created " + hotWhere(prog, obj)
-					if callee := litArgOfHotCall[lit]; callee != nil && !enclosingHot {
-						hot = true
-						context = "passed to hot-path function " + funcDisplayName(callee)
-					}
-					if !hot {
-						return true
-					}
-					for _, v := range byRefCaptures(pass, lit) {
-						pass.Reportf(lit.Pos(), "closure captures %s by reference (%s); the variable moves to the heap — carry the state in a struct field instead", v.Name(), context)
-					}
-					return true
-				})
-			}
-		}
-	}
-	return a
-}
-
-// literalsPassedToHotCalls maps each function literal appearing as a
-// direct call argument in fd to the hot callee receiving it (nil entry /
-// missing key when the callee is not hot or unresolved).
-func literalsPassedToHotCalls(pass *Pass, prog *Program, fd *ast.FuncDecl) map[*ast.FuncLit]*types.Func {
-	out := make(map[*ast.FuncLit]*types.Func)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var hotCallee *types.Func
-		for _, callee := range prog.CalleesAt(pass.Info, call) {
-			if prog.Hot[callee] {
-				hotCallee = callee
-				break
-			}
-		}
-		if hotCallee == nil {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, okl := ast.Unparen(arg).(*ast.FuncLit); okl {
-				out[lit] = hotCallee
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// byRefCaptures returns the enclosing-function variables that lit captures
-// by reference: referenced inside the literal and assigned or
-// address-taken there. Package-level variables and struct fields are not
-// captures; parameters and locals of the literal itself are excluded by
-// position.
-func byRefCaptures(pass *Pass, lit *ast.FuncLit) []*types.Var {
-	captured := make(map[*types.Var]bool)
-	var order []*types.Var
-	note := func(e ast.Expr) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return
-		}
-		v, ok := pass.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return
-		}
-		// Declared before the literal and outside package scope: a capture.
-		if v.Parent() == pass.Pkg.Scope() || v.Pkg() == nil {
-			return
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return // the literal's own parameter or local
-		}
-		if !captured[v] {
-			captured[v] = true
-			order = append(order, v)
-		}
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				note(lhs)
-			}
-		case *ast.IncDecStmt:
-			note(x.X)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				note(x.X)
-			}
-		}
-		return true
-	})
-	return order
 }
 
 // reslicedLocals collects the local variables of fd that are assigned

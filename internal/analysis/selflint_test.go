@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,46 @@ func TestRepoCleanUnderSimlint(t *testing.T) {
 	for _, d := range RunAnalyzers(loader, pkgs, All()) {
 		t.Errorf("%s", d)
 	}
+}
+
+// TestRepoWithinPerfBudget is the perf ratchet: the hot-path escape,
+// inlining, bounds-check, and dispatch counts measured from the compiler
+// and the call graph must not exceed the committed PERF_baseline.json in
+// any package. The loader reads every source file of the module, so
+// editing any package reruns this test instead of replaying a cached pass.
+func TestRepoWithinPerfBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the whole module with compiler diagnostics")
+	}
+	loader, _ := loadRepo(t, "./...")
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := BuildProgram(loader.Fset(), loader.AllPackages())
+	_, _, current, err := MeasurePerf(prog, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := ReadPerfBudget(filepath.Join(root, PerfBaselineFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	growths, shrinks := baseline.Diff(current)
+	for _, d := range shrinks {
+		t.Logf("perf budget improved: %s (lock it in with: go run ./cmd/simlint -perfupdate ./...)", d)
+	}
+	if len(growths) == 0 {
+		return
+	}
+	var msg strings.Builder
+	fmt.Fprintf(&msg, "hot-path perf budget exceeded (%s):\n", PerfBaselineFile)
+	for _, d := range growths {
+		fmt.Fprintf(&msg, "  %s\n", d)
+	}
+	msg.WriteString("inspect the offending sites with:  go run ./cmd/simlint -perf ./...\n")
+	msg.WriteString("if the growth is intentional, ratchet deliberately with:  go run ./cmd/simlint -perfupdate ./...")
+	t.Error(msg.String())
 }
 
 func TestLoaderModulePath(t *testing.T) {

@@ -41,6 +41,7 @@ func (m *Machine) step() {
 	}
 	f := func(n int) int { return n }
 	_ = f(2) // want "indirect call through function value f"
+	_ = func(n int) int { return n }(3) // ok: called in place, a static call
 }
 
 // tick is hot via step; a concrete method call is not dispatch.

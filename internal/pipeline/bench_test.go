@@ -8,9 +8,10 @@ import (
 
 // BenchmarkMachine measures the simulation hot path end to end: one
 // iteration is one full warmup+measurement run of the base machine. The
-// -benchmem allocs/op figure is the hotalloc analyzer's ground truth — the
-// per-cycle path must not regress (see scripts/check.sh and ISSUE 3's
-// acceptance criteria).
+// -benchmem allocs/op figure is the end-to-end measure of hot-path
+// allocation, next to the per-site escape counts the perf ratchet
+// (TestRepoWithinPerfBudget) budgets; `scripts/bench.sh check` fails if it
+// regresses against BENCH_machine.json.
 func BenchmarkMachine(b *testing.B) {
 	wl, err := workload.ByName("gcc")
 	if err != nil {
