@@ -8,13 +8,26 @@
 // execution stage confirms they will not be reissued, which takes the loop
 // delay (IQ-EX latency plus feedback). Entries of issued-but-unconfirmed
 // instructions are dead weight that shrinks the effective window.
+//
+// Wakeup is producer-driven, as in the paper's machine: the queue owns each
+// physical register's wakeup time, and a waiting entry with a source whose
+// time is still unknown (its producer has not issued, or a miss
+// notification revoked the time) is parked on that register until a
+// producer announces a time. Select scans only the armed entries — those
+// whose sources all have known times.
 package iq
 
 import (
 	"fmt"
+	"math"
 
+	"loosesim/internal/regfile"
 	"loosesim/internal/uop"
 )
+
+// Unknown is the wakeup time of a register whose producer has not
+// announced one: later than any cycle the simulation reaches.
+const Unknown int64 = 1 << 62
 
 // Config sizes the queue.
 type Config struct {
@@ -23,50 +36,108 @@ type Config struct {
 	// Clusters is the number of functional-unit clusters instructions are
 	// slotted across (8 in the base machine).
 	Clusters int
+	// Regs is the number of physical registers whose wakeup times the
+	// queue tracks.
+	Regs int
 }
 
-// Queue is the clustered instruction queue. Each cluster's entry list is
-// kept in insertion order. Alongside it, each cluster keeps its Waiting
-// entries — the only ones select can pick — as a waiting list in the same
-// order, so select never walks the entries retained after issue. The queue
-// owns every state change of a held entry into or out of Waiting (Issue,
-// Revert) and out of the retained population (Retire, Remove), which keeps
-// the waiting lists and the retained count exact without rescanning.
+// Queue is the clustered instruction queue. Entries live in a fixed table
+// of slots. Each Waiting entry is in exactly one of two places: parked on
+// the list of a source register whose wakeup time is unknown, or on its
+// cluster's armed list, which select scans — an armed entry's sources all
+// have known times. The queue owns every state change of a held entry
+// into or out of Waiting (Issue, Revert) and out of the retained
+// population (Retire, Remove), and every wakeup-time write (SetReady),
+// which keeps the two places and the retained count exact without
+// rescanning.
 type Queue struct {
 	cfg      Config
+	slots    []slot // the entry table; a held entry occupies slots[u.IQSlot]
+	vacant   *slot  // unoccupied slots, linked through next
 	clusters []cluster
+	regs     []reg // per physical register, then noSrc
+	noSrc    *reg  // stands in for an absent source: always passed
+	intake   reg   // new and reverted entries, parked here only until filed
 	count    int
 	retained int    // entries in StateIssued or StateDone
 	stamp    uint64 // next insertion stamp (uop.IQStamp)
+}
 
-	inserted     uint64
-	occupancySum uint64
-	retainedSum  uint64
-	samples      uint64
-	fullStalls   uint64
+// slot is one queue entry. While the entry is parked, prev and next link
+// it into a circular list through its register's sentinel slot; while the
+// slot is vacant, next links the vacant list. Otherwise both are nil.
+type slot struct {
+	u          *uop.UOp
+	cl         *cluster // the cluster u is slotted to
+	prev, next *slot
+	id         int32
+}
+
+// push links s into the list whose sentinel is h.
+func (h *slot) push(s *slot) {
+	s.prev, s.next = h, h.next
+	h.next.prev = s
+	h.next = s
+}
+
+// unlink takes the parked s off its list.
+func (s *slot) unlink() {
+	s.prev.next, s.next.prev = s.next, s.prev
+	s.prev, s.next = nil, nil
+}
+
+// reg is one physical register's wakeup state: its wakeup time, the
+// number of armed sources that read it, and the sentinel of the list of
+// entries parked on it.
+type reg struct {
+	at      int64
+	readers int
+	park    slot
 }
 
 // cluster is one functional-unit cluster's share of the queue.
 type cluster struct {
-	entries []*uop.UOp // every held entry, insertion order
-	waiting []*uop.UOp // the StateWaiting subset, insertion order
+	held  int     // entries slotted here
+	armed []armed // armed entries in insertion order
 }
 
-// New returns an empty queue.
+// armed is the packed copy of what select reads of an armed entry: its
+// recovery gate, its insertion stamp and its sources (noSrc past NumSrc).
+type armed struct {
+	minIssue int64
+	stamp    uint64
+	src      [2]*reg
+	s        *slot
+}
+
+// New returns an empty queue whose registers all have wakeup time 0.
 func New(cfg Config) *Queue {
-	if cfg.Entries < 1 || cfg.Clusters < 1 {
+	if cfg.Entries < 1 || cfg.Clusters < 1 || cfg.Regs < 0 {
 		panic(fmt.Sprintf("iq: bad config %+v", cfg))
 	}
-	q := &Queue{cfg: cfg, clusters: make([]cluster, cfg.Clusters)}
-	// Slotting is least-loaded but nothing caps one cluster short of the
-	// whole queue, so each list is provisioned to the full capacity —
-	// Insert and Revert must never grow on the per-cycle path.
-	for c := range q.clusters {
-		q.clusters[c] = cluster{
-			entries: make([]*uop.UOp, 0, cfg.Entries),
-			waiting: make([]*uop.UOp, 0, cfg.Entries),
-		}
+	q := &Queue{
+		cfg:      cfg,
+		slots:    make([]slot, cfg.Entries),
+		clusters: make([]cluster, cfg.Clusters),
+		regs:     make([]reg, cfg.Regs+1),
 	}
+	for i := len(q.slots) - 1; i >= 0; i-- {
+		s := &q.slots[i]
+		s.id, s.next, q.vacant = int32(i), q.vacant, s
+	}
+	// Slotting is least-loaded but nothing caps one cluster short of the
+	// whole queue, so each armed list is provisioned to the full capacity
+	// — arming must never grow on the per-cycle path.
+	for c := range q.clusters {
+		q.clusters[c].armed = make([]armed, 0, cfg.Entries)
+	}
+	for p := range q.regs {
+		h := &q.regs[p].park
+		h.prev, h.next = h, h
+	}
+	q.intake.park.prev, q.intake.park.next = &q.intake.park, &q.intake.park
+	q.noSrc = &q.regs[cfg.Regs]
+	q.noSrc.at = math.MinInt64
 	return q
 }
 
@@ -83,7 +154,7 @@ func (q *Queue) Free() int { return q.cfg.Entries - q.count }
 func (q *Queue) Full() bool { return q.count >= q.cfg.Entries }
 
 // ClusterLen returns the number of entries slotted to cluster c.
-func (q *Queue) ClusterLen(c int) int { return len(q.clusters[c].entries) }
+func (q *Queue) ClusterLen(c int) int { return q.clusters[c].held }
 
 // LeastLoadedCluster returns the cluster with the fewest queue entries,
 // breaking ties toward lower indices. This is the decode-time slotting
@@ -91,35 +162,113 @@ func (q *Queue) ClusterLen(c int) int { return len(q.clusters[c].entries) }
 func (q *Queue) LeastLoadedCluster() int {
 	best, bestLen := 0, q.cfg.Entries+1
 	for c := range q.clusters {
-		if n := len(q.clusters[c].entries); n < bestLen {
+		if n := q.clusters[c].held; n < bestLen {
 			best, bestLen = c, n
 		}
 	}
 	return best
 }
 
+// SetReady records p's wakeup time: the cycle its value is believed
+// available at the functional units, or Unknown. A known time wakes every
+// entry parked on p: each is armed, or parked again on its next unknown
+// source. Unknown parks every armed entry that reads p.
+func (q *Queue) SetReady(p regfile.PReg, at int64) {
+	r := &q.regs[p]
+	r.at = at
+	q.settle(r, nil)
+}
+
+// settle files the entries one event decides: either the Waiting entry u
+// that Insert or Revert has just (re)admitted, or, for u nil, the entries
+// register r's new wakeup time decides. If r's time is Unknown, every
+// armed entry that reads r is parked on r. Otherwise every entry parked on
+// r is filed where select finds it when it may pass: parked on its first
+// source whose time is unknown, or armed at the position its insertion
+// stamp fixes — after every older armed entry of its cluster, before every
+// younger one. u is filed the same way, from the intake list, whose time
+// is always known. One routine serves all three so that SetReady and
+// Revert stay small enough to inline at the machine's call sites.
+func (q *Queue) settle(r *reg, u *uop.UOp) {
+	if u != nil {
+		r = &q.intake
+		r.park.push(&q.slots[u.IQSlot])
+	}
+	if r.at == Unknown {
+		clusters := q.clusters
+		for c := range clusters {
+			if r.readers == 0 {
+				break
+			}
+			cl := &clusters[c]
+			kept := cl.armed[:0]
+			for _, e := range cl.armed {
+				if e.src[0] != r && e.src[1] != r {
+					// simlint:prealloc kept reuses the armed list's own storage
+					kept = append(kept, e)
+					continue
+				}
+				e.src[0].readers--
+				e.src[1].readers--
+				r.park.push(e.s)
+			}
+			cl.armed = kept
+		}
+		return
+	}
+next:
+	for h := &r.park; h.next != h; {
+		s := h.next
+		s.unlink()
+		u := s.u
+		e := armed{minIssue: u.MinIssueCycle, stamp: u.IQStamp, src: [2]*reg{q.noSrc, q.noSrc}, s: s}
+		for i, p := range u.Src {
+			if i == u.NumSrc {
+				break
+			}
+			src := &q.regs[p]
+			if src.at == Unknown {
+				src.park.push(s)
+				continue next
+			}
+			e.src[i] = src
+		}
+		e.src[0].readers++
+		e.src[1].readers++
+		cl := s.cl
+		// simlint:prealloc armed lists sized to Entries at construction
+		list := append(cl.armed, e)
+		for i := len(list) - 1; i > 0 && list[i-1].stamp > e.stamp; i-- {
+			list[i], list[i-1] = list[i-1], e
+		}
+		cl.armed = list
+	}
+}
+
 // Insert places u (already slotted to u.Cluster) into the queue. It returns
-// false, counting a structural stall, if the queue is full. u's state must
-// be one an entry can hold: Waiting, Issued, Done or Retired.
+// false if the queue is full. u's state must be one an entry can hold:
+// Waiting, Issued, Done or Retired.
 func (q *Queue) Insert(u *uop.UOp) bool {
 	if q.Full() {
-		q.fullStalls++
 		return false
 	}
-	if uint(u.Cluster) >= uint(len(q.clusters)) || u.InIQ ||
+	c := u.Cluster
+	if uint(c) >= uint(len(q.clusters)) || u.InIQ ||
 		u.State == uop.StateDecode || u.State == uop.StateSquashed {
 		panic(fmt.Sprintf("iq: uop %v cannot take an entry (InIQ %v)", u, u.InIQ))
 	}
-	cl := &q.clusters[u.Cluster]
-	// simlint:prealloc cluster lists sized to Entries at construction
-	cl.entries = append(cl.entries, u)
+	cl := &q.clusters[c]
+	s := q.vacant
+	q.vacant, s.next = s.next, nil
+	s.u, s.cl = u, cl
 	q.count++
-	q.inserted++
+	cl.held++
 	u.InIQ = true
+	u.IQSlot = s.id
 	u.IQStamp = q.stamp
 	q.stamp++
 	if u.State == uop.StateWaiting {
-		cl.wait(u)
+		q.settle(nil, u)
 	} else if retains(u.State) {
 		q.retained++
 	}
@@ -134,60 +283,58 @@ func (q *Queue) Remove(u *uop.UOp) {
 	if !u.InIQ {
 		return
 	}
-	cl := &q.clusters[u.Cluster]
-	n := len(cl.entries)
-	if cl.entries = drop(cl.entries, u); len(cl.entries) == n {
+	s := &q.slots[u.IQSlot]
+	if s.u != u {
 		panic(fmt.Sprintf("iq: %v marked InIQ but not found", u))
 	}
-	q.count--
-	u.InIQ = false
-	if u.State == uop.StateWaiting {
-		cl.waiting = drop(cl.waiting, u)
-	} else if retains(u.State) {
+	cl := s.cl
+	switch {
+	case s.prev != nil:
+		s.unlink()
+	case u.State == uop.StateWaiting:
+		cl.disarm(u.IQStamp)
+	case retains(u.State):
 		q.retained--
 	}
+	s.u, s.cl = nil, nil
+	s.next, q.vacant = q.vacant, s
+	q.count--
+	cl.held--
+	u.InIQ = false
 }
 
-// drop deletes u from list, keeping the order of the rest. A list without
-// u comes back unchanged.
-func drop(list []*uop.UOp, u *uop.UOp) []*uop.UOp {
-	for i, e := range list {
-		if e == u {
-			return append(list[:i], list[i+1:]...)
+// disarm deletes the armed entry with the given stamp.
+func (cl *cluster) disarm(stamp uint64) {
+	list := cl.armed
+	for i := range list {
+		if e := &list[i]; e.stamp == stamp {
+			e.src[0].readers--
+			e.src[1].readers--
+			cl.armed = append(list[:i], list[i+1:]...)
+			return
 		}
 	}
-	return list
-}
-
-// wait adds u to the waiting list at the position its insertion stamp
-// fixes: after every older entry, before every younger one.
-func (cl *cluster) wait(u *uop.UOp) {
-	// simlint:prealloc waiting lists sized to Entries at construction
-	list := append(cl.waiting, u)
-	for i := len(list) - 1; i > 0 && list[i-1].IQStamp > u.IQStamp; i-- {
-		list[i], list[i-1] = list[i-1], u
-	}
-	cl.waiting = list
 }
 
 // Issue moves an entry select returned from Waiting to Issued. The entry
 // stays held, now counted as retained, until Remove reclaims it.
 func (q *Queue) Issue(u *uop.UOp) {
-	cl := &q.clusters[u.Cluster]
-	cl.waiting = drop(cl.waiting, u)
+	q.clusters[u.Cluster].disarm(u.IQStamp)
 	u.State = uop.StateIssued
 	q.retained++
 }
 
 // Revert is loose-loop recovery at the queue: an issued instruction (the
-// only kind the execution stage sends back) returns to Waiting and, while
-// it holds its entry, rejoins its cluster's waiting list at its original
-// insertion position, so select sees it exactly where it always was.
-func (q *Queue) Revert(u *uop.UOp) {
+// only kind the execution stage sends back) returns to Waiting, and may
+// not be reselected before the recovery signal arrives at minIssue. While
+// it holds its entry it is filed again under its original insertion
+// stamp, so select sees it exactly where it always was.
+func (q *Queue) Revert(u *uop.UOp, minIssue int64) {
 	u.State = uop.StateWaiting
+	u.MinIssueCycle = minIssue
 	if u.InIQ {
 		q.retained--
-		q.clusters[u.Cluster].wait(u)
+		q.settle(nil, u)
 	}
 }
 
@@ -201,8 +348,8 @@ func (q *Queue) Retire(u *uop.UOp) {
 	u.State = uop.StateRetired
 }
 
-// Wakeup is the operand-readiness view select evaluates: the issue stage
-// fills it once per cycle.
+// Wakeup is the timing view select evaluates: the issue stage fills it
+// once per cycle.
 type Wakeup struct {
 	// Cycle is the current cycle. An entry whose MinIssueCycle is later is
 	// still waiting for its recovery signal.
@@ -210,78 +357,27 @@ type Wakeup struct {
 	// Horizon is the latest wakeup time that counts as ready: the cycle an
 	// instruction selected now would reach the functional units.
 	Horizon int64
-	// ReadyAt is the per-physical-register wakeup belief.
-	ReadyAt []int64
 }
 
 // SelectOldestReady models the per-cluster select logic (one issue per
 // cluster per cycle): it returns the oldest waiting instruction in cluster
-// c, at or after position from of the cluster's waiting list, whose
-// recovery gate has passed and whose sources w believes ready, or nil. The
-// second result is the position after the returned entry, from which a
-// caller that rejects it on a further condition resumes the search.
+// c, at or after position from of the cluster's armed list, whose recovery
+// gate has passed and whose sources are believed ready by w.Horizon, or
+// nil. The second result is the position after the returned entry, from
+// which a caller that rejects it on a further condition resumes the
+// search. Parked entries are never visited: their unknown source fails the
+// predicate.
 func (q *Queue) SelectOldestReady(c, from int, w *Wakeup) (*uop.UOp, int) {
-	list := q.clusters[c].waiting
-next:
+	list := q.clusters[c].armed
 	for i := uint(from); i < uint(len(list)); i++ {
-		u := list[i]
-		if w.Cycle < u.MinIssueCycle {
-			continue
+		if e := &list[i]; w.Cycle >= e.minIssue && e.src[0].at <= w.Horizon && e.src[1].at <= w.Horizon {
+			return e.s.u, int(i) + 1
 		}
-		for s, p := range u.Src {
-			if s >= u.NumSrc {
-				break
-			}
-			if w.ReadyAt[p] > w.Horizon {
-				continue next
-			}
-		}
-		return u, int(i) + 1
 	}
 	return nil, len(list)
-}
-
-// ForEach visits every queue entry in cluster-major, age-minor order.
-func (q *Queue) ForEach(f func(*uop.UOp)) {
-	for c := range q.clusters {
-		for _, u := range q.clusters[c].entries {
-			f(u)
-		}
-	}
 }
 
 // Retained returns the number of entries held by instructions that have
 // issued (or completed) but whose entries have not yet been reclaimed —
 // the IQ-pressure population.
 func (q *Queue) Retained() int { return q.retained }
-
-// Sample records one cycle's occupancy for the pressure statistics.
-func (q *Queue) Sample() {
-	q.samples++
-	q.occupancySum += uint64(q.count)
-	q.retainedSum += uint64(q.retained)
-}
-
-// MeanOccupancy returns the average sampled occupancy.
-func (q *Queue) MeanOccupancy() float64 {
-	if q.samples == 0 {
-		return 0
-	}
-	return float64(q.occupancySum) / float64(q.samples)
-}
-
-// MeanRetained returns the average sampled count of issued-but-retained
-// entries — the paper's "already issued instructions ... waiting for the
-// load to resolve" population.
-func (q *Queue) MeanRetained() float64 {
-	if q.samples == 0 {
-		return 0
-	}
-	return float64(q.retainedSum) / float64(q.samples)
-}
-
-// FullStalls returns the number of rejected inserts.
-func (q *Queue) FullStalls() uint64 { return q.fullStalls }
-
-// Inserted returns the number of successful inserts.
-func (q *Queue) Inserted() uint64 { return q.inserted }

@@ -1,6 +1,7 @@
 package iq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,9 +49,6 @@ func TestFullRejects(t *testing.T) {
 	q.Insert(mk(2, 0))
 	if q.Insert(mk(3, 0)) {
 		t.Error("full queue must reject")
-	}
-	if q.FullStalls() != 1 {
-		t.Errorf("fullStalls = %d, want 1", q.FullStalls())
 	}
 	if !q.Full() || q.Free() != 0 {
 		t.Error("Full/Free inconsistent")
@@ -121,7 +119,10 @@ func TestSelectOldestReady(t *testing.T) {
 }
 
 func TestSelectReadinessGates(t *testing.T) {
-	q := New(Config{Entries: 8, Clusters: 1})
+	q := New(Config{Entries: 8, Clusters: 1, Regs: 3})
+	for p, at := range []int64{8, 7, 3} {
+		q.SetReady(regfile.PReg(p), at)
+	}
 	a, b, c := mk(1, 0), mk(2, 0), mk(3, 0)
 	a.Src[0], a.NumSrc = 0, 1
 	b.MinIssueCycle = 10
@@ -129,7 +130,7 @@ func TestSelectReadinessGates(t *testing.T) {
 	for _, u := range []*uop.UOp{a, b, c} {
 		q.Insert(u)
 	}
-	w := &Wakeup{Cycle: 5, Horizon: 7, ReadyAt: []int64{8, 7, 3}}
+	w := &Wakeup{Cycle: 5, Horizon: 7}
 	// a's source wakes after the horizon, b's recovery gate is closed; c
 	// is the oldest ready entry.
 	if got, next := q.SelectOldestReady(0, 0, w); got != c || next != 3 {
@@ -149,6 +150,38 @@ func TestSelectReadinessGates(t *testing.T) {
 	}
 }
 
+// TestParkedUntilProducerAnnounces: an entry whose source time is unknown
+// is parked, not scanned; the producer's SetReady arms it, at its
+// insertion position among older and younger armed entries.
+func TestParkedUntilProducerAnnounces(t *testing.T) {
+	q := New(Config{Entries: 8, Clusters: 1, Regs: 2})
+	q.SetReady(0, Unknown)
+	a, b, c := mk(1, 0), mk(2, 0), mk(3, 0)
+	b.Src[0], b.Src[1], b.NumSrc = 0, 0, 2 // both sources on one register
+	for _, u := range []*uop.UOp{a, b, c} {
+		q.Insert(u)
+	}
+	if n := len(q.clusters[0].armed); n != 2 {
+		t.Fatalf("armed = %d, want 2 (b parked)", n)
+	}
+	q.Issue(a)
+	if got, _ := q.SelectOldestReady(0, 0, allReady); got != c {
+		t.Fatalf("select = %v, want %v (b parked)", got, c)
+	}
+	q.SetReady(0, 0)
+	if got, _ := q.SelectOldestReady(0, 0, allReady); got != b {
+		t.Fatalf("select after wakeup = %v, want %v", got, b)
+	}
+	// A revoked time parks the armed consumer at once.
+	q.SetReady(0, Unknown)
+	if n := len(q.clusters[0].armed); n != 1 {
+		t.Errorf("armed after revoke = %d, want 1 (b parked again)", n)
+	}
+	if got, _ := q.SelectOldestReady(0, 0, allReady); got != c {
+		t.Fatalf("select after revoke = %v, want %v", got, c)
+	}
+}
+
 func TestReissueSelectableAgain(t *testing.T) {
 	q := New(Config{Entries: 4, Clusters: 1})
 	u := mk(5, 0)
@@ -158,9 +191,15 @@ func TestReissueSelectableAgain(t *testing.T) {
 		t.Fatal("issued uop must not reselect")
 	}
 	// Load-miss recovery: the uop reverts to waiting while still holding
-	// its entry, and becomes selectable again.
-	q.Revert(u)
-	if got, _ := q.SelectOldestReady(0, 0, allReady); got != u || u.State != uop.StateWaiting {
+	// its entry, and becomes selectable again once its gate passes.
+	q.Revert(u, 3)
+	if u.State != uop.StateWaiting || u.MinIssueCycle != 3 {
+		t.Fatalf("after revert: state %v gate %d", u.State, u.MinIssueCycle)
+	}
+	if got, _ := q.SelectOldestReady(0, 0, allReady); got != nil {
+		t.Error("reverted uop selectable before its recovery gate")
+	}
+	if got, _ := q.SelectOldestReady(0, 0, &Wakeup{Cycle: 3}); got != u {
 		t.Error("reissued uop must be selectable")
 	}
 }
@@ -180,8 +219,8 @@ func TestRevertRestoresInsertionPosition(t *testing.T) {
 	}
 	// Load-miss recovery: the uop reverts to waiting while still holding
 	// its entry, and becomes selectable again at its original position.
-	q.Revert(c)
-	q.Revert(a)
+	q.Revert(c, 0)
+	q.Revert(a, 0)
 	if q.Retained() != 0 {
 		t.Errorf("retained after reverts = %d, want 0", q.Retained())
 	}
@@ -213,7 +252,7 @@ func TestRetireKeepsEntryButNotRetained(t *testing.T) {
 	}
 }
 
-func TestRetainedAndSampling(t *testing.T) {
+func TestRetainedCount(t *testing.T) {
 	q := New(Config{Entries: 8, Clusters: 2})
 	a, b := mk(1, 0), mk(2, 1)
 	q.Insert(a)
@@ -222,22 +261,10 @@ func TestRetainedAndSampling(t *testing.T) {
 	if q.Retained() != 1 {
 		t.Errorf("retained = %d, want 1", q.Retained())
 	}
-	q.Sample()
 	q.Issue(b)
 	b.State = uop.StateDone
-	q.Sample()
-	if got := q.MeanOccupancy(); got != 2 {
-		t.Errorf("mean occupancy = %v, want 2", got)
-	}
-	if got := q.MeanRetained(); got != 1.5 {
-		t.Errorf("mean retained = %v, want 1.5", got)
-	}
-}
-
-func TestEmptyStats(t *testing.T) {
-	q := New(Config{Entries: 2, Clusters: 1})
-	if q.MeanOccupancy() != 0 || q.MeanRetained() != 0 {
-		t.Error("unsampled means must be 0")
+	if q.Retained() != 2 {
+		t.Errorf("retained = %d, want 2", q.Retained())
 	}
 }
 
@@ -262,7 +289,8 @@ func TestBadClusterPanics(t *testing.T) {
 }
 
 // Property: after any insert/remove sequence, Len equals the sum of cluster
-// lengths, never exceeds capacity, and ForEach visits exactly Len entries.
+// lengths, never exceeds capacity, and the cluster entry lists hold exactly
+// the live entries in insertion order.
 func TestOccupancyInvariantProperty(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -281,13 +309,18 @@ func TestOccupancyInvariantProperty(t *testing.T) {
 				q.Remove(live[k])
 				live = append(live[:k], live[k+1:]...)
 			}
-			sum := 0
+			sum, listed := 0, 0
 			for c := 0; c < 3; c++ {
 				sum += q.ClusterLen(c)
+				entries := q.ClusterEntries(c)
+				listed += len(entries)
+				for k := 1; k < len(entries); k++ {
+					if entries[k-1].Seq >= entries[k].Seq {
+						return false
+					}
+				}
 			}
-			visits := 0
-			q.ForEach(func(*uop.UOp) { visits++ })
-			if q.Len() != sum || q.Len() != len(live) || q.Len() > 8 || visits != q.Len() {
+			if q.Len() != sum || q.Len() != len(live) || q.Len() > 8 || listed != q.Len() {
 				return false
 			}
 		}
@@ -325,11 +358,15 @@ func TestSelectOldestProperty(t *testing.T) {
 	}
 }
 
-// refQueue is the reference model for the differential test: the
-// linear-scan queue the waiting lists replace. Each cluster's entries sit
-// in insertion order; select walks them all and takes the first Waiting
-// entry the predicate accepts, and the retained count walks them all too.
-type refQueue struct{ lists [][]*uop.UOp }
+// refQueue is the reference model for the differential test: a linear-scan
+// queue that polls wakeup times. Each cluster's entries sit in insertion
+// order; select walks them all and takes the first Waiting entry the
+// predicate accepts, against the reference's own copy of every register's
+// wakeup time, and the retained count walks them all too.
+type refQueue struct {
+	lists   [][]*uop.UOp
+	readyAt []int64
+}
 
 func (r *refQueue) insert(u *uop.UOp) { r.lists[u.Cluster] = append(r.lists[u.Cluster], u) }
 
@@ -343,11 +380,25 @@ func (r *refQueue) remove(u *uop.UOp) {
 	}
 }
 
-// selectNth returns the (skip+1)-th Waiting entry of cluster c that ready
-// accepts — what select yields after the caller rejected the first skip.
-func (r *refQueue) selectNth(c, skip int, ready func(*uop.UOp) bool) *uop.UOp {
+// ready is the wakeup predicate evaluated directly.
+func (r *refQueue) ready(u *uop.UOp, w *Wakeup) bool {
+	if w.Cycle < u.MinIssueCycle {
+		return false
+	}
+	for i := 0; i < u.NumSrc; i++ {
+		if r.readyAt[u.Src[i]] > w.Horizon {
+			return false
+		}
+	}
+	return true
+}
+
+// selectNth returns the (skip+1)-th Waiting entry of cluster c that the
+// predicate accepts — what select yields after the caller rejected the
+// first skip.
+func (r *refQueue) selectNth(c, skip int, w *Wakeup) *uop.UOp {
 	for _, u := range r.lists[c] {
-		if u.State == uop.StateWaiting && ready(u) {
+		if u.State == uop.StateWaiting && r.ready(u, w) {
 			if skip == 0 {
 				return u
 			}
@@ -369,34 +420,136 @@ func (r *refQueue) retained() int {
 	return n
 }
 
-// refReady is the wakeup predicate evaluated directly.
-func refReady(w *Wakeup) func(*uop.UOp) bool {
-	return func(u *uop.UOp) bool {
-		if w.Cycle < u.MinIssueCycle {
-			return false
+// checkFiling verifies the wakeup invariants: every parked entry is a held
+// Waiting entry, sits on one of its own sources whose time is unknown, and
+// is linked consistently; every armed entry is a held Waiting entry of its
+// cluster whose packed copy matches it, in strictly increasing stamp
+// order, with every source's time known; each Waiting entry is filed
+// exactly once, so parked + armed = waiting; each register's reader
+// count is the number of armed sources that read it; and no entry is
+// left on the intake list.
+func checkFiling(q *Queue) error {
+	filed := make(map[*uop.UOp]bool)
+	file := func(u *uop.UOp, where string) error {
+		if u == nil || !u.InIQ || u.State != uop.StateWaiting || q.slots[u.IQSlot].u != u {
+			return fmt.Errorf("%s: %v is not a held waiting entry", where, u)
 		}
-		for i := 0; i < u.NumSrc; i++ {
-			if w.ReadyAt[u.Src[i]] > w.Horizon {
-				return false
+		if q.slots[u.IQSlot].cl != &q.clusters[u.Cluster] {
+			return fmt.Errorf("%s: %v slot names the wrong cluster", where, u)
+		}
+		if filed[u] {
+			return fmt.Errorf("%s: %v filed twice", where, u)
+		}
+		filed[u] = true
+		return nil
+	}
+	for p := 0; p < q.cfg.Regs; p++ {
+		r := &q.regs[p]
+		h := &r.park
+		for s := h.next; s != h; s = s.next {
+			where := fmt.Sprintf("parked on p%d", p)
+			if err := file(s.u, where); err != nil {
+				return err
+			}
+			if s.next.prev != s || s.prev.next != s {
+				return fmt.Errorf("%s: %v linked inconsistently", where, s.u)
+			}
+			if r.at != Unknown {
+				return fmt.Errorf("%s: %v parked on a known time %d", where, s.u, r.at)
+			}
+			own := false
+			for i := 0; i < s.u.NumSrc; i++ {
+				own = own || s.u.Src[i] == regfile.PReg(p)
+			}
+			if !own {
+				return fmt.Errorf("%s: %v does not read p%d", where, s.u, p)
 			}
 		}
-		return true
 	}
+	if h := &q.intake.park; h.next != h || h.prev != h {
+		return fmt.Errorf("intake list not empty")
+	}
+	readers := make(map[*reg]int)
+	for c := range q.clusters {
+		list := q.clusters[c].armed
+		for k, e := range list {
+			u := e.s.u
+			where := fmt.Sprintf("armed in cluster %d at %d", c, k)
+			if err := file(u, where); err != nil {
+				return err
+			}
+			if u.Cluster != c || e.s.prev != nil || e.stamp != u.IQStamp || e.minIssue != u.MinIssueCycle {
+				return fmt.Errorf("%s: packed copy of %v stale", where, u)
+			}
+			if k > 0 && list[k-1].stamp >= e.stamp {
+				return fmt.Errorf("%s: %v out of stamp order", where, u)
+			}
+			for i, r := range e.src {
+				readers[r]++
+				if i >= u.NumSrc {
+					if r != q.noSrc {
+						return fmt.Errorf("%s: %v packs absent source %d as a register", where, u, i)
+					}
+					continue
+				}
+				p := u.Src[i]
+				if r != &q.regs[p] {
+					return fmt.Errorf("%s: %v packed source %d is not p%d", where, u, i, p)
+				}
+				if r.at == Unknown {
+					return fmt.Errorf("%s: %v armed on p%d, whose time is unknown", where, u, p)
+				}
+			}
+		}
+	}
+	for p := range q.regs {
+		if r := &q.regs[p]; r.readers != readers[r] {
+			return fmt.Errorf("p%d: %d readers counted, %d armed", p, r.readers, readers[r])
+		}
+	}
+	waiting := 0
+	for i := range q.slots {
+		if u := q.slots[i].u; u != nil && u.State == uop.StateWaiting {
+			waiting++
+		}
+	}
+	if waiting != len(filed) {
+		return fmt.Errorf("parked + armed = %d, waiting = %d", len(filed), waiting)
+	}
+	return nil
 }
 
-// Property (differential): under random insert / issue / revert /
-// complete / retire / remove sequences, with Seq numbers drawn out of
-// insertion order as SMT renaming produces, select (from the start and
+// rebuild builds a fresh queue from q as a snapshot restore does: every
+// wakeup time first, then every cluster's entries in list order, states
+// intact, so that the inserts park against the restored times.
+func rebuild(q *Queue) *Queue {
+	r := New(q.Config())
+	for p, at := range q.ReadyTimes() {
+		r.SetReady(regfile.PReg(p), at)
+	}
+	for c := 0; c < q.Config().Clusters; c++ {
+		for _, u := range q.ClusterEntries(c) {
+			u.InIQ = false
+			r.Insert(u)
+		}
+	}
+	return r
+}
+
+// Property (differential): under random insert / select-and-issue /
+// revert / complete / retire / remove / wakeup-write / restore sequences —
+// Seq numbers drawn out of insertion order as SMT renaming produces,
+// sources sometimes both on one register, wakeup times flipping between
+// known and unknown only through SetReady — select (from the start and
 // resumed past rejected candidates) and Retained match the linear-scan
-// reference model — and so does a queue rebuilt from the entry lists the
-// way a snapshot restore rebuilds it.
+// reference model, and the parking invariants hold after every step.
 func TestDifferentialAgainstLinearScan(t *testing.T) {
-	const clusters, entries, pregs = 3, 12, 8
+	const clusters, entries, pregs = 3, 12, 6
+	cfg := Config{Entries: entries, Clusters: clusters, Regs: pregs}
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := New(Config{Entries: entries, Clusters: clusters})
-		ref := &refQueue{lists: make([][]*uop.UOp, clusters)}
-		w := &Wakeup{ReadyAt: make([]int64, pregs)}
+		q := New(cfg)
+		ref := &refQueue{lists: make([][]*uop.UOp, clusters), readyAt: make([]int64, pregs)}
 		var held []*uop.UOp
 		pick := func(states ...uop.State) *uop.UOp {
 			var cands []*uop.UOp
@@ -420,88 +573,97 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 				}
 			}
 		}
-		for i := 0; i < int(steps)+20; i++ {
-			w.Cycle = int64(rng.Intn(8))
+		for i := 0; i < int(steps)+40; i++ {
+			w := &Wakeup{Cycle: int64(rng.Intn(8))}
 			w.Horizon = w.Cycle + int64(rng.Intn(4))
-			for p := range w.ReadyAt {
-				w.ReadyAt[p] = int64(rng.Intn(12))
-			}
-			switch op := rng.Intn(7); op {
+			switch op := rng.Intn(10); op {
 			case 0, 1: // insert, Seq deliberately unordered
 				u := mk(rng.Uint64()%1000, rng.Intn(clusters))
 				u.NumSrc = rng.Intn(3)
 				for s := 0; s < u.NumSrc; s++ {
 					u.Src[s] = regfile.PReg(rng.Intn(pregs))
 				}
+				if u.NumSrc == 2 && rng.Intn(4) == 0 {
+					u.Src[1] = u.Src[0]
+				}
 				u.MinIssueCycle = int64(rng.Intn(8))
 				if q.Insert(u) {
 					ref.insert(u)
 					held = append(held, u)
 				}
-			case 2: // select and issue, sometimes passing over candidates
+			case 2, 3: // select and issue, sometimes passing over candidates
 				c := rng.Intn(clusters)
 				skip := rng.Intn(2)
 				got, next := q.SelectOldestReady(c, 0, w)
 				for k := 0; k < skip && got != nil; k++ {
 					got, next = q.SelectOldestReady(c, next, w)
 				}
-				if want := ref.selectNth(c, skip, refReady(w)); got != want {
+				if want := ref.selectNth(c, skip, w); got != want {
 					t.Logf("step %d: select(c=%d, skip=%d) = %v, reference %v", i, c, skip, got, want)
 					return false
 				}
 				if got != nil {
 					q.Issue(got)
 				}
-			case 3: // revert (loose-loop recovery)
+			case 4: // revert (loose-loop recovery)
 				if u := pick(uop.StateIssued); u != nil {
-					u.MinIssueCycle = int64(rng.Intn(8))
-					q.Revert(u)
+					q.Revert(u, int64(rng.Intn(8)))
 				}
-			case 4: // complete
+			case 5: // complete
 				if u := pick(uop.StateIssued); u != nil {
 					u.State = uop.StateDone
 				}
-			case 5: // retire, entry still held
+			case 6: // retire, entry still held
 				if u := pick(uop.StateDone); u != nil {
 					q.Retire(u)
 				}
-			default: // remove (IQ free or squash)
+			case 7: // remove (IQ free or squash)
 				if u := pick(uop.StateWaiting, uop.StateIssued, uop.StateDone, uop.StateRetired); u != nil {
 					q.Remove(u)
 					ref.remove(u)
 					forget(u)
 				}
+			case 8: // a wakeup-time write: revoke, or announce a time
+				p := regfile.PReg(rng.Intn(pregs))
+				at := Unknown
+				if rng.Intn(3) > 0 {
+					at = int64(rng.Intn(12))
+				}
+				q.SetReady(p, at)
+				ref.readyAt[p] = at
+			default: // restore: rebuild from the wakeup times and entry lists
+				q = rebuild(q)
 			}
 			if q.Retained() != ref.retained() || q.Len() != len(held) {
 				t.Logf("step %d: retained %d/%d len %d/%d", i, q.Retained(), ref.retained(), q.Len(), len(held))
 				return false
 			}
-		}
-		// Rebuild as a snapshot restore does: re-insert every cluster's
-		// entries in list order, states intact.
-		rebuilt := New(Config{Entries: entries, Clusters: clusters})
-		for c := 0; c < clusters; c++ {
-			for _, u := range q.ClusterEntries(c) {
-				u.InIQ = false
-				rebuilt.Insert(u)
+			if err := checkFiling(q); err != nil {
+				t.Logf("step %d: %v", i, err)
+				return false
 			}
 		}
-		if rebuilt.Retained() != ref.retained() {
-			return false
-		}
-		for c := 0; c < clusters; c++ {
-			got, next := rebuilt.SelectOldestReady(c, 0, w)
-			for k := 0; ; k++ {
-				if got != ref.selectNth(c, k, refReady(w)) {
-					return false
+		// Drain: select resumed past every candidate matches the
+		// reference's whole ready sequence, on the live queue and then on
+		// a rebuilt one.
+		w := &Wakeup{Cycle: int64(rng.Intn(8)), Horizon: 8}
+		drain := func(q *Queue) bool {
+			for c := 0; c < clusters; c++ {
+				got, next := q.SelectOldestReady(c, 0, w)
+				for k := 0; ; k++ {
+					if want := ref.selectNth(c, k, w); got != want {
+						t.Logf("drain: select(c=%d, skip=%d) = %v, reference %v", c, k, got, want)
+						return false
+					}
+					if got == nil {
+						break
+					}
+					got, next = q.SelectOldestReady(c, next, w)
 				}
-				if got == nil {
-					break
-				}
-				got, next = rebuilt.SelectOldestReady(c, next, w)
 			}
+			return true
 		}
-		return true
+		return drain(q) && drain(rebuild(q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

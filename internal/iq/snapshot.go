@@ -1,35 +1,33 @@
 package iq
 
 import (
-	"loosesim/internal/snap"
+	"sort"
+
 	"loosesim/internal/uop"
 )
 
-// ClusterEntries returns cluster c's entry list in age order. The slice
-// is the queue's own storage — callers must treat it as read-only. It
-// exists for the machine's snapshot encoder, which serializes the lists
-// as live-uop indices.
-func (q *Queue) ClusterEntries(c int) []*uop.UOp { return q.clusters[c].entries }
-
-// Snapshot encodes the queue's statistics counters. The entry lists
-// themselves hold pointers into the machine's live-uop set, so the
-// machine serializes them as uop indices and rebuilds them through
-// Insert on restore; only the counters are the queue's own state.
-func (q *Queue) Snapshot(w *snap.Writer) {
-	w.U64(q.inserted)
-	w.U64(q.occupancySum)
-	w.U64(q.retainedSum)
-	w.U64(q.samples)
-	w.U64(q.fullStalls)
+// ClusterEntries returns cluster c's held entries in insertion order, in a
+// fresh slice. It exists for the machine's snapshot encoder, which
+// serializes the lists as live-uop indices and rebuilds the queue on
+// restore by re-inserting them in this order.
+func (q *Queue) ClusterEntries(c int) []*uop.UOp {
+	var out []*uop.UOp
+	for i := range q.slots {
+		if u := q.slots[i].u; u != nil && u.Cluster == c {
+			out = append(out, u)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].IQStamp < out[j].IQStamp })
+	return out
 }
 
-// Restore overwrites the statistics counters with state encoded by
-// Snapshot. Call it after the entry lists have been rebuilt — the
-// re-inserts bump `inserted`, and this puts the true value back.
-func (q *Queue) Restore(r *snap.Reader) {
-	q.inserted = r.U64()
-	q.occupancySum = r.U64()
-	q.retainedSum = r.U64()
-	q.samples = r.U64()
-	q.fullStalls = r.U64()
+// ReadyTimes returns every register's wakeup time, indexed by register, in
+// a fresh slice. A restore hands the times back through SetReady before it
+// re-inserts any entry, so the inserts park against the restored times.
+func (q *Queue) ReadyTimes() []int64 {
+	times := make([]int64, len(q.regs)-1)
+	for p := range times {
+		times[p] = q.regs[p].at
+	}
+	return times
 }

@@ -6,20 +6,28 @@ import (
 	"loosesim/internal/workload"
 )
 
-// BenchmarkMachine measures the simulation hot path end to end: one
-// iteration is one full warmup+measurement run of the base machine. The
-// -benchmem allocs/op figure is the end-to-end measure of hot-path
-// allocation, next to the per-site escape counts the perf ratchet
-// (TestRepoWithinPerfBudget) budgets; `scripts/bench.sh check` fails if it
-// regresses against BENCH_machine.json.
-func BenchmarkMachine(b *testing.B) {
+// machineBenchConfig is BenchmarkMachine's configuration: the base
+// machine on gcc, 5k warmup and 30k measured instructions.
+func machineBenchConfig(tb testing.TB) Config {
+	tb.Helper()
 	wl, err := workload.ByName("gcc")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig(wl)
 	cfg.WarmupInstructions = 5_000
 	cfg.MeasureInstructions = 30_000
+	return cfg
+}
+
+// BenchmarkMachine measures the simulation hot path end to end: one
+// iteration is one full warmup+measurement run of the base machine. The
+// -benchmem allocs/op figure is the end-to-end measure of hot-path
+// allocation, next to the per-site escape counts the perf ratchet
+// (TestRepoWithinPerfBudget) budgets; TestMachineAllocBudget gates it, and
+// `scripts/bench.sh check` compares it against BENCH_machine.json.
+func BenchmarkMachine(b *testing.B) {
+	cfg := machineBenchConfig(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := New(cfg)

@@ -70,11 +70,11 @@ type Machine struct {
 
 	threads []*threadState
 
-	// Per-physical-register wakeup state. readyAt is the IQ's (possibly
-	// speculative) belief of when the value is available at the FUs;
-	// actualAt is ground truth, set when the producer's timing resolves.
-	// regGen counts reallocations, guarding in-flight writeback events.
-	readyAt  []int64
+	// Per-physical-register wakeup state. The IQ owns the (possibly
+	// speculative) belief of when each value is available at the FUs
+	// (iq.Queue.SetReady); actualAt is ground truth, set when the
+	// producer's timing resolves. regGen counts reallocations, guarding
+	// in-flight writeback events.
 	actualAt []int64
 	regGen   []uint32
 
@@ -133,7 +133,7 @@ func New(cfg Config) (*Machine, error) {
 		cfg:   cfg,
 		rf:    regfile.NewFile(cfg.NumPhysRegs, len(cfg.Workload.Threads)),
 		fb:    fwd.New(cfg.NumPhysRegs, cfg.FwdDepth, cfg.WBDelay),
-		q:     iq.New(iq.Config{Entries: cfg.IQEntries, Clusters: cfg.Clusters}),
+		q:     iq.New(iq.Config{Entries: cfg.IQEntries, Clusters: cfg.Clusters, Regs: cfg.NumPhysRegs}),
 		memh:  mem.NewHierarchy(cfg.Mem),
 		btb:   bpred.NewBTB(cfg.BTBEntries),
 		opGap: stats.NewHistogram(100),
@@ -165,7 +165,6 @@ func New(cfg Config) (*Machine, error) {
 			m.sampleEvery = DefaultSampleInterval
 		}
 	}
-	m.readyAt = make([]int64, cfg.NumPhysRegs)
 	m.actualAt = make([]int64, cfg.NumPhysRegs)
 	m.regGen = make([]uint32, cfg.NumPhysRegs)
 	for i, p := range cfg.Workload.Threads {
@@ -357,7 +356,26 @@ func (m *Machine) processEvents() {
 			case evComplete:
 				m.onComplete(e)
 			case evLoadResolve:
-				m.onLoadResolve(e)
+				// The two wakeup-state updates of a mis-speculated load.
+				// The first firing (feedback-delay cycles after the cache
+				// probe) is the miss notification: it closes the load
+				// shadow by marking the result unavailable. The second
+				// firing is the data return itself: only L1 hits have a
+				// latency the scheduler can anticipate (that is the
+				// premise of load-hit speculation), so beyond L1 the fill
+				// is *signaled*, and dependents issue after it and pay the
+				// full IQ-EX traversal on top of the miss latency. This is
+				// why the load resolution loop punishes a long
+				// issue-to-execute path.
+				u := e.u
+				if u.State == uop.StateSquashed || int(e.tag) != u.Issues || u.Dest == regfile.PRegInvalid {
+					continue
+				}
+				at := m.cycle // data return: dependents may issue
+				if m.cycle < u.DataReady {
+					at = inf // miss notification: shadow closes
+				}
+				m.q.SetReady(u.Dest, at)
 			case evExec:
 				m.onExec(e)
 			case evWriteback:
@@ -415,30 +433,6 @@ func (m *Machine) resolveBranch(u *uop.UOp) {
 	}
 }
 
-// onLoadResolve handles the two wakeup-state updates of a mis-speculated
-// load. The first firing (feedback-delay cycles after the cache probe) is
-// the miss notification: it closes the load shadow by marking the result
-// unavailable. The second firing is the data return itself: only L1 hits
-// have a latency the scheduler can anticipate (that is the premise of
-// load-hit speculation), so beyond L1 the fill is *signaled*, and
-// dependents issue after it and pay the full IQ-EX traversal on top of the
-// miss latency. This is why the load resolution loop punishes a long
-// issue-to-execute path.
-func (m *Machine) onLoadResolve(e event) {
-	u := e.u
-	if u.State == uop.StateSquashed || int(e.tag) != u.Issues {
-		return
-	}
-	if u.Dest == regfile.PRegInvalid {
-		return
-	}
-	if m.cycle < u.DataReady {
-		m.readyAt[u.Dest] = inf // miss notification: shadow closes
-	} else {
-		m.readyAt[u.Dest] = m.cycle // data return: dependents may issue
-	}
-}
-
 // onWriteback lands a value in the register file: the RPFT bit sets and
 // the DRA caches the value in every cluster with outstanding consumers.
 func (m *Machine) onWriteback(e event) {
@@ -488,7 +482,10 @@ func (m *Machine) onExec(e event) {
 			if !u.WrongPath {
 				m.noteDataReissue(u)
 			}
-			m.revertToWaiting(u, now+int64(m.cfg.FeedbackDelay))
+			m.q.Revert(u, now+int64(m.cfg.FeedbackDelay))
+			if u.Dest != regfile.PRegInvalid {
+				m.q.SetReady(u.Dest, inf)
+			}
 			return
 		}
 	}
@@ -528,7 +525,7 @@ func (m *Machine) onExec(e event) {
 				if min := now + int64(m.cfg.FeedbackDelay+m.cfg.IQExLat); ready < min {
 					ready = min
 				}
-				m.readyAt[u.Dest] = ready
+				m.q.SetReady(u.Dest, ready)
 			}
 			break
 		}
@@ -572,7 +569,7 @@ func (m *Machine) onExec(e event) {
 				ready = u.DataReady + int64(m.cfg.IQExLat)
 			}
 			if u.Dest != regfile.PRegInvalid {
-				m.readyAt[u.Dest] = ready
+				m.q.SetReady(u.Dest, ready)
 			}
 		case !res.Hit():
 			// Load-hit speculation failed: the load resolution loop
@@ -662,24 +659,15 @@ func (m *Machine) operandsDelivered(u *uop.UOp, now int64) bool {
 	if !u.WrongPath {
 		m.noteOperandReissue(u, recoverAt-now)
 	}
-	m.revertToWaiting(u, recoverAt)
+	m.q.Revert(u, recoverAt)
+	if u.Dest != regfile.PRegInvalid {
+		m.q.SetReady(u.Dest, inf)
+	}
 	if recoverAt > m.frontStallUntil {
 		m.noteFrontStall(u, recoverAt-m.frontStallUntil)
 		m.frontStallUntil = recoverAt
 	}
 	return false
-}
-
-// revertToWaiting is loose-loop recovery at the IQ: the instruction keeps
-// its queue entry, reverts to the waiting state, and may not be reselected
-// before the recovery signal arrives at minIssue. Its destination's wakeup
-// state goes back to unknown so dependents stop issuing against it.
-func (m *Machine) revertToWaiting(u *uop.UOp, minIssue int64) {
-	m.q.Revert(u)
-	u.MinIssueCycle = minIssue
-	if u.Dest != regfile.PRegInvalid {
-		m.readyAt[u.Dest] = inf
-	}
 }
 
 // recordOperandGap feeds the Figure 6 distribution: cycles between the
@@ -856,7 +844,7 @@ func (m *Machine) retire() int {
 // resumes the search just past it. All three are side-effect-free, so the
 // pick is the oldest waiting entry satisfying all of them.
 func (m *Machine) issue() {
-	w := iq.Wakeup{Cycle: m.cycle, Horizon: m.cycle + int64(m.cfg.IQExLat), ReadyAt: m.readyAt}
+	w := iq.Wakeup{Cycle: m.cycle, Horizon: m.cycle + int64(m.cfg.IQExLat)}
 	for c := 0; c < m.cfg.Clusters; c++ {
 		var u *uop.UOp
 		for next := 0; ; {
@@ -879,7 +867,7 @@ func (m *Machine) issue() {
 			} else if m.cfg.LoadPolicy != LoadStall {
 				ready = exec + int64(m.cfg.Mem.L1.HitLatency)
 			}
-			m.readyAt[u.Dest] = ready
+			m.q.SetReady(u.Dest, ready)
 		}
 		m.schedule(evExec, exec, event{u: u, tag: int32(u.Issues)})
 		m.schedule(evIQFree, exec+int64(m.cfg.FeedbackDelay+1+m.cfg.IQEvictDelay), event{u: u, tag: int32(u.Issues)})
@@ -943,7 +931,7 @@ func (m *Machine) renameOne(t *threadState, u *uop.UOp) {
 		}
 		u.Dest, u.OldPhy = newP, oldP
 		m.regGen[newP]++
-		m.readyAt[newP] = inf
+		m.q.SetReady(newP, inf)
 		m.actualAt[newP] = inf
 		m.fb.Invalidate(newP)
 		if m.dra != nil {

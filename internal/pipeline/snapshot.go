@@ -9,6 +9,7 @@ import (
 
 	"loosesim/internal/bpred"
 	"loosesim/internal/isa"
+	"loosesim/internal/regfile"
 	"loosesim/internal/snap"
 	"loosesim/internal/uop"
 )
@@ -32,7 +33,7 @@ import (
 
 const (
 	snapMagic   = "LOOMACH"
-	snapVersion = 2
+	snapVersion = 3
 
 	// noUop is the encoded id for a nil uop reference.
 	noUop = ^uint32(0)
@@ -399,11 +400,19 @@ func (m *Machine) encodePayload(w *snap.Writer) {
 		w.U64(t.warmRetired)
 	}
 
-	// IQ entry lists (rebuilt through Insert on restore) and counters.
+	// Wakeup state, ahead of the IQ entry lists so that restore's inserts
+	// park against the restored wakeup times.
+	w.I64s(m.q.ReadyTimes())
+	w.I64s(m.actualAt)
+	w.Len(len(m.regGen))
+	for _, g := range m.regGen {
+		w.U32(g)
+	}
+
+	// IQ entry lists (rebuilt through Insert on restore).
 	for c := 0; c < m.cfg.Clusters; c++ {
 		idList(m.q.ClusterEntries(c))
 	}
-	m.q.Snapshot(w)
 
 	// Subsystems.
 	m.rf.Snapshot(w)
@@ -414,14 +423,6 @@ func (m *Machine) encodePayload(w *snap.Writer) {
 	m.swPred.Snapshot(w)
 	if m.dra != nil {
 		m.dra.Snapshot(w)
-	}
-
-	// Wakeup state.
-	w.I64s(m.readyAt)
-	w.I64s(m.actualAt)
-	w.Len(len(m.regGen))
-	for _, g := range m.regGen {
-		w.U32(g)
 	}
 
 	// Event rings: per kind, the non-empty future slots in cycle order.
@@ -510,8 +511,16 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 			return
 		}
 		for _, p := range []int32{int32(u.Dest), int32(u.OldPhy), int32(u.Src[0]), int32(u.Src[1])} {
-			if p != -1 && int(p) >= m.cfg.NumPhysRegs {
+			if p < -1 || int(p) >= m.cfg.NumPhysRegs {
 				r.Failf("uop %d: preg %d of %d", i, p, m.cfg.NumPhysRegs)
+				return
+			}
+		}
+		// A source the uop reads must name a register: the IQ files a
+		// waiting entry under its sources' wakeup times.
+		for k := 0; k < u.NumSrc; k++ {
+			if u.Src[k] == regfile.PRegInvalid {
+				r.Failf("uop %d: source %d of %d names no register", i, k, u.NumSrc)
 				return
 			}
 		}
@@ -602,9 +611,30 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 		}
 	}
 
-	// IQ: rebuild the entry lists through Insert (which re-checks
-	// capacity and rebuilds the waiting lists and retained count from the
-	// entries' states), then overwrite the counters it bumped.
+	// Wakeup state.
+	readyAt := r.I64s(m.cfg.NumPhysRegs)
+	actualAt := r.I64s(m.cfg.NumPhysRegs)
+	if len(readyAt) != m.cfg.NumPhysRegs || len(actualAt) != m.cfg.NumPhysRegs {
+		r.Failf("wakeup state: %d/%d entries, want %d", len(readyAt), len(actualAt), m.cfg.NumPhysRegs)
+		return
+	}
+	for p, at := range readyAt {
+		m.q.SetReady(regfile.PReg(p), at)
+	}
+	copy(m.actualAt, actualAt)
+	gn := r.Len(m.cfg.NumPhysRegs)
+	if gn != m.cfg.NumPhysRegs {
+		r.Failf("regGen: %d entries, want %d", gn, m.cfg.NumPhysRegs)
+		return
+	}
+	for i := 0; i < gn; i++ {
+		m.regGen[i] = r.U32()
+	}
+
+	// IQ: rebuild the entry lists through Insert, which re-checks
+	// capacity and files every waiting entry — parked or armed against
+	// the wakeup times just restored — and rebuilds the retained count
+	// from the entries' states.
 	inIQ := make([]bool, n)
 	for c := 0; c < m.cfg.Clusters; c++ {
 		cnt := r.Len(n)
@@ -636,7 +666,6 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 			return
 		}
 	}
-	m.q.Restore(r)
 
 	// Subsystems.
 	m.rf.Restore(r)
@@ -650,24 +679,6 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 	}
 	if r.Err() != nil {
 		return
-	}
-
-	// Wakeup state.
-	readyAt := r.I64s(m.cfg.NumPhysRegs)
-	actualAt := r.I64s(m.cfg.NumPhysRegs)
-	if len(readyAt) != m.cfg.NumPhysRegs || len(actualAt) != m.cfg.NumPhysRegs {
-		r.Failf("wakeup state: %d/%d entries, want %d", len(readyAt), len(actualAt), m.cfg.NumPhysRegs)
-		return
-	}
-	copy(m.readyAt, readyAt)
-	copy(m.actualAt, actualAt)
-	gn := r.Len(m.cfg.NumPhysRegs)
-	if gn != m.cfg.NumPhysRegs {
-		r.Failf("regGen: %d entries, want %d", gn, m.cfg.NumPhysRegs)
-		return
-	}
-	for i := 0; i < gn; i++ {
-		m.regGen[i] = r.U32()
 	}
 
 	// Event rings.

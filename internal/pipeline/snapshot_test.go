@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"loosesim/internal/regfile"
 	"loosesim/internal/snap"
 	"loosesim/internal/uop"
 	"loosesim/internal/workload"
@@ -180,12 +182,19 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 }
 
 // TestRestoreRejectsUnholdableIQEntry: an IQ entry whose uop is still in
-// decode or already squashed cannot occur, and restoring one would corrupt
-// the queue's waiting lists and retained count — so a snapshot carrying
-// one, checksum intact, is refused.
+// decode or already squashed, or whose uop reads a source naming no
+// register (or an index below the invalid marker), cannot occur. Restoring
+// one would corrupt the queue's parked and armed lists and retained count,
+// or index its wakeup table out of range — so a snapshot carrying one,
+// checksum intact, is refused rather than panicking.
 func TestRestoreRejectsUnholdableIQEntry(t *testing.T) {
 	cfg := snapshotConfigs(t)["base"]
-	for _, st := range []uop.State{uop.StateDecode, uop.StateSquashed} {
+	for name, corrupt := range map[string]func(*uop.UOp){
+		"decode":         func(u *uop.UOp) { u.State = uop.StateDecode },
+		"squashed":       func(u *uop.UOp) { u.State = uop.StateSquashed },
+		"unnamed source": func(u *uop.UOp) { u.NumSrc, u.Src[1] = 2, regfile.PRegInvalid },
+		"negative preg":  func(u *uop.UOp) { u.NumSrc, u.Src[1] = 2, -5 },
+	} {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -195,16 +204,19 @@ func TestRestoreRejectsUnholdableIQEntry(t *testing.T) {
 		}
 		var victim *uop.UOp
 		for c := 0; c < cfg.Clusters && victim == nil; c++ {
-			if entries := m.q.ClusterEntries(c); len(entries) > 0 {
-				victim = entries[len(entries)-1]
+			for _, u := range m.q.ClusterEntries(c) {
+				if u.State == uop.StateWaiting {
+					victim = u
+					break
+				}
 			}
 		}
 		if victim == nil {
-			t.Fatal("no IQ entry to corrupt")
+			t.Fatal("no waiting IQ entry to corrupt")
 		}
-		victim.State = st
+		corrupt(victim)
 		if _, err := Restore(cfg, mustSnapshot(t, m)); !errors.Is(err, snap.ErrCorrupt) {
-			t.Errorf("IQ entry in state %v accepted (err=%v)", st, err)
+			t.Errorf("%s: IQ entry accepted (err=%v)", name, err)
 		}
 	}
 }
@@ -322,9 +334,10 @@ func TestRestoreContinuesGeneratorStreams(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersion: a version-1 checkpoint (generators stored
-// as stream positions) fails with a version error rather than decoding
-// under the current layout.
+// TestRestoreRejectsOldVersion: a checkpoint of the previous version
+// (version 2: IQ statistics counters, wakeup state after the IQ lists)
+// fails with a version error rather than decoding under the current
+// layout.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	cfg := snapshotConfigs(t)["base"]
 	m, err := New(cfg)
@@ -335,8 +348,9 @@ func TestRestoreRejectsOldVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Restore(cfg, snap.Seal(snapMagic, 1, meta, payload))
-	if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Fatalf("v1 checkpoint restore error = %v, want a version error", err)
+	_, err = Restore(cfg, snap.Seal(snapMagic, snapVersion-1, meta, payload))
+	want := fmt.Sprintf("version %d, want %d", snapVersion-1, snapVersion)
+	if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v%d checkpoint restore error = %v, want a version error", snapVersion-1, err)
 	}
 }

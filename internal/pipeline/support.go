@@ -1,9 +1,13 @@
 package pipeline
 
-import "loosesim/internal/uop"
+import (
+	"loosesim/internal/iq"
+	"loosesim/internal/uop"
+)
 
-// inf is a cycle later than any the simulation reaches.
-const inf int64 = 1 << 62
+// inf is a cycle later than any the simulation reaches: the IQ's wakeup
+// time of a register whose producer has announced none.
+const inf = iq.Unknown
 
 // deque is a FIFO of uops with O(1) amortised pop-front and tail
 // truncation, used for per-thread windows and decode pipes.

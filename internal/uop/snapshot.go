@@ -6,9 +6,10 @@ import (
 )
 
 // Snapshot encodes the dynamic instruction into w, field by field in
-// declaration order; IQStamp is the queue's to rebuild. Pointers into the record (IQ entries, event-ring
-// slots, tracking lists) are not the uop's to encode — the machine
-// serializes those as indices into its live-uop table.
+// declaration order; IQStamp and IQSlot are the queue's to rebuild.
+// Pointers into the record (IQ entries, event-ring slots, tracking lists)
+// are not the uop's to encode — the machine serializes those as indices
+// into its live-uop table.
 func (u *UOp) Snapshot(w *snap.Writer) {
 	u.Inst.Snapshot(w)
 	w.Int(u.Thread)

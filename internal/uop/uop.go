@@ -110,9 +110,11 @@ type UOp struct {
 	// InIQ marks the instruction as holding an IQ entry.
 	InIQ bool
 	// IQStamp is the queue's insertion stamp: it orders a cluster's
-	// waiting entries. Not encoded by Snapshot — a restore re-inserts the
-	// entries in order, which stamps them afresh in the same relative order.
+	// waiting entries. IQSlot is the queue slot the entry occupies. Neither
+	// is encoded by Snapshot — a restore re-inserts the entries in order,
+	// which stamps them afresh in the same relative order.
 	IQStamp uint64
+	IQSlot  int32
 
 	// MemTracked marks a load already recorded in the memory-ordering
 	// tracking list (set on first successful execution).

@@ -22,8 +22,11 @@ fi
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
-echo "==> go test -race ./... (includes the perf ratchet, TestRepoWithinPerfBudget)"
+echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden and the allocation gate TestMachineAllocBudget)"
 go test -race ./...
+# The race detector allocates on its own account, so the allocation gate
+# skips itself under -race; run it once more without.
+go test -count=1 -run '^TestMachineAllocBudget$' ./internal/pipeline
 
 echo "==> benchmark module (go -C bench vet + test -short)"
 # bench/ is its own module, so ./... above never reaches it.
