@@ -397,19 +397,20 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []pipeline.Config) ([]*pi
 }
 
 // RunSampled runs one configuration as a SMARTS-style sampled simulation
-// over the fleet: the functional-warming chain and checkpoints are
-// produced coordinator-side (one cheap pass), each measurement window is
-// dispatched as a checkpoint job sharded by the checkpoint's content
-// address, and the per-window results merge back into a whole-run
-// estimate. Window jobs ride the same retry/hedge/fallback machinery as
-// sweep points, so a sampled run survives the same fleet failures a
-// batch does, with bit-identical results by the determinism contract.
+// over the fleet: the functional-warming chain runs coordinator-side (one
+// cheap pass), each measurement window is dispatched as a checkpoint job
+// sharded by the checkpoint's content address as soon as the chain has
+// taken its checkpoint, and the per-window results merge back into a
+// whole-run estimate in window order. Window jobs ride the same
+// retry/hedge/fallback machinery as sweep points, so a sampled run
+// survives the same fleet failures a batch does, with bit-identical
+// results by the determinism contract. Every window job started has
+// finished when RunSampled returns, a chain error included.
 func (c *Coordinator) RunSampled(ctx context.Context, cfg pipeline.Config, o sample.Options) (*sample.Estimate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ckpts, err := sample.Checkpoints(cfg, o)
-	if err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	wcfg := sample.WindowConfig(cfg, o)
@@ -417,27 +418,31 @@ func (c *Coordinator) RunSampled(ctx context.Context, cfg pipeline.Config, o sam
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*pipeline.Result, len(ckpts))
-	errs := make([]error, len(ckpts))
+	results := make([]*pipeline.Result, o.Windows)
+	errs := make([]error, o.Windows)
 	var wg sync.WaitGroup
-	for i := range ckpts {
+	err = sample.EachCheckpoint(cfg, o, func(i int, ckpt []byte) error {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			// The shard key mirrors the backend's cache key for a
 			// checkpoint job: checkpoint digest prefix + window config
 			// key, so repeat runs of the same window hit the same node's
 			// cache.
-			key := snap.Digest(ckpts[i])[:16] + wkey
-			res, err := c.runJob(ctx, key, point{cfg: wcfg, ckpt: ckpts[i]})
+			key := snap.Digest(ckpt)[:16] + wkey
+			res, err := c.runJob(ctx, key, point{cfg: wcfg, ckpt: ckpt})
 			if err != nil {
 				errs[i] = fmt.Errorf("window %d: %w", i, err)
 				return
 			}
 			results[i] = res
-		}(i)
-	}
+		}()
+		return nil
+	})
 	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

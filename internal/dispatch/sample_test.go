@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,5 +94,25 @@ func TestRunSampledLocalFallback(t *testing.T) {
 	}
 	if m := c.Metrics(); m.LocalFallbacks == 0 {
 		t.Fatalf("expected local fallbacks against a dead fleet: %+v", m)
+	}
+}
+
+// TestRunSampledRejectsZeroPeriod: more windows than measured
+// instructions fails in the warming chain before any window is
+// dispatched.
+func TestRunSampledRejectsZeroPeriod(t *testing.T) {
+	c, err := New(Options{Backends: []string{"http://127.0.0.1:9"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cfg := testCfg(t, "gcc", 1)
+	cfg.MeasureInstructions = 5
+	opt := sample.Options{Windows: 8, WindowInstructions: 800, DetailedWarmup: 400}
+	if _, err := c.RunSampled(context.Background(), cfg, opt); err == nil || !strings.Contains(err.Error(), "zero sampling period") {
+		t.Fatalf("RunSampled = %v, want a zero-sampling-period error", err)
+	}
+	if m := c.Metrics(); m.Requests != 0 || m.LocalFallbacks != 0 {
+		t.Fatalf("a window was dispatched: %+v", m)
 	}
 }

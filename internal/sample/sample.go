@@ -9,6 +9,12 @@
 // counters merge into a whole-run estimate with a confidence interval
 // from the dispersion across windows.
 //
+// Run pipelines the two stages: each window starts on its own goroutine
+// as soon as the chain has taken its checkpoint, at most GOMAXPROCS
+// windows run at once (so at most GOMAXPROCS+1 checkpoints are alive),
+// and the results merge in window order, so the estimate does not depend
+// on GOMAXPROCS or on the order in which windows finish.
+//
 // Checkpoints are plain pipeline snapshots, so windows shard across
 // processes (internal/dispatch) or serve jobs: the checkpoint digest
 // content-addresses each window's work.
@@ -16,8 +22,12 @@ package sample
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"loosesim/internal/pipeline"
 	"loosesim/internal/stats"
@@ -33,7 +43,7 @@ type Options struct {
 	// DetailedWarmup is the cycle-accurate warmup run before each window
 	// to refill the pipeline, IQ, and in-flight state that functional
 	// warming does not model.
-	DetailedWarmup uint64
+	DetailedWarmup uint64 // simlint:novalidate any depth is valid, none included
 }
 
 // DefaultOptions matches the SMARTS guidance of many small windows: the
@@ -43,7 +53,8 @@ func DefaultOptions() Options {
 	return Options{Windows: 20, WindowInstructions: 2_000, DetailedWarmup: 16_000}
 }
 
-func (o Options) validate() error {
+// Validate rejects options that cannot produce an estimate.
+func (o Options) Validate() error {
 	if o.Windows <= 0 {
 		return fmt.Errorf("sample: Windows %d, need > 0", o.Windows)
 	}
@@ -67,21 +78,28 @@ func WindowConfig(cfg pipeline.Config, o Options) pipeline.Config {
 	return w
 }
 
-// Checkpoints runs the functional-warming chain: one machine fast-forwards
-// through the workload, pausing to snapshot at each window's warmup start.
+// EachCheckpoint runs the functional-warming chain: one machine
+// fast-forwards through the workload, pausing to snapshot at each window's
+// warmup start, and hands checkpoint i to yield as soon as it is taken.
 // The chain costs one pass of cache/predictor updates over the stream —
 // O(total instructions), but a small constant per instruction compared to
-// cycle-accurate simulation.
-func Checkpoints(cfg pipeline.Config, o Options) ([][]byte, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
+// cycle-accurate simulation. An error from yield stops the chain and is
+// returned as is.
+func EachCheckpoint(cfg pipeline.Config, o Options, yield func(i int, ckpt []byte) error) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	period := cfg.MeasureInstructions / uint64(o.Windows)
+	if period == 0 {
+		// Every window would start at the same instruction: N copies of
+		// one window and a confidence interval of zero width.
+		return fmt.Errorf("sample: %d windows over %d measured instructions leave a zero sampling period, need Windows <= MeasureInstructions",
+			o.Windows, cfg.MeasureInstructions)
 	}
 	chain, err := pipeline.New(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	period := cfg.MeasureInstructions / uint64(o.Windows)
-	ckpts := make([][]byte, o.Windows)
 	pos := uint64(0)
 	for i := 0; i < o.Windows; i++ {
 		measureStart := cfg.WarmupInstructions + uint64(i)*period
@@ -93,10 +111,27 @@ func Checkpoints(cfg pipeline.Config, o Options) ([][]byte, error) {
 			chain.WarmForward(warmStart - pos)
 			pos = warmStart
 		}
-		ckpts[i], err = chain.Snapshot()
+		ckpt, err := chain.Snapshot()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		if err := yield(i, ckpt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Checkpoints collects every checkpoint of the warming chain, in window
+// order.
+func Checkpoints(cfg pipeline.Config, o Options) ([][]byte, error) {
+	var ckpts [][]byte
+	err := EachCheckpoint(cfg, o, func(_ int, ckpt []byte) error {
+		ckpts = append(ckpts, ckpt)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ckpts, nil
 }
@@ -181,7 +216,7 @@ func (e *Estimate) Scale() float64 {
 // coordinator-side merge for sharded sampled runs: each result may come
 // from a different process, as long as all ran the same window length.
 func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Estimate, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	if len(results) == 0 {
@@ -213,18 +248,66 @@ func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Es
 }
 
 // Run is the single-process sampler: warm, checkpoint, run every window,
-// merge. Checkpoints carry the workload generators' full state, so each
-// window restores in time independent of how deep into the stream its
-// checkpoint lies, and windows need nothing from one another.
+// merge. It is a two-stage pipeline. The warming chain (EachCheckpoint)
+// hands on each checkpoint as soon as it is taken, and that checkpoint's
+// detailed window starts at once on a goroutine of its own, overlapping
+// the rest of the chain. Checkpoints carry the workload generators' full
+// state, so windows need nothing from one another. At most
+// runtime.GOMAXPROCS(0) windows run at once, so at most GOMAXPROCS+1
+// checkpoints are alive: one per running window and the one the chain
+// has just taken. Each window fills its own result slot and Merge runs
+// over the slots in window order, so the estimate is byte-identical to
+// running the windows one after another.
+//
+// Errors are the serial loop's. A chain error wins over any window error.
+// Once a window fails the chain stops, the windows in flight finish, and
+// Run returns the lowest-index failing window's error. Windows start in
+// index order, so that is the window a serial loop would have stopped at.
+// Cancelling ctx reaches every running window.
 func Run(ctx context.Context, cfg pipeline.Config, o Options) (*Estimate, error) {
-	ckpts, err := Checkpoints(cfg, o)
-	if err != nil {
+	wcfg := WindowConfig(cfg, o)
+	return run(cfg, o, func(_ int, ckpt []byte) (*pipeline.Result, error) {
+		return RunWindow(ctx, wcfg, ckpt)
+	})
+}
+
+// errStopped ends the warming chain early once a window has failed.
+var errStopped = errors.New("sample: chain stopped after a failed window")
+
+// run is Run with the window step as a parameter, so tests can choose the
+// order in which windows finish.
+func run(cfg pipeline.Config, o Options, window func(i int, ckpt []byte) (*pipeline.Result, error)) (*Estimate, error) {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	wcfg := WindowConfig(cfg, o)
-	results := make([]*pipeline.Result, len(ckpts))
-	for i, ckpt := range ckpts {
-		if results[i], err = RunWindow(ctx, wcfg, ckpt); err != nil {
+	results := make([]*pipeline.Result, o.Windows)
+	errs := make([]error, o.Windows)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	err := EachCheckpoint(cfg, o, func(i int, ckpt []byte) error {
+		slots <- struct{}{}
+		if failed.Load() {
+			<-slots
+			return errStopped
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = window(i, ckpt)
+			if errs[i] != nil {
+				failed.Store(true)
+			}
+			<-slots
+		}()
+		return nil
+	})
+	wg.Wait()
+	if err != nil && err != errStopped {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
 			return nil, fmt.Errorf("sample: window %d: %w", i, err)
 		}
 	}

@@ -22,7 +22,7 @@ fi
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
-echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden and the allocation gate TestMachineAllocBudget)"
+echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden, the pipelined-sampler determinism test TestRunMatchesSerialWindows and the allocation gate TestMachineAllocBudget)"
 go test -race ./...
 # The race detector allocates on its own account, so the allocation gate
 # skips itself under -race; run it once more without.
