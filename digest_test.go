@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,8 +52,8 @@ func digestMachine(t *testing.T, bench string, dra bool, regRead int, tweak func
 
 // resultDigests runs the digest grid and returns each output's digest by
 // name: single runs across every policy the machine has, the SMT pairs, a
-// small clustered IQ, two sampled runs, and one short Figure 4/5/8/9 table
-// each.
+// small clustered IQ, two sampled runs and every checkpoint they restore
+// from, and one short Figure 4/5/8/9 table each.
 func resultDigests(t *testing.T) map[string]string {
 	t.Helper()
 	blind := func(c *pipeline.Config) { c.MemDep = pipeline.MemDepBlind }
@@ -106,6 +107,17 @@ func resultDigests(t *testing.T) map[string]string {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		out[s.name] = digestOf(t, est)
+		// The checkpoints themselves are content addresses (serve and
+		// dispatch key their caches by them), so their bytes are pinned
+		// too, not just the estimate computed from them.
+		ckpts, err := sample.Checkpoints(s.cfg, so)
+		if err != nil {
+			t.Fatalf("%s: checkpoints: %v", s.name, err)
+		}
+		for i, c := range ckpts {
+			sum := sha256.Sum256(c)
+			out[fmt.Sprintf("%s/checkpoint-%02d", s.name, i)] = hex.EncodeToString(sum[:])
+		}
 	}
 
 	opt := experiments.Options{Measure: 10_000, Warmup: 10_000, Seed: 1}
