@@ -180,66 +180,3 @@ func (c *Cache) Reset() {
 	}
 	c.hits, c.misses, c.clock = 0, 0, 0
 }
-
-// TLB is a fully associative data TLB with LRU replacement. A TLB miss is
-// the paper's memory-trap loop: recovery happens at the fetch stage, so the
-// pipeline flushes and refetches.
-type TLB struct {
-	entries  []line
-	pgShift  uint
-	clock    uint64
-	hits     uint64
-	missesCt uint64
-}
-
-// NewTLB returns a TLB with the given entry count and page size (power of
-// two bytes).
-func NewTLB(entries int, pageBytes int) *TLB {
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		panic(fmt.Sprintf("mem: page size %d not a power of two", pageBytes))
-	}
-	sh := uint(0)
-	for 1<<sh < pageBytes {
-		sh++
-	}
-	return &TLB{entries: make([]line, entries), pgShift: sh}
-}
-
-// Access probes the TLB for the page containing addr, filling it on a miss.
-// It returns whether the access hit.
-func (t *TLB) Access(addr uint64) bool {
-	t.clock++
-	page := addr >> t.pgShift
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].tag == page {
-			t.entries[i].used = t.clock
-			t.hits++
-			return true
-		}
-	}
-	t.missesCt++
-	victim := 0
-	for i := range t.entries {
-		if !t.entries[i].valid {
-			victim = i
-			break
-		}
-		if t.entries[i].used < t.entries[victim].used {
-			victim = i
-		}
-	}
-	t.entries[victim] = line{tag: page, valid: true, used: t.clock}
-	return false
-}
-
-// Misses returns the number of TLB misses observed.
-func (t *TLB) Misses() uint64 { return t.missesCt }
-
-// MissRate returns the TLB miss rate.
-func (t *TLB) MissRate() float64 {
-	total := t.hits + t.missesCt
-	if total == 0 {
-		return 0
-	}
-	return float64(t.missesCt) / float64(total)
-}

@@ -80,7 +80,7 @@ type Hierarchy struct {
 	cfg HierConfig
 	l1  *Cache
 	l2  *Cache
-	tlb *TLB
+	tlb TLB
 
 	// Bank-busy tracking for the current cycle.
 	bankCycle int64
@@ -96,7 +96,7 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 		cfg:       cfg,
 		l1:        NewCache(cfg.L1),
 		l2:        NewCache(cfg.L2),
-		tlb:       NewTLB(cfg.TLBEntries, cfg.PageBytes),
+		tlb:       newTLB(cfg.TLBEntries, cfg.PageBytes),
 		bankCycle: -1,
 	}
 }
@@ -108,7 +108,7 @@ func (h *Hierarchy) L1() *Cache { return h.l1 }
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 
 // TLB exposes the data TLB for statistics.
-func (h *Hierarchy) TLB() *TLB { return h.tlb }
+func (h *Hierarchy) TLB() *TLB { return &h.tlb }
 
 // Load performs a load access at the given cycle and returns its timing.
 func (h *Hierarchy) Load(addr uint64, cycle int64) AccessResult {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"loosesim/internal/snap"
 )
 
 func smallCache() *Cache {
@@ -283,5 +285,21 @@ func TestHierarchyLatencyDomainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestHierarchySnapshotSize(t *testing.T) {
+	small := DefaultHierConfig()
+	small.L1.SizeBytes, small.L2.SizeBytes, small.TLBEntries = 4<<10, 16<<10, 3
+	for _, cfg := range []HierConfig{DefaultHierConfig(), small} {
+		h := NewHierarchy(cfg)
+		for i := uint64(0); i < 5000; i++ {
+			h.Load(i*4099, int64(i))
+		}
+		var w snap.Writer
+		h.Snapshot(&w)
+		if got, want := h.SnapshotSize(), len(w.Bytes()); got != want {
+			t.Errorf("SnapshotSize = %d, encoding is %d bytes", got, want)
+		}
 	}
 }

@@ -2,6 +2,9 @@ package mem
 
 import "loosesim/internal/snap"
 
+// lineBytes is the encoded size of one line: tag, valid byte, stamp.
+const lineBytes = 8 + 1 + 8
+
 // snapshotLines encodes a line slice (cache set or TLB array).
 func snapshotLines(w *snap.Writer, lines []line) {
 	for _, ln := range lines {
@@ -58,7 +61,10 @@ func (t *TLB) Snapshot(w *snap.Writer) {
 	w.U64(t.missesCt)
 }
 
-// Restore overwrites t's mutable state with state encoded by Snapshot.
+// Restore overwrites t's mutable state with state encoded by Snapshot and
+// rebuilds the index and replacement list from it. A state no run could
+// reach — a page in two valid entries, a stamp after the clock — latches
+// snap.ErrCorrupt.
 func (t *TLB) Restore(r *snap.Reader) {
 	n := r.Len(len(t.entries))
 	if n != len(t.entries) {
@@ -69,6 +75,9 @@ func (t *TLB) Restore(r *snap.Reader) {
 	t.clock = r.U64()
 	t.hits = r.U64()
 	t.missesCt = r.U64()
+	if err := t.relink(); err != nil {
+		r.Failf("tlb: %v", err)
+	}
 }
 
 // Snapshot encodes the hierarchy: both cache levels, the TLB, the
@@ -82,6 +91,14 @@ func (h *Hierarchy) Snapshot(w *snap.Writer) {
 	w.U64(h.loads)
 	w.U64(h.stores)
 	w.U64(h.bankConflictsCt)
+}
+
+// SnapshotSize returns the length of Snapshot's encoding. The geometry
+// fixes it, so a checkpoint can size its buffer before encoding.
+func (h *Hierarchy) SnapshotSize() int {
+	cache := func(c *Cache) int { return 4 + len(c.sets)*c.cfg.Ways*lineBytes + 3*8 }
+	tlb := 4 + len(h.tlb.entries)*lineBytes + 3*8
+	return cache(h.l1) + cache(h.l2) + tlb + 5*8
 }
 
 // Restore overwrites h's mutable state with state encoded by Snapshot.

@@ -73,9 +73,33 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var w snap.Writer
+	w := snap.Begin(snapMagic, snapVersion, []byte(digest), m.snapshotCap())
 	m.encodePayload(&w)
-	return snap.Seal(snapMagic, snapVersion, []byte(digest), w.Bytes()), nil
+	return w.Seal(), nil
+}
+
+// snapshotCap is the payload size Snapshot allocates for. The memory
+// hierarchy's encoding, most of a checkpoint, is counted exactly; the
+// rest gets allowances that scale with the register file, the BTB and
+// store-wait tables, the threads and the live uops. It is worked out
+// afresh from the geometry, never remembered from an earlier snapshot,
+// because Snapshot may not mutate the machine. A payload that outgrows
+// it still encodes correctly; its buffer just grows.
+func (m *Machine) snapshotCap() int {
+	const (
+		perReg    = 40       // free list, valid bit, refcount, forwarding and wakeup state
+		perBTB    = 17       // tag, target, valid byte
+		perThread = 16 << 10 // both workload generators, the rename map, the front end
+		perUop    = 256      // a uop record and every reference to it
+		tables    = 40 << 10 // predictor, DRA, histograms and counters
+	)
+	live := len(m.dead) - m.deadHead
+	for _, t := range m.threads {
+		live += t.window.len()
+	}
+	return m.memh.SnapshotSize() + tables +
+		perReg*m.cfg.NumPhysRegs + perBTB*m.cfg.BTBEntries + m.cfg.StoreWaitSize +
+		perThread*len(m.threads) + perUop*live
 }
 
 // Restore builds a machine from cfg and a checkpoint produced by

@@ -354,3 +354,37 @@ func TestRestoreRejectsOldVersion(t *testing.T) {
 		t.Fatalf("v%d checkpoint restore error = %v, want a version error", snapVersion-1, err)
 	}
 }
+
+// TestSnapshotBufferSizedOnce checks that Snapshot encodes into the one
+// buffer it sizes up front: for every snapshot config, fresh, after
+// functional warming (the sampler's checkpoints) and mid-run with the
+// pipeline full, the checkpoint's capacity is still the one Snapshot
+// asked for, so the payload never outgrew it and nothing was copied.
+func TestSnapshotBufferSizedOnce(t *testing.T) {
+	for name, cfg := range snapshotConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			digest, err := ConfigDigest(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string, m *Machine) {
+				t.Helper()
+				want := 8 + 4 + 4 + len(digest) + 8 + m.snapshotCap() + 32
+				if data := mustSnapshot(t, m); cap(data) != want {
+					t.Errorf("%s: checkpoint of %d bytes has capacity %d, Snapshot sized %d", stage, len(data), cap(data), want)
+				}
+			}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("fresh", m)
+			m.WarmForward(20_000)
+			check("warmed", m)
+			if err := m.RunUntilRetired(context.Background(), 7_001); err != nil {
+				t.Fatal(err)
+			}
+			check("mid-run", m)
+		})
+	}
+}

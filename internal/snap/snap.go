@@ -12,7 +12,9 @@
 //     DecodeState, never a panic or a multi-gigabyte allocation.
 //   - Tamper evidence. Seal stamps the container with a sha256 over
 //     everything preceding it; Open rejects a flipped bit anywhere in
-//     the payload before a decoder sees it.
+//     the payload before a decoder sees it. Begin and Writer.Seal build
+//     the container in the payload's own buffer, so sealing copies
+//     nothing.
 //
 // The container layout is:
 //
@@ -43,6 +45,9 @@ var ErrCorrupt = errors.New("snap: corrupt data")
 // use. Writers never fail: encoding in-memory state is infallible.
 type Writer struct {
 	buf []byte
+	// lenAt is the offset of the payload length field of a container
+	// started by Begin, or 0 for a plain writer.
+	lenAt int
 }
 
 // Bytes returns the accumulated encoding. The slice aliases the writer's
@@ -313,27 +318,49 @@ const (
 	maxMeta = 1 << 16
 )
 
-// Seal wraps payload in the versioned, sha256-stamped container. magic
+// Begin starts a sealed container in a single buffer: it writes the
+// header and meta, reserves the payload length, and returns a Writer for
+// the payload. payloadCap is the payload size the caller expects; the
+// buffer is allocated once with room for it and the sum, and grows only
+// if the payload outruns it. Seal finishes the container in place. magic
 // must be at most 8 ASCII bytes; it is padded with NULs.
-func Seal(magic string, version uint32, meta, payload []byte) []byte {
+func Begin(magic string, version uint32, meta []byte, payloadCap int) Writer {
 	if len(magic) > magicLen {
 		panic("snap: magic longer than 8 bytes")
 	}
 	if len(meta) > maxMeta {
 		panic("snap: meta blob too large")
 	}
-	var w Writer
-	w.buf = make([]byte, 0, headerLen+len(meta)+8+len(payload)+sumLen)
+	w := Writer{buf: make([]byte, 0, headerLen+len(meta)+8+payloadCap+sumLen)}
 	var m [magicLen]byte
 	copy(m[:], magic)
 	w.buf = append(w.buf, m[:]...)
 	w.U32(version)
 	w.Blob(meta)
-	w.U64(uint64(len(payload)))
-	w.buf = append(w.buf, payload...)
+	w.lenAt = len(w.buf)
+	w.U64(0) // the payload length, patched by Seal
+	return w
+}
+
+// Seal finishes a container started by Begin: it fills in the payload
+// length, appends the sha256 of everything before the sum, and returns
+// the container. The writer must not be used afterwards.
+func (w *Writer) Seal() []byte {
+	if w.lenAt == 0 {
+		panic("snap: Seal on a writer not started by Begin")
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.lenAt:], uint64(len(w.buf)-w.lenAt-8))
 	sum := sha256.Sum256(w.buf)
 	w.buf = append(w.buf, sum[:]...)
 	return w.buf
+}
+
+// Seal wraps payload in the versioned, sha256-stamped container; it is
+// Begin, the payload, then Writer.Seal.
+func Seal(magic string, version uint32, meta, payload []byte) []byte {
+	w := Begin(magic, version, meta, len(payload))
+	w.buf = append(w.buf, payload...)
+	return w.Seal()
 }
 
 // Open verifies the container framing and digest and returns the meta

@@ -2,7 +2,10 @@ package snap
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -181,4 +184,60 @@ func TestDigestStable(t *testing.T) {
 	if Digest(a) == Digest(c) {
 		t.Error("different payloads digest equal")
 	}
+}
+
+// TestSealInPlaceMatchesLayout builds containers the in-place way —
+// Begin, payload written through the Writer, Seal — for random payloads,
+// with the capacity hint too small, exact and too large, and checks each
+// against the layout assembled by hand: magic | version | meta | length |
+// payload | sha256. Seal over the same payload must give the same bytes.
+func TestSealInPlaceMatchesLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 200; trial++ {
+		magic := "LOOMACH"[:rng.Intn(8)]
+		version := rng.Uint32()
+		meta := make([]byte, rng.Intn(80))
+		payload := make([]byte, rng.Intn(5000))
+		rng.Read(meta)
+		rng.Read(payload)
+
+		var want []byte
+		want = append(want, magic...)
+		want = append(want, make([]byte, 8-len(magic))...)
+		want = binary.LittleEndian.AppendUint32(want, version)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(meta)))
+		want = append(want, meta...)
+		want = binary.LittleEndian.AppendUint64(want, uint64(len(payload)))
+		want = append(want, payload...)
+		sum := sha256.Sum256(want)
+		want = append(want, sum[:]...)
+
+		for _, hint := range []int{0, len(payload), 2*len(payload) + 1} {
+			w := Begin(magic, version, meta, hint)
+			for _, b := range payload {
+				w.U8(b)
+			}
+			if got := w.Seal(); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d, hint %d: in-place container differs from the hand-built layout", trial, hint)
+			}
+		}
+		if got := Seal(magic, version, meta, payload); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: Seal differs from the hand-built layout", trial)
+		}
+		gotMeta, gotPayload, err := Open(want, magic, version)
+		if err != nil || !bytes.Equal(gotMeta, meta) || !bytes.Equal(gotPayload, payload) {
+			t.Fatalf("trial %d: Open of the hand-built layout: %v", trial, err)
+		}
+	}
+}
+
+func TestSealWithoutBeginPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Seal on a plain Writer did not panic")
+		}
+	}()
+	var w Writer
+	w.U8(1)
+	w.Seal()
 }

@@ -22,7 +22,7 @@ fi
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
-echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden, the pipelined-sampler determinism test TestRunMatchesSerialWindows and the allocation gate TestMachineAllocBudget)"
+echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden, the pipelined-sampler determinism test TestRunMatchesSerialWindows, the TLB reference-model check TestTLBMatchesLinearScan, the conservation laws TestMachineInvariants, the one-buffer checkpoint check TestSnapshotBufferSizedOnce and the allocation gate TestMachineAllocBudget)"
 go test -race ./...
 # The race detector allocates on its own account, so the allocation gate
 # skips itself under -race; run it once more without.
@@ -41,6 +41,9 @@ echo "==> snapshot fuzz smoke (FuzzSnapshotRoundTrip, 10s past the seed corpus)"
 # mutates for a short budget so codec regressions that need a fresh input to
 # trip are caught before CI's longer run.
 go test ./internal/pipeline -run '^FuzzSnapshotRoundTrip$' -fuzz '^FuzzSnapshotRoundTrip$' -fuzztime 10s >/dev/null
+
+echo "==> TLB fuzz smoke (FuzzTLBMatchesLinearScan, 5s past the seed corpus)"
+go test ./internal/mem -run '^FuzzTLBMatchesLinearScan$' -fuzz '^FuzzTLBMatchesLinearScan$' -fuzztime 5s >/dev/null
 
 echo "==> observability smoke (loosim -intervals/-events | loopstat)"
 tmp=$(mktemp -d)
