@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"loosesim/internal/isa"
 	"loosesim/internal/workload"
 )
 
@@ -12,8 +13,11 @@ const invariantEvery = 64
 
 // checkInvariants fails unless m satisfies the laws every cycle boundary
 // must: each fetched instruction has retired, been squashed, or is still
-// in flight; the IQ holds no more than its entries; and no more than
-// MaxInFlight instructions are in flight.
+// in flight; the IQ holds no more than its entries; no more than
+// MaxInFlight instructions are in flight; every physical register is
+// free, an architectural mapping, or the destination of a renamed
+// in-flight instruction; and every classified operand was delivered by
+// exactly one path (pre-read, forwarding buffer, CRC) or missed.
 func checkInvariants(t *testing.T, label string, m *Machine) {
 	t.Helper()
 	c := m.ctr
@@ -26,6 +30,23 @@ func checkInvariants(t *testing.T, label string, m *Machine) {
 	}
 	if n := m.inFlight(); n > m.cfg.MaxInFlight {
 		t.Fatalf("%s, cycle %d: %d in flight, limit %d", label, m.cycle, n, m.cfg.MaxInFlight)
+	}
+	renamed := 0
+	for _, th := range m.threads {
+		for i := 0; i < th.window.len(); i++ {
+			if u := th.window.at(i); u.Renamed && u.Inst.Dest.Valid() {
+				renamed++
+			}
+		}
+	}
+	mapped := len(m.threads) * isa.NumArchRegs
+	if free := m.rf.FreeCount(); free != m.cfg.NumPhysRegs-mapped-renamed {
+		t.Fatalf("%s, cycle %d: %d free registers != %d physical - %d mapped - %d renamed in flight",
+			label, m.cycle, free, m.cfg.NumPhysRegs, mapped, renamed)
+	}
+	if got := c.OperandPreRead + c.OperandForwarded + c.OperandCRC + c.OperandMisses; c.OperandsRead != got {
+		t.Fatalf("%s, cycle %d: %d operands read != %d pre-read + %d forwarded + %d CRC + %d missed",
+			label, m.cycle, c.OperandsRead, c.OperandPreRead, c.OperandForwarded, c.OperandCRC, c.OperandMisses)
 	}
 }
 

@@ -41,13 +41,18 @@ func ConfigKey(cfg pipeline.Config) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Store is a content-addressed result cache. Implementations must be safe
-// for concurrent use.
+// Store is a content-addressed result cache. An entry is a Result's
+// encoding (encodeResult), stored and handed out as bytes: a cache hit
+// is served by splicing those bytes into the response, and only a caller
+// that needs a *Result decodes them. Entries are immutable — Put takes
+// ownership of the slice it is given and Get's callers must not modify
+// what it returns. Implementations must be safe for concurrent use.
 type Store interface {
-	// Get returns the result stored under key, if any.
-	Get(key string) (*pipeline.Result, bool, error)
-	// Put stores res under key, overwriting any previous entry.
-	Put(key string, res *pipeline.Result) error
+	// Get returns the encoding stored under key, if any.
+	Get(key string) ([]byte, bool, error)
+	// Put stores enc, a Result's encoding, under key, overwriting any
+	// previous entry.
+	Put(key string, enc []byte) error
 }
 
 // encodeResult and decodeResult fix the cache's wire format: plain JSON,
@@ -64,8 +69,10 @@ func decodeResult(b []byte) (*pipeline.Result, error) {
 	return res, nil
 }
 
-// MemStore is an in-process Store. It holds the encoded form, so a caller
-// can never alias (and then mutate) a cached Result.
+// MemStore is an in-process Store: a map from key to encoding. Get hands
+// out the stored slice itself, so a hit costs a map lookup and no copy;
+// a caller that wants a Result decodes its own, so none can alias (and
+// then mutate) another's.
 type MemStore struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -77,28 +84,17 @@ func NewMemStore() *MemStore {
 }
 
 // Get implements Store.
-func (s *MemStore) Get(key string) (*pipeline.Result, bool, error) {
+func (s *MemStore) Get(key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	b, ok := s.m[key]
 	s.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	res, err := decodeResult(b)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
+	return b, ok, nil
 }
 
 // Put implements Store.
-func (s *MemStore) Put(key string, res *pipeline.Result) error {
-	b, err := encodeResult(res)
-	if err != nil {
-		return err
-	}
+func (s *MemStore) Put(key string, enc []byte) error {
 	s.mu.Lock()
-	s.m[key] = b
+	s.m[key] = enc
 	s.mu.Unlock()
 	return nil
 }
@@ -139,8 +135,10 @@ func (s *DirStore) path(key string) (string, error) {
 	return filepath.Join(s.dir, key+".json"), nil
 }
 
-// Get implements Store.
-func (s *DirStore) Get(key string) (*pipeline.Result, bool, error) {
+// Get implements Store. The entry is decoded before it is returned, so
+// a torn or corrupted file is an error (which RunAllCached treats as a
+// miss) rather than bytes served to a client.
+func (s *DirStore) Get(key string) ([]byte, bool, error) {
 	p, err := s.path(key)
 	if err != nil {
 		return nil, false, err
@@ -152,21 +150,16 @@ func (s *DirStore) Get(key string) (*pipeline.Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := decodeResult(b)
-	if err != nil {
+	if _, err := decodeResult(b); err != nil {
 		return nil, false, fmt.Errorf("serve: corrupt cache entry %s: %w", key, err)
 	}
-	return res, true, nil
+	return b, true, nil
 }
 
 // Put implements Store. The entry is written to a temporary file and
 // renamed into place, so concurrent readers never observe a torn write.
-func (s *DirStore) Put(key string, res *pipeline.Result) error {
+func (s *DirStore) Put(key string, enc []byte) error {
 	p, err := s.path(key)
-	if err != nil {
-		return err
-	}
-	b, err := encodeResult(res)
 	if err != nil {
 		return err
 	}
@@ -174,7 +167,7 @@ func (s *DirStore) Put(key string, res *pipeline.Result) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
+	if _, err := f.Write(enc); err != nil {
 		_ = f.Close()
 		_ = os.Remove(f.Name())
 		return err
@@ -217,13 +210,13 @@ func (c *CacheStats) HitRate() float64 {
 }
 
 // RunAllCached is loosesim.RunAllContext behind a content-addressed cache:
-// hits are served from the store, misses run on the bounded worker pool
+// hits are decoded from the store, misses run on the bounded worker pool
 // and are written back, and results return in input order. Identical
 // configs within one batch are coalesced into a single simulation. A store
-// read error is treated as a miss; a write-back error is counted (cs, when
-// non-nil, is updated throughout) but does not fail the batch — the
-// results are still correct, merely uncached. A nil store degrades to
-// loosesim.RunAllContext.
+// read or decode error is treated as a miss; a write-back error (encode or
+// Put) is counted (cs, when non-nil, is updated throughout) but does not
+// fail the batch — the results are still correct, merely uncached. A nil
+// store degrades to loosesim.RunAllContext.
 func RunAllCached(ctx context.Context, store Store, cs *CacheStats, cfgs []pipeline.Config) ([]*pipeline.Result, error) {
 	if store == nil {
 		return loosesim.RunAllContext(ctx, cfgs)
@@ -239,12 +232,14 @@ func RunAllCached(ctx context.Context, store Store, cs *CacheStats, cfgs []pipel
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 		keys[i] = key
-		if res, ok, _ := store.Get(key); ok {
-			if cs != nil {
-				cs.hits.Add(1)
+		if enc, ok, _ := store.Get(key); ok {
+			if res, err := decodeResult(enc); err == nil {
+				if cs != nil {
+					cs.hits.Add(1)
+				}
+				results[i] = res
+				continue
 			}
-			results[i] = res
-			continue
 		}
 		if _, ok := firstMiss[key]; ok {
 			if cs != nil {
@@ -272,10 +267,12 @@ func RunAllCached(ctx context.Context, store Store, cs *CacheStats, cfgs []pipel
 	}
 	for j, i := range missIdx {
 		results[i] = ran[j]
-		if err := store.Put(keys[i], ran[j]); err != nil {
-			if cs != nil {
-				cs.putErrors.Add(1)
-			}
+		enc, err := encodeResult(ran[j])
+		if err == nil {
+			err = store.Put(keys[i], enc)
+		}
+		if err != nil && cs != nil {
+			cs.putErrors.Add(1)
 		}
 	}
 	for _, i := range dupIdx {

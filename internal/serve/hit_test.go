@@ -1,0 +1,267 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+
+	"loosesim/internal/pipeline"
+	"loosesim/internal/sample"
+)
+
+// postWait submits body through h with ?wait=1 and returns the response
+// body, failing unless the job finished.
+func postWait(t testing.TB, h http.Handler, body []byte) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs?wait=1", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// getBody fetches path through h and returns the response body.
+func getBody(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// encodeStatus is the response body json.Encoder writes for v.
+func encodeStatus(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResponsesMatchStatusEncoding pins the HTTP bodies of a simulated
+// job and of a cache hit, from both stores, to json.Encoder's encoding of
+// the jobs' Status: serving a hit from the stored bytes must not change
+// a byte of the wire format.
+func TestResponsesMatchStatusEncoding(t *testing.T) {
+	dir, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		store Store
+	}{{"mem", NewMemStore()}, {"dir", dir}} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(Options{Workers: 1, Store: c.store})
+			defer srv.Close()
+			h := srv.Handler()
+			cfg := simCfg(t, "m88-comp", 3)
+			body, err := json.Marshal(JobSpec{Config: &cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var results [][]byte
+			for _, wantCached := range []bool{false, true} {
+				got := postWait(t, h, body)
+				var st Status
+				if err := json.Unmarshal(got, &st); err != nil {
+					t.Fatal(err)
+				}
+				if st.Cached != wantCached || st.Result == nil {
+					t.Fatalf("cached = %v, result %v; want cached %v and a result", st.Cached, st.Result != nil, wantCached)
+				}
+				job, ok := srv.Job(st.ID)
+				if !ok {
+					t.Fatalf("no job %s", st.ID)
+				}
+				want := encodeStatus(t, job.Status())
+				if !bytes.Equal(got, want) {
+					t.Fatalf("?wait=1 body differs from the Status encoding:\n got %s\nwant %s", got, want)
+				}
+				if one := getBody(t, h, "/api/v1/jobs/"+st.ID); !bytes.Equal(one, want) {
+					t.Fatalf("GET /jobs/%s body differs from the Status encoding:\n got %s\nwant %s", st.ID, one, want)
+				}
+				r, err := json.Marshal(st.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, r)
+			}
+			if !bytes.Equal(results[0], results[1]) {
+				t.Fatalf("hit result differs from the simulated one:\n%s\n%s", results[1], results[0])
+			}
+			if got, want := getBody(t, h, "/api/v1/jobs"), encodeStatus(t, srv.Jobs()); !bytes.Equal(got, want) {
+				t.Fatalf("GET /jobs body differs from the Jobs encoding:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestStatusResultNotAliased mutates the Results that Status hands out
+// and checks that neither the next Status nor the next hit's response
+// sees the change.
+func TestStatusResultNotAliased(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	cfg := simCfg(t, "gcc", 5)
+	body, err := json.Marshal(JobSpec{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	if err := json.Unmarshal(postWait(t, h, body), &st); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(st.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, _ := srv.Job(st.ID)
+	scribble := func(s Status) {
+		s.Result.Counters.Cycles = -1
+		s.Result.Benchmark = "scribbled"
+		s.Result.OperandGap.Add(3)
+	}
+	scribble(job.Status())
+	got, err := json.Marshal(job.Status().Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("mutating a simulated job's Status result changed the next Status:\n got %s\nwant %s", got, want)
+	}
+
+	var hit Status
+	if err := json.Unmarshal(postWait(t, h, body), &hit); err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatal("second submission was not a cache hit")
+	}
+	hj, _ := srv.Job(hit.ID)
+	scribble(hj.Status())
+	var next Status
+	if err := json.Unmarshal(postWait(t, h, body), &next); err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*pipeline.Result{hit.Result, hj.Status().Result, next.Result} {
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("hit result changed by a caller's mutation:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestHitRetainedHeap bounds what the server keeps for each cache hit:
+// the job record, not a decoded copy of the result or of the request.
+func TestHitRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("5000 submissions")
+	}
+	const hits = 5000
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	cfg := simCfg(t, "gcc", 6)
+	body, err := json.Marshal(JobSpec{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postWait(t, h, body) // the cold run that warms the cache
+	postWait(t, h, body)
+	before := liveHeap()
+	for i := 0; i < hits; i++ {
+		postWait(t, h, body)
+	}
+	after := liveHeap()
+	perHit := (float64(after) - float64(before)) / hits
+	t.Logf("retained heap per hit: %.0f B", perHit)
+	if perHit > 1024 {
+		t.Fatalf("retained heap per hit = %.0f B, want <= 1024", perHit)
+	}
+	if n := srv.Metrics().Cache.Hits; n != hits+1 {
+		t.Fatalf("cache hits = %d, want %d", n, hits+1)
+	}
+}
+
+// TestFinishedJobsReleaseCheckpoints submits sampled-window jobs, each
+// with its own copy of a checkpoint, drops every reference the submitter
+// held, and checks that the finished jobs keep none of the copies alive.
+func TestFinishedJobsReleaseCheckpoints(t *testing.T) {
+	cfg := simCfg(t, "gcc", 8)
+	cfg.WarmupInstructions = 2_000
+	cfg.MeasureInstructions = 2_000
+	opt := sample.Options{Windows: 1, WindowInstructions: 500, DetailedWarmup: 200}
+	ckpts, err := sample.Checkpoints(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := ckpts[0]
+	wcfg := sample.WindowConfig(cfg, opt)
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	submit := func(noCache bool) {
+		job, err := srv.Submit(JobSpec{Config: &wcfg, Checkpoint: bytes.Clone(ckpt), NoCache: noCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		if st := job.Status(); st.State != StateDone {
+			t.Fatalf("window job: %s (%s)", st.State, st.Error)
+		}
+	}
+	submit(true) // warms whatever the first run allocates for good
+	before := liveHeap()
+	const jobs = 10
+	for i := 0; i < jobs; i++ {
+		// Simulated (no-cache) and cached jobs alike.
+		submit(i%2 == 0)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(ckpts) // live across both measurements, so only the jobs' heap counts
+	grew := float64(after) - float64(before)
+	t.Logf("%d window jobs: live heap grew %.0f B; one checkpoint is %d B", jobs, grew, len(ckpt))
+	if grew > float64(len(ckpt))/4 {
+		t.Fatalf("%d finished window jobs retain %.0f B, want well under one %d B checkpoint", jobs, grew, len(ckpt))
+	}
+}
+
+// BenchmarkServeHit times one ?wait=1 cache hit through the HTTP handler
+// on a warmed in-memory store: request decode, content key, lookup and
+// response.
+func BenchmarkServeHit(b *testing.B) {
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	cfg := simCfg(b, "gcc", 9)
+	body, err := json.Marshal(JobSpec{Config: &cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	postWait(b, h, body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		postWait(b, h, body)
+	}
+}

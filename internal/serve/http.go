@@ -42,13 +42,49 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON encodes v as the response body. An encode error after the
-// header is committed has no recovery; the client sees the truncation.
+// writeJSON writes v's JSON encoding, newline-terminated as json.Encoder
+// writes it, as the response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	writeBody(w, code, append(b, '\n'), err)
+}
+
+// appendStatus appends the JSON encoding of a job's status to b, with enc
+// (the job's result encoding, or nil) spliced in as the "result" member.
+// The bytes are exactly json.Marshal's for the Status with its Result
+// decoded from enc, without decoding it: encoding/json writes a nested
+// Result as it writes one alone, and "result" is the last member a
+// single-simulation job's status has (only figure jobs carry a table,
+// and they have no result), so the splice goes before the closing brace.
+func appendStatus(b []byte, st Status, enc []byte) ([]byte, error) {
+	head, err := json.Marshal(st)
+	if err != nil {
+		return b, err
+	}
+	if enc == nil {
+		return append(b, head...), nil
+	}
+	b = append(b, head[:len(head)-1]...)
+	b = append(b, `,"result":`...)
+	b = append(b, enc...)
+	return append(b, '}'), nil
+}
+
+// writeStatus writes a job snapshot as the response body: the bytes
+// writeJSON would write for the job's Status, with the result served from
+// its stored encoding.
+func writeStatus(w http.ResponseWriter, code int, st Status, enc []byte) {
+	b, err := appendStatus(nil, st, enc)
+	writeBody(w, code, append(b, '\n'), err)
+}
+
+// writeBody writes an encoded response body. An encode error has no
+// recovery once the header is committed: the client sees an empty body.
+func writeBody(w http.ResponseWriter, code int, b []byte, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		_ = err
+	if err == nil {
+		_, _ = w.Write(b)
 	}
 }
 
@@ -98,16 +134,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	st, enc := job.snapshot()
 	code := http.StatusAccepted
-	st := job.Status()
 	if st.State != StateQueued {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	writeStatus(w, code, st, enc)
 }
 
+// handleList writes every job's status as one JSON array, the bytes
+// writeJSON would write for s.Jobs().
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
+	b := []byte{'['}
+	var err error
+	for i, job := range s.jobList() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		st, enc := job.snapshot()
+		if b, err = appendStatus(b, st, enc); err != nil {
+			break
+		}
+	}
+	writeBody(w, http.StatusOK, append(b, ']', '\n'), err)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -116,7 +165,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("serve: no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	st, enc := job.snapshot()
+	writeStatus(w, http.StatusOK, st, enc)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -126,7 +176,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	writeJSON(w, http.StatusOK, job.Status())
+	st, enc := job.snapshot()
+	writeStatus(w, http.StatusOK, st, enc)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -243,9 +243,13 @@ func figure(name string) func(experiments.Options) (*experiments.Table, error) {
 
 // Job is one accepted submission and its lifecycle. All exported methods
 // are safe for concurrent use.
+//
+// No finished job holds its spec, and a single simulation holds its result
+// only as the store's encoding. A cache hit is born finished: it has no
+// spec, context or spans, just the fields Status reports and a reference
+// to the stored bytes.
 type Job struct {
 	id     string
-	spec   JobSpec
 	key    string // content address; single-simulation jobs only
 	srv    *Server
 	class  Class
@@ -255,6 +259,8 @@ type Job struct {
 	// present in a class FIFO. Guarded by the jobQueue mutex, not j.mu.
 	inQueue bool
 
+	// ctx scopes the job's run and cancel aborts it; both are nil for a
+	// cache hit, which has nothing to abort.
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -268,15 +274,30 @@ type Job struct {
 	span      *trace.ActiveSpan
 	queueSpan *trace.ActiveSpan
 
-	mu      sync.Mutex
-	state   JobState
-	cached  bool
-	errMsg  string
-	result  *pipeline.Result
+	mu sync.Mutex
+	// spec is the submission, held only while the job is queued: the
+	// worker takes it at pickup and a cancel while queued drops it, so a
+	// finished job never pins its config or its checkpoint.
+	spec   *JobSpec
+	state  JobState
+	cached bool
+	errMsg string
+	// enc is a single simulation's result as the store holds it: the
+	// bytes the job put, or got on a hit. Responses splice it in as is;
+	// Status decodes it afresh on every call.
+	enc     []byte
 	table   *experiments.Table
 	hostSec float64
 	kips    float64
 }
+
+// finished is the Done channel of every cache hit: a hit is born
+// finished, so it shares this closed channel rather than making its own.
+var finished = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
@@ -292,6 +313,9 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // within a few thousand simulated cycles. Cancelling a finished job is a
 // no-op.
 func (j *Job) Cancel() {
+	if j.cancel == nil {
+		return // a cache hit, born finished
+	}
 	j.cancel()
 	j.finishQueued()
 }
@@ -306,6 +330,7 @@ func (j *Job) finishQueued() {
 	}
 	j.state = StateCancelled
 	j.errMsg = context.Canceled.Error()
+	j.spec = nil
 	j.closeSpans(StateCancelled)
 	// Closed under j.mu so the terminal transition and the close are one
 	// atomic step: the state check above is what makes a second close
@@ -334,7 +359,9 @@ func (j *Job) closeSpans(state JobState) {
 	j.span.End()
 }
 
-// Status is the JSON snapshot of a job.
+// Status is the JSON snapshot of a job. The HTTP API writes a
+// single-simulation job's Result as the bytes the store holds, which are
+// exactly the encoding of the Result that Job.Status decodes from them.
 type Status struct {
 	ID          string             `json:"id"`
 	State       JobState           `json:"state"`
@@ -347,8 +374,25 @@ type Status struct {
 	Table       *experiments.Table `json:"table,omitempty"`
 }
 
-// Status returns a snapshot of the job.
+// Status returns a snapshot of the job. Its Result is decoded from the
+// job's stored encoding on every call, so each caller owns the Result it
+// gets: modifying it changes neither the job, nor the cache, nor what any
+// other caller or response sees.
 func (j *Job) Status() Status {
+	st, enc := j.snapshot()
+	if enc != nil {
+		res, err := decodeResult(enc)
+		if err != nil {
+			st.Error = fmt.Sprintf("serve: decoding result: %v", err)
+		}
+		st.Result = res
+	}
+	return st
+}
+
+// snapshot returns the job's status without its Result, and the result's
+// encoding (nil when the job has none).
+func (j *Job) snapshot() (Status, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Status{
@@ -359,26 +403,28 @@ func (j *Job) Status() Status {
 		Error:       j.errMsg,
 		HostSeconds: j.hostSec,
 		KIPS:        j.kips,
-		Result:      j.result,
 		Table:       j.table,
-	}
+	}, j.enc
 }
 
-// setRunning marks the job picked up by a worker; it reports false when
+// setRunning marks the job picked up by a worker and hands the worker the
+// job's spec, which the job itself no longer holds. It returns nil when
 // the job already reached a terminal state (cancelled while queued), in
 // which case the worker must skip it.
-func (j *Job) setRunning() bool {
+func (j *Job) setRunning() *JobSpec {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil
 	}
+	spec := j.spec
+	j.spec = nil
 	j.state = StateRunning
 	// The queue wait ends at pickup; terminal paths that never reach a
 	// worker close it via closeSpans instead.
 	j.queueSpan.SetStatus("ok")
 	j.queueSpan.End()
-	return true
+	return spec
 }
 
 // finish moves the job to a terminal state and releases waiters. A job
@@ -566,9 +612,35 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 		return nil, ErrDraining
 	}
 	s.nextID++
+	id := "job-" + strconv.Itoa(s.nextID)
+
+	// Cache fast path: a hit needs no worker, no queue slot, and no
+	// construction — the whole point of content addressing. Its job is
+	// born finished and holds the stored bytes, undecoded.
+	if key != "" && !spec.NoCache {
+		csp := jsp.Child("cache")
+		if enc, ok, err := s.store.Get(key); err == nil && ok {
+			csp.SetStatus("hit")
+			csp.End()
+			job := &Job{id: id, key: key, state: StateDone, cached: true, enc: enc, done: finished}
+			s.jobs[id] = job
+			s.order = append(s.order, id)
+			s.mu.Unlock()
+			s.cstats.hits.Add(1)
+			s.submitted.Add(1)
+			s.completed.Add(1)
+			s.bumpClient(spec.Client, func(c *clientStat) { c.submitted++; c.completed++ })
+			jsp.SetStatus(string(StateDone))
+			jsp.End()
+			return job, nil
+		}
+		csp.SetStatus("miss")
+		csp.End()
+	}
+
 	job := &Job{
-		id:     "job-" + strconv.Itoa(s.nextID),
-		spec:   spec,
+		id:     id,
+		spec:   new(JobSpec),
 		key:    key,
 		srv:    s,
 		class:  class,
@@ -577,36 +649,11 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 		state:  StateQueued,
 		done:   make(chan struct{}),
 	}
+	*job.spec = spec // not &spec, which would move every submission's spec, hits too, to the heap
 	if spec.TimeoutMS > 0 {
 		job.ctx, job.cancel = context.WithTimeout(s.ctx, time.Duration(spec.TimeoutMS)*time.Millisecond)
 	} else {
 		job.ctx, job.cancel = context.WithCancel(s.ctx)
-	}
-
-	// Cache fast path: a hit needs no worker, no queue slot, and no
-	// construction — the whole point of content addressing.
-	if key != "" && !spec.NoCache {
-		csp := jsp.Child("cache")
-		if res, ok, err := s.store.Get(key); err == nil && ok {
-			csp.SetStatus("hit")
-			csp.End()
-			s.jobs[job.id] = job
-			s.order = append(s.order, job.id)
-			s.mu.Unlock()
-			s.cstats.hits.Add(1)
-			s.submitted.Add(1)
-			s.completed.Add(1)
-			s.bumpClient(job.client, func(c *clientStat) { c.submitted++; c.completed++ })
-			job.mu.Lock()
-			job.cached = true
-			job.result = res
-			job.mu.Unlock()
-			job.cancel()
-			job.finish(StateDone, nil)
-			return job, nil
-		}
-		csp.SetStatus("miss")
-		csp.End()
 	}
 
 	job.queueSpan = jsp.Child("queue")
@@ -699,19 +746,23 @@ func (s *Server) Job(id string) (*Job, bool) {
 
 // Jobs returns status snapshots for every job, in submission order.
 func (s *Server) Jobs() []Status {
-	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
+	jobs := s.jobList()
 	out := make([]Status, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.Status())
 	}
 	return out
+}
+
+// jobList returns every job, in submission order.
+func (s *Server) jobList() []*Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]*Job, 0, len(s.order))
+	for _, id := range s.order {
+		jobs = append(jobs, s.jobs[id])
+	}
+	return jobs
 }
 
 // worker drains the queue in class-priority order. One machine is live
@@ -736,7 +787,8 @@ func (s *Server) runJob(job *Job) {
 	defer s.running.Add(-1)
 	defer job.cancel() // releases the timeout timer, if any
 
-	if !job.setRunning() {
+	spec := job.setRunning()
+	if spec == nil {
 		return // cancelled while queued; already finalized
 	}
 	var start time.Time
@@ -745,10 +797,10 @@ func (s *Server) runJob(job *Job) {
 	}
 	var retired uint64
 	var err error
-	if job.spec.Figure != "" {
-		retired, err = s.runFigure(job)
+	if spec.Figure != "" {
+		retired, err = s.runFigure(job, spec)
 	} else {
-		retired, err = s.runSim(job)
+		retired, err = s.runSim(job, spec)
 	}
 	if s.opts.Now != nil {
 		s.recordHostTime(job, s.opts.Now().Sub(start).Seconds(), retired)
@@ -789,26 +841,27 @@ func (s *Server) recordHostTime(job *Job, sec float64, retired uint64) {
 
 // runSim executes a single-simulation job and returns the retired
 // instruction count (0 when no simulation completed) and the error that
-// ended the job, if any.
-func (s *Server) runSim(job *Job) (uint64, error) {
+// ended the job, if any. The job keeps its result as the encoding it puts
+// in the store; a result that cannot be encoded fails the job.
+func (s *Server) runSim(job *Job, spec *JobSpec) (uint64, error) {
 	if err := job.ctx.Err(); err != nil {
 		return 0, err
 	}
-	cfg, err := job.spec.config() // validated at submit; rebuilt here, it's cheap
+	cfg, err := spec.config() // validated at submit; rebuilt here, it's cheap
 	if err != nil {
 		return 0, err
 	}
-	if !job.spec.NoCache {
+	if !spec.NoCache {
 		// Second cache lookup, spanned like the first: a sibling job may
 		// have populated the key while this one sat in the queue.
 		csp := job.span.Child("cache")
-		if res, ok, err := s.store.Get(job.key); err == nil && ok {
+		if enc, ok, err := s.store.Get(job.key); err == nil && ok {
 			csp.SetStatus("hit")
 			csp.End()
 			s.cstats.hits.Add(1)
 			job.mu.Lock()
 			job.cached = true
-			job.result = res
+			job.enc = enc
 			job.mu.Unlock()
 			return 0, nil // no simulation ran; keep KIPS honest
 		}
@@ -816,13 +869,13 @@ func (s *Server) runSim(job *Job) (uint64, error) {
 		csp.End()
 		s.cstats.misses.Add(1)
 	}
-	if job.spec.Events {
+	if spec.Events {
 		cfg.Events = &jobEventSink{server: s}
 	}
 	rsp := job.span.Child("run")
 	var m *pipeline.Machine
-	if job.spec.Checkpoint != nil {
-		m, err = pipeline.Restore(cfg, job.spec.Checkpoint)
+	if spec.Checkpoint != nil {
+		m, err = pipeline.Restore(cfg, spec.Checkpoint)
 	} else {
 		m, err = pipeline.New(cfg)
 	}
@@ -834,13 +887,17 @@ func (s *Server) runSim(job *Job) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !job.spec.NoCache {
-		if err := s.store.Put(job.key, res); err != nil {
+	enc, err := encodeResult(res)
+	if err != nil {
+		return 0, fmt.Errorf("serve: encoding result: %w", err)
+	}
+	if !spec.NoCache {
+		if err := s.store.Put(job.key, enc); err != nil {
 			s.cstats.putErrors.Add(1)
 		}
 	}
 	job.mu.Lock()
-	job.result = res
+	job.enc = enc
 	job.mu.Unlock()
 	return res.TotalRetired, nil
 }
@@ -848,18 +905,18 @@ func (s *Server) runSim(job *Job) (uint64, error) {
 // runFigure regenerates one paper figure through the cache and returns the
 // total retired instructions across its cache-missing simulations and the
 // error that ended the job, if any.
-func (s *Server) runFigure(job *Job) (uint64, error) {
+func (s *Server) runFigure(job *Job, spec *JobSpec) (uint64, error) {
 	if err := job.ctx.Err(); err != nil {
 		return 0, err
 	}
-	fig := figure(job.spec.Figure)
+	fig := figure(spec.Figure)
 	opt := experiments.DefaultOptions()
-	if job.spec.Quick {
+	if spec.Quick {
 		opt = experiments.QuickOptions()
 	}
 	var retired atomic.Uint64
 	store := s.store
-	if job.spec.NoCache {
+	if spec.NoCache {
 		store = nil
 	}
 	opt.Runner = func(cfgs []pipeline.Config) ([]*pipeline.Result, error) {

@@ -14,7 +14,7 @@ import (
 	"loosesim/internal/pipeline"
 )
 
-func simCfg(t *testing.T, bench string, seed int64) pipeline.Config {
+func simCfg(t testing.TB, bench string, seed int64) pipeline.Config {
 	t.Helper()
 	cfg, err := loosesim.DefaultMachine(bench)
 	if err != nil {
@@ -81,12 +81,20 @@ func testStoreRoundTrip(t *testing.T, store Store) {
 	if _, ok, err := store.Get(key); ok || err != nil {
 		t.Fatalf("empty store Get = %v, %v", ok, err)
 	}
-	if err := store.Put(key, want); err != nil {
+	enc, err := encodeResult(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := store.Get(key)
+	if err := store.Put(key, enc); err != nil {
+		t.Fatal(err)
+	}
+	b, ok, err := store.Get(key)
 	if err != nil || !ok {
 		t.Fatalf("Get after Put = %v, %v", ok, err)
+	}
+	got, err := decodeResult(b)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got.Counters != want.Counters || got.Benchmark != want.Benchmark ||
 		got.TotalCycles != want.TotalCycles {
@@ -116,7 +124,7 @@ func TestDirStoreRejectsBadKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"", "../escape", "ABCDEF", "0123/45"} {
-		if err := store.Put(key, &pipeline.Result{}); err == nil {
+		if err := store.Put(key, []byte("{}")); err == nil {
 			t.Errorf("Put(%q) must be rejected", key)
 		}
 		if _, _, err := store.Get(key); err == nil {

@@ -33,6 +33,11 @@ echo "==> benchmark module (go -C bench vet + test -short)"
 go -C bench vet ./...
 go -C bench test -short ./...
 
+echo "==> bench golden check (bash bench/run.sh --seed 1 --seconds 1 --trace 0: one round of every workload against bench/testdata/golden.json)"
+# Exits non-zero when any output's digest differs from the golden, so a
+# stale golden.json fails here rather than in the next benchmark run.
+bash bench/run.sh --seed 1 --seconds 1 --trace 0
+
 echo "==> bench regression gate (BenchmarkMachine vs BENCH_machine.json)"
 ./scripts/bench.sh check
 
