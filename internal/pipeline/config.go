@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"loosesim/internal/core"
+	"loosesim/internal/isa"
 	"loosesim/internal/mem"
 	"loosesim/internal/obs"
 	"loosesim/internal/workload"
@@ -138,7 +139,7 @@ type Config struct {
 	MemDep          MemDepPolicy
 	StoreWaitSize   int   // predictor entries (power of two)
 	StoreWaitClear  int64 // cycles between predictor resets
-	StoreForwardLat int   // load-to-use latency when forwarding from a store
+	StoreForwardLat int   // load-to-use latency when forwarding from a store (>= 1)
 
 	// Memory system.
 	Mem mem.HierConfig
@@ -286,6 +287,10 @@ func (c *Config) Validate() error {
 		{"DecIQLat", c.DecIQLat}, {"IQExLat", c.IQExLat}, {"RegReadLat", c.RegReadLat},
 		{"FeedbackDelay", c.FeedbackDelay}, {"BranchFBDelay", c.BranchFBDelay},
 		{"FwdDepth", c.FwdDepth}, {"WBDelay", c.WBDelay},
+		// A forwarded load completes StoreForwardLat cycles after it
+		// executes; at 0 it would complete in the cycle it executes, which
+		// the event rings cannot schedule.
+		{"StoreForwardLat", c.StoreForwardLat},
 	}
 	for _, p := range pos {
 		if p.v < 1 {
@@ -296,8 +301,7 @@ func (c *Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"IQEvictDelay", c.IQEvictDelay}, {"StoreForwardLat", c.StoreForwardLat},
-		{"TLBRefill", c.TLBRefill}, {"BTBMissBubble", c.BTBMissBubble},
+		{"IQEvictDelay", c.IQEvictDelay}, {"TLBRefill", c.TLBRefill}, {"BTBMissBubble", c.BTBMissBubble},
 	}
 	for _, p := range nonneg {
 		if p.v < 0 {
@@ -353,5 +357,60 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("pipeline: DRA clusters (%d) must match machine clusters (%d)", c.DRA.Clusters, c.Clusters)
 		}
 	}
+	if h := c.eventHorizon(); h > maxEventHorizon {
+		return fmt.Errorf("pipeline: event horizon of %d cycles, must be <= %d: it is the longest of "+
+			"IQExLat+FeedbackDelay+1+IQEvictDelay (%d), "+
+			"max(Mem.L1.HitLatency, Mem.L2.HitLatency, Mem.MemLatency)+Mem.BankConflictPenalty+TLBRefill (%d), "+
+			"StoreForwardLat (%d), WBDelay (%d) and the longest op latency (%d)",
+			h, maxEventHorizon, c.issueHorizon(), c.loadHorizon(), c.StoreForwardLat, c.WBDelay, maxOpLatency())
+	}
 	return nil
+}
+
+// maxEventHorizon bounds a config's event horizon. The event rings get
+// the smallest power of two above the horizon, so the largest ring is
+// 1024 cycles.
+const maxEventHorizon = 1023
+
+// eventHorizon is the farthest ahead, in cycles, that the machine can
+// schedule an event: the longest delay of the five schedule sites. From
+// issue, evExec lands IQExLat cycles out and evIQFree FeedbackDelay+1+
+// IQEvictDelay after that (issueHorizon). From execute, evComplete lands
+// an op latency, StoreForwardLat or a cache load's latency out
+// (loadHorizon), and evLoadResolve FeedbackDelay or the load's latency
+// out. From completion, evWriteback lands WBDelay out. The machine sizes
+// its event rings and the uop recycle delay from it, and Validate bounds
+// it.
+//
+// It reads only fields Validate has already checked to be non-negative.
+// Each is capped at 1<<20 cycles before any sum, so no field can wrap the
+// horizon back under the bound.
+func (c *Config) eventHorizon() int {
+	return max(c.issueHorizon(), c.loadHorizon(), capDelay(c.StoreForwardLat), capDelay(c.WBDelay), maxOpLatency())
+}
+
+// issueHorizon is how far past its issue cycle an instruction's last
+// event lands: the evIQFree that releases its IQ entry.
+func (c *Config) issueHorizon() int {
+	return capDelay(c.IQExLat) + capDelay(c.FeedbackDelay) + 1 + capDelay(c.IQEvictDelay)
+}
+
+// loadHorizon is the longest load-to-use latency a cache load can see: the
+// slowest level, a bank conflict, and a TLB refill.
+func (c *Config) loadHorizon() int {
+	m := c.Mem
+	return max(capDelay(m.L1.HitLatency), capDelay(m.L2.HitLatency), capDelay(m.MemLatency)) +
+		capDelay(m.BankConflictPenalty) + capDelay(c.TLBRefill)
+}
+
+// capDelay caps one delay for eventHorizon's sums.
+func capDelay(v int) int { return min(v, 1<<20) }
+
+// maxOpLatency is the longest fixed execution latency of any op class.
+func maxOpLatency() int {
+	n := 0
+	for op := 0; op < isa.NumOpClasses; op++ {
+		n = max(n, isa.OpClass(op).Latency())
+	}
+	return n
 }

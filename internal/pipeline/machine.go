@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"loosesim/internal/bpred"
 	"loosesim/internal/core"
@@ -78,7 +79,12 @@ type Machine struct {
 	actualAt []int64
 	regGen   []uint32
 
-	rings [numEvKinds]eventRing
+	// Event rings. horizon is the config's event horizon: no event lands
+	// further ahead. ringCycles, every ring's length, is the smallest power
+	// of two above it, and also how long a dead uop record waits for reuse.
+	rings      [numEvKinds]eventRing
+	horizon    int64
+	ringCycles int64
 
 	ctr       Counters
 	warmSnap  Counters
@@ -117,8 +123,11 @@ type Machine struct {
 }
 
 // deadRecord is one retired or squashed uop awaiting reuse: at is the first
-// cycle the record may be recycled. Death cycles are non-decreasing, so the
-// queue stays sorted by construction.
+// cycle the record may be recycled. Death cycles are non-decreasing and the
+// delay is fixed per machine, so the queue stays sorted by construction. A
+// checkpoint written with a longer delay can restore records due after ones
+// queued later; reclaimDead stops at the first unexpired record, so those
+// only wait longer, never less.
 type deadRecord struct {
 	u  *uop.UOp
 	at int64
@@ -154,9 +163,9 @@ func New(cfg Config) (*Machine, error) {
 		m.dra = core.New(cfg.DRA, cfg.NumPhysRegs)
 	}
 	m.swPred = bpred.NewStoreWait(cfg.StoreWaitSize, cfg.StoreWaitClear)
-	for k := range m.rings {
-		m.rings[k].init()
-	}
+	m.horizon = int64(cfg.eventHorizon())
+	m.ringCycles = int64(1) << bits.Len64(uint64(m.horizon))
+	m.rings = newEventRings(int(m.ringCycles))
 	m.evSink = cfg.Events
 	if cfg.Intervals != nil {
 		m.ivSink = cfg.Intervals
@@ -312,21 +321,18 @@ func (m *Machine) schedule(kind int, cycle int64, e event) {
 	if cycle <= m.cycle {
 		panic("pipeline: event scheduled in the past")
 	}
-	if cycle-m.cycle >= ringSize {
-		panic("pipeline: event scheduled beyond ring horizon")
+	if cycle-m.cycle > m.horizon {
+		panic("pipeline: event scheduled beyond the config's event horizon")
 	}
 	m.rings[kind].schedule(cycle, e)
 }
 
-// recycleDead queues a just-retired or just-squashed record for reuse. The
-// event rings may still hold guarded references to it (tag/state checks
-// drop them when they fire), and a retired instruction's IQ entry may wait
-// on its evIQFree; both are scheduled at most ringSize-1 cycles ahead of
-// the death cycle, so after ringSize cycles nothing in the machine can
-// reach the record and it is safe to reissue.
+// recycleDead queues a just-retired or just-squashed record for reuse
+// ringCycles cycles after its death, once nothing in the machine can reach
+// it (the argument is in snapshot.go's package comment).
 func (m *Machine) recycleDead(u *uop.UOp) {
 	// simlint:prealloc grows to the reclaim high-water mark once, then head-compacted and reused
-	m.dead = append(m.dead, deadRecord{u: u, at: m.cycle + ringSize})
+	m.dead = append(m.dead, deadRecord{u: u, at: m.cycle + m.ringCycles})
 }
 
 // reclaimDead returns expired records to the pool; called once per cycle.

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"loosesim/internal/obs"
@@ -44,6 +45,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.UseDRA = true; c.DRA.Clusters = 4 },
 		func(c *Config) { c.IQEvictDelay = -1 },
 		func(c *Config) { c.StoreForwardLat = -1 },
+		func(c *Config) { c.StoreForwardLat = 0 },
 		func(c *Config) { c.TLBRefill = -1 },
 		func(c *Config) { c.BTBMissBubble = -1 },
 		func(c *Config) { c.LoadPolicy = LoadRecovery(9) },
@@ -61,6 +63,69 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: expected a configuration error", i)
 		}
+	}
+}
+
+// TestValidateBoundsEventHorizon walks each field that feeds the event
+// horizon (Config.eventHorizon) up to the largest value the kernel can
+// schedule on the base machine: there a short run completes, and one
+// cycle more is a Validate error, not a panic mid-run. The limits are
+// worked out by hand from DefaultConfig, so they also pin the horizon
+// formula: IQ-EX 5 + feedback 3 + 1 + evict 2 = 11 for the issue sites,
+// memory 150 + bank conflict 1 + TLB refill 30 = 181 for a load.
+func TestValidateBoundsEventHorizon(t *testing.T) {
+	wl, err := workload.ByName("hydro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig(wl)
+	if h := base.eventHorizon(); h != 181 {
+		t.Fatalf("base machine event horizon = %d, want 181", h)
+	}
+	m, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ringCycles != 256 {
+		t.Fatalf("base machine rings are %d cycles, want 256", m.ringCycles)
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*Config, int)
+		max   int
+	}{
+		{"IQExLat", func(c *Config, v int) { c.IQExLat = v }, 1023 - 3 - 1 - 2},
+		{"Mem.MemLatency", func(c *Config, v int) { c.Mem.MemLatency = v }, 1023 - 1 - 30},
+		{"TLBRefill", func(c *Config, v int) { c.TLBRefill = v }, 1023 - 150 - 1},
+		{"WBDelay", func(c *Config, v int) { c.WBDelay = v }, 1023},
+		{"FeedbackDelay", func(c *Config, v int) { c.FeedbackDelay = v }, 1023 - 5 - 1 - 2},
+		{"IQEvictDelay", func(c *Config, v int) { c.IQEvictDelay = v }, 1023 - 5 - 3 - 1},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			cfg := base
+			cfg.WarmupInstructions, cfg.MeasureInstructions = 0, 1_000
+			c.set(&cfg, c.max)
+			if h := cfg.eventHorizon(); h != maxEventHorizon {
+				t.Fatalf("%s = %d: horizon %d, want %d", c.field, c.max, h, maxEventHorizon)
+			}
+			if res := run(t, cfg); res.Counters.Retired < cfg.MeasureInstructions {
+				t.Fatalf("%s = %d: retired %d of %d", c.field, c.max, res.Counters.Retired, cfg.MeasureInstructions)
+			}
+			c.set(&cfg, c.max+1)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatalf("%s = %d: Validate accepted a horizon past %d", c.field, c.max+1, maxEventHorizon)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "event horizon of 1024 cycles") {
+				t.Fatalf("%s = %d: error does not name the horizon: %v", c.field, c.max+1, err)
+			}
+		})
+	}
+	// A huge field must not wrap the horizon's sums back under the bound.
+	cfg := base
+	cfg.Mem.MemLatency, cfg.TLBRefill = math.MaxInt, math.MaxInt
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted MemLatency = TLBRefill = MaxInt")
 	}
 }
 

@@ -28,8 +28,36 @@ import (
 // index, and every cross-reference (decode pipes, IQ entries, memory
 // dependence lists, event-ring entries) is encoded as an index into that
 // table. The set is complete by construction: fetch puts every record
-// into its thread's window, and retire/squash moves it to the dead queue
-// for ringSize cycles, longer than any event or IQ reference outlives it.
+// into its thread's window, and retire or squash moves it to the dead
+// queue for ringCycles cycles, longer than any reference outlives it.
+//
+// Why ringCycles is long enough. Let H be the config's event horizon
+// (Config.eventHorizon): no schedule site places an event more than H
+// cycles after the cycle it runs in, and ringCycles > H. Take a record u
+// that dies (retires or is squashed) in cycle d. Every holder of a
+// *uop.UOp that lives across cycles lets go of u by cycle d+H:
+//
+//   - Event rings. Events for u are scheduled only while u lives: issue
+//     picks it from the IQ, onExec needs it Issued, and onComplete needs it
+//     unsquashed with the current issue's tag, which it holds only until
+//     that completion, which comes before retire. So the last event for u
+//     is scheduled by cycle d and fires by d+H.
+//   - IQ entries. A squash removes u's entry in cycle d. A retired u keeps
+//     its entry until the evIQFree of its last issue, an event like any
+//     other, so by d+H.
+//   - wpBranch. It names a live correct-path branch. resolveBranch clears
+//     it when the branch completes, which is before it can retire, and
+//     every squash that can kill it (TLB trap, load refetch, memory-order
+//     trap) clears it in the same cycle.
+//   - memStores and memLoads. untrackRetired and untrackSquashed drop u in
+//     cycle d.
+//   - Thread windows and decode pipes. Retire pops u and squash truncates
+//     it in cycle d.
+//
+// reclaimDead runs at the start of a cycle, before processEvents, and
+// hands u back to the pool no earlier than cycle d+ringCycles >= d+H+1,
+// after its last reference fired. The queue itself is the only holder
+// left, which is why the dead queue belongs to the live set.
 
 const (
 	snapMagic   = "LOOMACH"
@@ -451,17 +479,19 @@ func (m *Machine) encodePayload(w *snap.Writer) {
 
 	// Event rings: per kind, the non-empty future slots in cycle order.
 	// At a step boundary every slot holds events for exactly one cycle in
-	// (m.cycle, m.cycle+ringSize), so (kind, offset) identifies a slot.
+	// (m.cycle, m.cycle+ringCycles), so (kind, offset) identifies a slot.
+	// Offsets are relative, so the encoding does not depend on the ring
+	// length.
 	for kind := 0; kind < numEvKinds; kind++ {
 		nonEmpty := 0
-		for off := int64(1); off < ringSize; off++ {
-			if len(m.rings[kind].slots[(m.cycle+off)&(ringSize-1)]) > 0 {
+		for off := int64(1); off < m.ringCycles; off++ {
+			if len(*m.rings[kind].slot(m.cycle + off)) > 0 {
 				nonEmpty++
 			}
 		}
 		w.Len(nonEmpty)
-		for off := int64(1); off < ringSize; off++ {
-			slot := m.rings[kind].slots[(m.cycle+off)&(ringSize-1)]
+		for off := int64(1); off < m.ringCycles; off++ {
+			slot := *m.rings[kind].slot(m.cycle + off)
 			if len(slot) == 0 {
 				continue
 			}
@@ -707,11 +737,11 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 
 	// Event rings.
 	for kind := 0; kind < numEvKinds; kind++ {
-		slots := r.Len(ringSize - 1)
+		slots := r.Len(int(m.ringCycles) - 1)
 		prevOff := 0
 		for s := 0; s < slots; s++ {
 			off := int(r.U16())
-			if off <= prevOff || off >= ringSize {
+			if off <= prevOff || off >= int(m.ringCycles) {
 				r.Failf("ring %d: slot offset %d after %d", kind, off, prevOff)
 				return
 			}

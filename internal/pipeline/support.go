@@ -78,10 +78,6 @@ type event struct {
 	gen uint32
 }
 
-// ringSize must exceed the longest scheduling distance (memory latency +
-// TLB refill + writeback delay, plus slack).
-const ringSize = 1024
-
 // slotCap is the event capacity preallocated per ring slot. Per-cycle
 // per-kind event counts are bounded by machine widths (at most one evExec
 // and one evIQFree per cluster per cycle); completions can pile deeper on
@@ -89,31 +85,52 @@ const ringSize = 1024
 // append and keeps the larger capacity.
 const slotCap = 8
 
-// eventRing is a calendar queue: slot c%ringSize holds the events of cycle
-// c for one event kind. init carves every slot out of one backing slab so
-// the per-cycle schedule path never grows a slot from nil — before the
-// slab, slot-by-slot append growth was ~90% of the machine's allocations.
+// eventRing is a calendar queue: slot c&(len(slots)-1) holds the events of
+// cycle c for one event kind. The slot count is a power of two above the
+// config's event horizon (Config.eventHorizon), so no two pending cycles
+// share a slot. Every slot is carved out of one backing slab so the
+// per-cycle schedule path never grows a slot from nil — before the slab,
+// slot-by-slot append growth was ~90% of the machine's allocations.
 type eventRing struct {
-	slots [ringSize][]event
+	slots [][]event
 }
 
-func (r *eventRing) init() {
-	slab := make([]event, ringSize*slotCap)
-	for i := range r.slots {
-		r.slots[i] = slab[i*slotCap : i*slotCap : (i+1)*slotCap]
+// newEventRings builds one ring per event kind, each of size slots (a
+// power of two), from one slot table and one event slab.
+func newEventRings(size int) [numEvKinds]eventRing {
+	var rings [numEvKinds]eventRing
+	table := make([][]event, numEvKinds*size)
+	slab := make([]event, numEvKinds*size*slotCap)
+	for i := range table {
+		table[i] = slab[i*slotCap : i*slotCap : (i+1)*slotCap]
 	}
+	for k := range rings {
+		rings[k].slots = table[k*size : (k+1)*size : (k+1)*size]
+	}
+	return rings
+}
+
+// slot returns the slot of the given cycle. The length check is the
+// ring's only bounds check: with it the compiler proves the masked index
+// in range.
+func (r *eventRing) slot(cycle int64) *[]event {
+	s := r.slots
+	if len(s) == 0 {
+		panic("pipeline: event ring used before newEventRings")
+	}
+	return &s[cycle&int64(len(s)-1)]
 }
 
 func (r *eventRing) schedule(cycle int64, e event) {
-	i := cycle & (ringSize - 1)
-	// simlint:prealloc slots carved from the init slab; overflow growth is retained
-	r.slots[i] = append(r.slots[i], e)
+	s := r.slot(cycle)
+	// simlint:prealloc slots carved from the newEventRings slab; overflow growth is retained
+	*s = append(*s, e)
 }
 
 // take returns and clears the events for the given cycle.
 func (r *eventRing) take(cycle int64) []event {
-	i := cycle & (ringSize - 1)
-	evs := r.slots[i]
-	r.slots[i] = r.slots[i][:0]
+	s := r.slot(cycle)
+	evs := *s
+	*s = evs[:0]
 	return evs
 }

@@ -111,7 +111,9 @@ func TestDequeModelProperty(t *testing.T) {
 }
 
 func TestEventRing(t *testing.T) {
-	var r eventRing
+	const size = 256
+	rings := newEventRings(size)
+	r := &rings[evExec]
 	u := mkU(1)
 	r.schedule(10, event{u: u, tag: 1})
 	r.schedule(10, event{u: u, tag: 2})
@@ -126,9 +128,14 @@ func TestEventRing(t *testing.T) {
 	if len(r.take(11)) != 1 {
 		t.Error("cycle 11 event lost")
 	}
-	// Slot reuse at +ringSize.
-	r.schedule(10+ringSize, event{u: u, tag: 9})
-	if evs := r.take(10 + ringSize); len(evs) != 1 || evs[0].tag != 9 {
+	// Slot reuse at +size.
+	r.schedule(10+size, event{u: u, tag: 9})
+	if evs := r.take(10 + size); len(evs) != 1 || evs[0].tag != 9 {
 		t.Error("ring wrap-around broken")
+	}
+	// The kinds' rings share one slab but no slots.
+	rings[evComplete].schedule(10, event{u: u, tag: 5})
+	if len(r.take(10)) != 0 {
+		t.Error("an evComplete event landed in the evExec ring")
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,6 +389,37 @@ func TestSubmitValidation(t *testing.T) {
 		if _, err := srv.Submit(spec); err == nil {
 			t.Errorf("case %d (%+v) must fail", i, spec)
 		}
+	}
+}
+
+// TestSubmitRejectsPastEventHorizon: a bench job whose IQ-EX latency puts
+// the machine's event horizon past what the kernel can schedule is a 400
+// at submission, not a worker panic that takes the daemon down, and the
+// same server then completes an ordinary job.
+func TestSubmitRejectsPastEventHorizon(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/api/v1/jobs?wait=1", "application/json",
+		strings.NewReader(`{"bench":"gcc","iqex":1100}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "event horizon") {
+		t.Fatalf("iqex 1100: status %d, body %s; want 400 naming the event horizon", resp.StatusCode, body)
+	}
+	st := submitWait(t, ts.URL, JobSpec{Bench: "gcc", Warmup: new(uint64), Inst: 3000})
+	if st.State != StateDone || st.Result == nil || st.Result.Counters.Retired == 0 {
+		t.Fatalf("ordinary job after the rejection: state %q (%s)", st.State, st.Error)
 	}
 }
 

@@ -22,11 +22,11 @@ fi
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
-echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden, the pipelined-sampler determinism test TestRunMatchesSerialWindows, the TLB reference-model check TestTLBMatchesLinearScan, the conservation laws TestMachineInvariants, the one-buffer checkpoint check TestSnapshotBufferSizedOnce and the allocation gate TestMachineAllocBudget)"
+echo "==> go test -race ./... (includes the perf ratchet TestRepoWithinPerfBudget, the result-digest golden TestResultDigestsGolden, the pipelined-sampler determinism test TestRunMatchesSerialWindows, the TLB reference-model check TestTLBMatchesLinearScan, the conservation laws and retired stream TestMachineInvariants, the one-buffer checkpoint check TestSnapshotBufferSizedOnce, the event-horizon bound TestValidateBoundsEventHorizon and TestSubmitRejectsPastEventHorizon, and the allocation and heap gates TestMachineAllocBudget and TestMachineHeapBudget)"
 go test -race ./...
-# The race detector allocates on its own account, so the allocation gate
-# skips itself under -race; run it once more without.
-go test -count=1 -run '^TestMachineAllocBudget$' ./internal/pipeline
+# The race detector allocates on its own account, so the allocation and
+# heap gates skip themselves under -race; run them once more without.
+go test -count=1 -run '^(TestMachineAllocBudget|TestMachineHeapBudget)$' ./internal/pipeline
 
 echo "==> benchmark module (go -C bench vet + test -short)"
 # bench/ is its own module, so ./... above never reaches it.
