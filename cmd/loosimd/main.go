@@ -32,8 +32,6 @@ func main() {
 	addr := flag.String("addr", ":8087", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "queue depth (0 = default)")
-	clientCap := flag.Int("clientcap", 0, "max queued jobs per named client (0 = no fairness cap)")
-	retryAfter := flag.Duration("retryafter", 0, "Retry-After hint on 429 responses (0 = default 1s)")
 	cacheDir := flag.String("cache", "", "persist the result cache in this directory (default: in-memory)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	traceFile := flag.String("trace", "", "append job lifecycle spans (JSONL) to this file; loostrace renders them")
@@ -71,8 +69,6 @@ func main() {
 	srv := serve.New(serve.Options{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		ClientCap:  *clientCap,
-		RetryAfter: *retryAfter,
 		Store:      store,
 		Now:        time.Now,
 		Tracer:     tracer,

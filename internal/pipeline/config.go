@@ -15,6 +15,7 @@ import (
 	"loosesim/internal/isa"
 	"loosesim/internal/mem"
 	"loosesim/internal/obs"
+	"loosesim/internal/regfile"
 	"loosesim/internal/workload"
 )
 
@@ -310,6 +311,9 @@ func (c *Config) Validate() error {
 	}
 	if c.NumPhysRegs < c.MaxInFlight {
 		return fmt.Errorf("pipeline: %d physical registers cannot cover %d in flight", c.NumPhysRegs, c.MaxInFlight)
+	}
+	if need := regfile.MinPhysRegs(len(c.Workload.Threads)); c.NumPhysRegs < need {
+		return fmt.Errorf("pipeline: %d physical registers cannot back %d threads, need >= %d", c.NumPhysRegs, len(c.Workload.Threads), need)
 	}
 	if c.MeasureInstructions == 0 {
 		return fmt.Errorf("pipeline: MeasureInstructions must be > 0")

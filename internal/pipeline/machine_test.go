@@ -41,6 +41,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.DecIQLat = 0 },
 		func(c *Config) { c.IQExLat = -1 },
 		func(c *Config) { c.NumPhysRegs = 100 },
+		func(c *Config) { c.NumPhysRegs, c.MaxInFlight = 64, 64 },
 		func(c *Config) { c.MeasureInstructions = 0 },
 		func(c *Config) { c.UseDRA = true; c.DRA.Clusters = 4 },
 		func(c *Config) { c.IQEvictDelay = -1 },

@@ -35,13 +35,18 @@ type File struct {
 	refCnt []int32  // [PReg] -> debug refcount of mapping holders
 }
 
+// MinPhysRegs is the smallest register file NewFile accepts for the given
+// number of threads: each thread's architectural state consumes
+// isa.NumArchRegs physical registers up front, and at least 32 more must be
+// left for renaming.
+func MinPhysRegs(threads int) int { return threads*isa.NumArchRegs + 32 }
+
 // NewFile builds a rename subsystem with numPhys physical registers shared
-// by the given number of threads. Each thread's architectural state consumes
-// isa.NumArchRegs physical registers up front; the remainder form the free
-// list. numPhys must leave at least 32 renaming registers spare.
+// by the given number of threads; the registers past the threads'
+// architectural state form the free list. numPhys must be at least
+// MinPhysRegs(threads).
 func NewFile(numPhys, threads int) *File {
-	need := threads * isa.NumArchRegs
-	if numPhys < need+32 {
+	if numPhys < MinPhysRegs(threads) {
 		panic(fmt.Sprintf("regfile: %d physical registers cannot back %d threads", numPhys, threads))
 	}
 	f := &File{

@@ -4,23 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"loosesim/internal/trace"
 )
-
-// retryAfterSeconds renders a Retry-After hint as whole seconds (the
-// header's delay-seconds form), rounding up so a sub-second hint never
-// becomes "retry immediately".
-func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
 
 // Handler returns the service's HTTP API:
 //
@@ -114,10 +101,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShed):
-			// The backoff signal open-loop clients steer by: without it a
-			// 429 tells them nothing about when capacity might return.
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
+		case errors.Is(err, ErrQueueFull):
+			// The backoff signal the dispatch coordinator steers by:
+			// without it a 429 tells a client nothing about when capacity
+			// might return.
+			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, err)
 		default:
 			writeError(w, http.StatusBadRequest, err)

@@ -29,12 +29,6 @@ func WriteProm(w io.Writer, m Metrics) error {
 
 	gauge("loosim_workers", "Size of the simulation worker pool.", float64(m.Workers))
 	gauge("loosim_queue_depth", "Jobs accepted but not yet picked up by a worker.", float64(m.QueueDepth))
-	if len(m.QueueByClass) > 0 {
-		_, _ = fmt.Fprintf(b, "# HELP loosim_queue_depth_class Queued jobs by SLO class.\n# TYPE loosim_queue_depth_class gauge\n")
-		for _, c := range m.QueueByClass {
-			_, _ = fmt.Fprintf(b, "loosim_queue_depth_class{class=%q} %d\n", c.Class, c.Depth)
-		}
-	}
 	gauge("loosim_running", "Jobs currently executing on a worker.", float64(m.Running))
 	draining := 0.0
 	if m.Draining {
@@ -48,7 +42,6 @@ func WriteProm(w io.Writer, m Metrics) error {
 	_, _ = fmt.Fprintf(b, "loosim_jobs_total{state=\"failed\"} %d\n", m.Jobs.Failed)
 	_, _ = fmt.Fprintf(b, "loosim_jobs_total{state=\"cancelled\"} %d\n", m.Jobs.Cancelled)
 	_, _ = fmt.Fprintf(b, "loosim_jobs_total{state=\"rejected\"} %d\n", m.Jobs.Rejected)
-	_, _ = fmt.Fprintf(b, "loosim_jobs_total{state=\"shed\"} %d\n", m.Jobs.Shed)
 
 	counter("loosim_cache_hits_total", "Result-cache hits.", float64(m.Cache.Hits))
 	counter("loosim_cache_misses_total", "Result-cache misses.", float64(m.Cache.Misses))
@@ -60,22 +53,6 @@ func WriteProm(w io.Writer, m Metrics) error {
 	gauge("loosim_kips_mean", "Mean per-job throughput.", m.KIPS.Mean)
 	gauge("loosim_kips_p50", "Median per-job throughput.", float64(m.KIPS.P50))
 	gauge("loosim_kips_p99", "99th-percentile per-job throughput.", float64(m.KIPS.P99))
-
-	if len(m.Clients) > 0 {
-		_, _ = fmt.Fprintf(b, "# HELP loosim_client_queued Queued jobs by client.\n# TYPE loosim_client_queued gauge\n")
-		for _, c := range m.Clients {
-			_, _ = fmt.Fprintf(b, "loosim_client_queued{client=%q} %d\n", c.Client, c.Queued)
-		}
-		_, _ = fmt.Fprintf(b, "# HELP loosim_client_jobs_total Jobs by client and lifecycle outcome.\n# TYPE loosim_client_jobs_total counter\n")
-		for _, c := range m.Clients {
-			_, _ = fmt.Fprintf(b, "loosim_client_jobs_total{client=%q,state=\"submitted\"} %d\n", c.Client, c.Submitted)
-			_, _ = fmt.Fprintf(b, "loosim_client_jobs_total{client=%q,state=\"completed\"} %d\n", c.Client, c.Completed)
-			_, _ = fmt.Fprintf(b, "loosim_client_jobs_total{client=%q,state=\"failed\"} %d\n", c.Client, c.Failed)
-			_, _ = fmt.Fprintf(b, "loosim_client_jobs_total{client=%q,state=\"cancelled\"} %d\n", c.Client, c.Cancelled)
-			_, _ = fmt.Fprintf(b, "loosim_client_jobs_total{client=%q,state=\"rejected\"} %d\n", c.Client, c.Rejected)
-			_, _ = fmt.Fprintf(b, "loosim_client_jobs_total{client=%q,state=\"shed\"} %d\n", c.Client, c.Shed)
-		}
-	}
 
 	if len(m.Loops) > 0 {
 		_, _ = fmt.Fprintf(b, "# HELP loosim_loop_events_total Loop events by loose loop.\n# TYPE loosim_loop_events_total counter\n")

@@ -27,9 +27,6 @@ func TestWritePromValidAndDeterministic(t *testing.T) {
 	m.KIPS.Mean = 110.25
 	m.KIPS.P50 = 100
 	m.KIPS.P99 = 400
-	m.Clients = []ClientMetric{
-		{Client: "smoke", Queued: 1, Submitted: 5, Completed: 1, Cancelled: 3, Shed: 1},
-	}
 	m.Loops = []LoopMetric{
 		{Loop: "issue-wakeup", Events: 42, MeanDelay: 3.5, P99Delay: 9, CyclesLost: 77},
 		{Loop: "load-replay", Events: 6, MeanDelay: 12, P99Delay: 30, CyclesLost: 101},
@@ -56,10 +53,6 @@ func TestWritePromValidAndDeterministic(t *testing.T) {
 		"loosim_cache_hit_rate 0.625\n",
 		`loosim_loop_delay_cycles{loop="issue-wakeup",stat="mean"} 3.5`,
 		`loosim_loop_cycles_lost_total{loop="load-replay"} 101`,
-		`loosim_client_queued{client="smoke"} 1`,
-		`loosim_client_jobs_total{client="smoke",state="submitted"} 5`,
-		`loosim_client_jobs_total{client="smoke",state="cancelled"} 3`,
-		`loosim_client_jobs_total{client="smoke",state="shed"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q", want)

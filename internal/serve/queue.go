@@ -2,99 +2,80 @@ package serve
 
 import "sync"
 
-// jobQueue is the server's admission-controlled job queue: one FIFO per
-// SLO class, drained in class-priority order, with every enqueue passing
-// through the shared Admission core. It replaces the old buffered-channel
-// queue, whose slots a job cancelled while queued kept occupying until a
-// worker drained down to the tombstone — overcounting QueueDepth and
-// returning ErrQueueFull for capacity that was only holding corpses. Here
-// admission is purely logical: remove returns a cancelled job's capacity
-// the moment it is finalized, so submit-cancel-submit at exact capacity
-// admits the third job.
+// jobQueue is the server's job queue: one FIFO bounded by QueueDepth. A
+// job cancelled while queued leaves it through remove the moment it is
+// finalized, so its slot never sits as a tombstone until a worker reaches
+// it: submit-cancel-submit at exact capacity admits the third job.
 type jobQueue struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // signalled on enqueue and close
-	adm      *Admission
-	fifo     [NumClasses][]*Job
+	limit    int
+	fifo     []*Job
 	closed   bool
 }
 
-func newJobQueue(cfg AdmissionConfig) *jobQueue {
-	q := &jobQueue{adm: NewAdmission(cfg)}
+func newJobQueue(limit int) *jobQueue {
+	q := &jobQueue{limit: limit}
 	q.nonEmpty.L = &q.mu
 	return q
 }
 
-// tryEnqueue runs the admission check and, on Admit, appends the job to
-// its class FIFO and wakes a worker. Never blocks.
-func (q *jobQueue) tryEnqueue(j *Job) Decision {
+// tryEnqueue appends the job and wakes a worker while the queue holds
+// fewer than its limit, and reports whether it did. Never blocks.
+func (q *jobQueue) tryEnqueue(j *Job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	d := q.adm.Decide(j.class, j.client)
-	if d != Admit {
-		return d
+	if len(q.fifo) >= q.limit {
+		return false
 	}
 	j.inQueue = true
-	q.fifo[j.class] = append(q.fifo[j.class], j)
+	q.fifo = append(q.fifo, j)
 	q.nonEmpty.Signal()
-	return Admit
+	return true
 }
 
 // dequeue blocks until a job is available or the queue is closed and
-// empty (nil). Jobs come out in class-priority order, FIFO within a
-// class; the dequeued job's admission charge is released here, so the
-// reported queue depth is exactly the jobs a worker has not reached.
+// empty (nil). Jobs come out in submission order; the dequeued job leaves
+// the count here, so the reported queue depth is exactly the jobs a worker
+// has not reached.
 func (q *jobQueue) dequeue() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		for c := Class(0); c < NumClasses; c++ {
-			if len(q.fifo[c]) == 0 {
-				continue
-			}
-			j := q.fifo[c][0]
-			q.fifo[c][0] = nil // free the slot for GC before reslicing
-			q.fifo[c] = q.fifo[c][1:]
-			j.inQueue = false
-			q.adm.Release(j.class, j.client)
-			return j
-		}
+	for len(q.fifo) == 0 {
 		if q.closed {
 			return nil
 		}
 		q.nonEmpty.Wait()
 	}
+	j := q.fifo[0]
+	q.fifo[0] = nil // free the slot for GC before reslicing
+	q.fifo = q.fifo[1:]
+	j.inQueue = false
+	return j
 }
 
-// remove takes a still-queued job out of its FIFO and releases its
-// admission charge immediately — the tombstone fix. It reports false when
-// the job already left the queue (a worker dequeued it first, or remove
-// already ran), in which case nothing is charged twice.
+// remove takes a still-queued job out of the FIFO, freeing its slot
+// immediately — the tombstone fix. It reports false when the job already
+// left the queue (a worker dequeued it first, or remove already ran).
 func (q *jobQueue) remove(j *Job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !j.inQueue {
 		return false
 	}
-	fifo := q.fifo[j.class]
-	for i, cand := range fifo {
-		if cand != j {
-			continue
-		}
-		copy(fifo[i:], fifo[i+1:])
-		fifo[len(fifo)-1] = nil
-		q.fifo[j.class] = fifo[:len(fifo)-1]
-		j.inQueue = false
-		q.adm.Release(j.class, j.client)
-		return true
-	}
-	// inQueue set but not found would mean the flag and the FIFO
-	// disagree; clear the flag so the job cannot be charged again.
 	j.inQueue = false
+	for i, cand := range q.fifo {
+		if cand == j {
+			copy(q.fifo[i:], q.fifo[i+1:])
+			q.fifo[len(q.fifo)-1] = nil
+			q.fifo = q.fifo[:len(q.fifo)-1]
+			return true
+		}
+	}
 	return false
 }
 
-// close wakes every worker; once the FIFOs drain, dequeue returns nil and
+// close wakes every worker; once the FIFO drains, dequeue returns nil and
 // the workers exit. Idempotent.
 func (q *jobQueue) close() {
 	q.mu.Lock()
@@ -103,31 +84,9 @@ func (q *jobQueue) close() {
 	q.mu.Unlock()
 }
 
-// depth returns the total queued-job count.
+// depth returns the queued-job count.
 func (q *jobQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.adm.Depth()
-}
-
-// depthByClass snapshots the per-class occupancy.
-func (q *jobQueue) depthByClass() [NumClasses]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out [NumClasses]int
-	for c := Class(0); c < NumClasses; c++ {
-		out[c] = q.adm.DepthByClass(c)
-	}
-	return out
-}
-
-// clientDepths snapshots the per-client occupancy, keyed by client name.
-func (q *jobQueue) clientDepths() map[string]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[string]int)
-	for _, name := range q.adm.Clients() {
-		out[name] = q.adm.ClientDepth(name)
-	}
-	return out
+	return len(q.fifo)
 }

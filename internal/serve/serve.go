@@ -42,20 +42,6 @@ type Options struct {
 	// a full queue fail with ErrQueueFull. <= 0 selects
 	// DefaultQueueDepth.
 	QueueDepth int
-	// ClientCap bounds the queued jobs of any single named client
-	// (JobSpec.Client); <= 0 disables the fairness cap. Submissions over
-	// the cap are shed (ErrShed), not rejected, so one client's sweep
-	// cannot occupy the whole queue.
-	ClientCap int
-	// ShedThresholds overrides the per-class occupancy fractions above
-	// which a class is shed under load; zero entries select
-	// DefaultShedThresholds (interactive 1.0, standard 0.75, batch 0.5).
-	ShedThresholds [NumClasses]float64
-	// RetryAfter is the backoff hint carried on 429 responses (both
-	// queue-full rejections and class sheds) in the Retry-After header;
-	// <= 0 selects DefaultRetryAfter. Open-loop clients and the dispatch
-	// coordinator honor it instead of their own schedules.
-	RetryAfter time.Duration
 	// Store is the result cache shared by all jobs; nil selects a fresh
 	// in-memory store.
 	Store Store
@@ -74,10 +60,6 @@ type Options struct {
 // DefaultQueueDepth is the queue bound when Options.QueueDepth is not set.
 const DefaultQueueDepth = 256
 
-// DefaultRetryAfter is the 429 backoff hint when Options.RetryAfter is
-// not set.
-const DefaultRetryAfter = time.Second
-
 // JobState is a job's lifecycle phase.
 type JobState string
 
@@ -94,11 +76,6 @@ const (
 var (
 	ErrDraining  = errors.New("serve: draining, not accepting jobs")
 	ErrQueueFull = errors.New("serve: queue full")
-	// ErrShed is load shedding: the queue still has room, but the
-	// submission's SLO class is over its shed threshold (or its client
-	// over the fairness cap). Like ErrQueueFull it maps to 429 with a
-	// Retry-After hint.
-	ErrShed = errors.New("serve: shed to protect higher SLO classes")
 )
 
 // JobSpec is the JSON body of a submission: exactly one of Bench (a single
@@ -145,14 +122,6 @@ type JobSpec struct {
 	TimeoutMS   int64 `json:"timeout_ms,omitempty"`   // abort after this much host time
 	NoCache     bool  `json:"no_cache,omitempty"`     // bypass the result cache
 	Events      bool  `json:"events,omitempty"`       // aggregate loop events into /metrics
-
-	// Admission control. Client names the submitter for fairness
-	// accounting and the per-client metrics; SLO is the admission class
-	// ("interactive", "standard", or "batch"; empty = interactive).
-	// Neither feeds the simulation, so neither is part of the content
-	// address.
-	Client string `json:"client,omitempty"`
-	SLO    string `json:"slo,omitempty"`
 }
 
 // config builds the pipeline configuration for a single-simulation spec
@@ -249,14 +218,12 @@ func figure(name string) func(experiments.Options) (*experiments.Table, error) {
 // spec, context or spans, just the fields Status reports and a reference
 // to the stored bytes.
 type Job struct {
-	id     string
-	key    string // content address; single-simulation jobs only
-	srv    *Server
-	class  Class
-	client string
+	id  string
+	key string // content address; single-simulation jobs only
+	srv *Server
 
-	// inQueue marks the job as charged against the admission state and
-	// present in a class FIFO. Guarded by the jobQueue mutex, not j.mu.
+	// inQueue marks the job as present in the queue's FIFO. Guarded by
+	// the jobQueue mutex, not j.mu.
 	inQueue bool
 
 	// ctx scopes the job's run and cancel aborts it; both are nil for a
@@ -337,14 +304,13 @@ func (j *Job) finishQueued() {
 	// impossible, and holding the lock keeps that locally checkable.
 	close(j.done)
 	j.mu.Unlock()
-	// The tombstone fix: return the job's queue capacity immediately
-	// instead of leaving a corpse occupying an admission slot until a
-	// worker drains down to it. remove is a no-op if a worker won the
-	// race and already dequeued the job (setRunning then skips it), so
-	// the charge is released exactly once either way. Called after j.mu
-	// is dropped — the queue lock never nests inside a job lock.
+	// The tombstone fix: return the job's queue slot immediately instead
+	// of leaving a corpse occupying it until a worker drains down to it.
+	// remove is a no-op if a worker won the race and already dequeued the
+	// job (setRunning then skips it). Called after j.mu is dropped — the
+	// queue lock never nests inside a job lock.
 	j.srv.q.remove(j)
-	j.srv.countCancelled(j)
+	j.srv.cancelled.Add(1)
 }
 
 // closeSpans ends whatever lifecycle spans the job still holds open. Called
@@ -474,12 +440,6 @@ type Server struct {
 	failed    atomic.Uint64
 	cancelled atomic.Uint64
 	rejected  atomic.Uint64
-	shed      atomic.Uint64
-
-	// Per-client fairness accounting, keyed by JobSpec.Client; unnamed
-	// submissions are not tracked.
-	clientMu sync.Mutex
-	clients  map[string]*clientStat
 
 	cstats CacheStats
 
@@ -508,24 +468,16 @@ func New(opts Options) *Server {
 	if opts.Store == nil {
 		opts.Store = NewMemStore()
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = DefaultRetryAfter
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:      opts,
 		store:     opts.Store,
 		ctx:       ctx,
 		cancelAll: cancel,
-		q: newJobQueue(AdmissionConfig{
-			QueueDepth: opts.QueueDepth,
-			ClientCap:  opts.ClientCap,
-			Thresholds: opts.ShedThresholds,
-		}),
-		jobs:     make(map[string]*Job),
-		clients:  make(map[string]*clientStat),
-		kipsHist: stats.NewHistogram(kipsHistBound),
-		delays:   obs.NewLoopDelays(0),
+		q:         newJobQueue(opts.QueueDepth),
+		jobs:      make(map[string]*Job),
+		kipsHist:  stats.NewHistogram(kipsHistBound),
+		delays:    obs.NewLoopDelays(0),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -561,10 +513,6 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 	}
 	if spec.Checkpoint != nil && spec.Config == nil {
 		return nil, errors.New("serve: a checkpoint job needs a raw config")
-	}
-	class, err := ParseClass(spec.SLO)
-	if err != nil {
-		return nil, err
 	}
 	var key string
 	if spec.Figure != "" {
@@ -629,7 +577,6 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 			s.cstats.hits.Add(1)
 			s.submitted.Add(1)
 			s.completed.Add(1)
-			s.bumpClient(spec.Client, func(c *clientStat) { c.submitted++; c.completed++ })
 			jsp.SetStatus(string(StateDone))
 			jsp.End()
 			return job, nil
@@ -639,15 +586,13 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 	}
 
 	job := &Job{
-		id:     id,
-		spec:   new(JobSpec),
-		key:    key,
-		srv:    s,
-		class:  class,
-		client: spec.Client,
-		span:   jsp,
-		state:  StateQueued,
-		done:   make(chan struct{}),
+		id:    id,
+		spec:  new(JobSpec),
+		key:   key,
+		srv:   s,
+		span:  jsp,
+		state: StateQueued,
+		done:  make(chan struct{}),
 	}
 	*job.spec = spec // not &spec, which would move every submission's spec, hits too, to the heap
 	if spec.TimeoutMS > 0 {
@@ -657,83 +602,26 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 	}
 
 	job.queueSpan = jsp.Child("queue")
-	switch s.q.tryEnqueue(job) {
-	case Admit:
+	if s.q.tryEnqueue(job) {
 		s.jobs[job.id] = job
 		s.order = append(s.order, job.id)
 		s.mu.Unlock()
 		s.submitted.Add(1)
-		s.bumpClient(job.client, func(c *clientStat) { c.submitted++ })
 		return job, nil
-	case Shed:
-		s.mu.Unlock()
-		job.cancel()
-		job.queueSpan.SetStatus("shed")
-		job.queueSpan.End()
-		jsp.SetStatus("shed")
-		jsp.SetDetail(ErrShed.Error())
-		jsp.End()
-		// Refused submissions still count as offered load: the overload
-		// conservation law is submitted == completed + failed +
-		// cancelled + rejected + shed once the queue drains.
-		s.submitted.Add(1)
-		s.shed.Add(1)
-		s.bumpClient(job.client, func(c *clientStat) { c.submitted++; c.shed++ })
-		return nil, ErrShed
-	default: // Reject
-		s.mu.Unlock()
-		job.cancel()
-		job.queueSpan.SetStatus("rejected")
-		job.queueSpan.End()
-		jsp.SetStatus("rejected")
-		jsp.SetDetail(ErrQueueFull.Error())
-		jsp.End()
-		s.submitted.Add(1)
-		s.rejected.Add(1)
-		s.bumpClient(job.client, func(c *clientStat) { c.submitted++; c.rejected++ })
-		return nil, ErrQueueFull
 	}
-}
-
-// clientStat is one named client's fairness accounting.
-type clientStat struct {
-	submitted, completed, failed, cancelled, rejected, shed uint64
-}
-
-// bumpClient applies one counter update to a named client's stats;
-// unnamed submissions (client == "") are not tracked.
-func (s *Server) bumpClient(name string, f func(*clientStat)) {
-	if name == "" {
-		return
-	}
-	s.clientMu.Lock()
-	cs := s.clients[name]
-	if cs == nil {
-		cs = &clientStat{}
-		s.clients[name] = cs
-	}
-	f(cs)
-	s.clientMu.Unlock()
-}
-
-// countCompleted/countFailed/countCancelled bump the server-wide and
-// per-client terminal counters for one job. Every worker-side terminal
-// transition goes through exactly one of these, which is what keeps the
-// overload conservation law (submitted == completed + failed + cancelled +
-// rejected + shed) checkable.
-func (s *Server) countCompleted(j *Job) {
-	s.completed.Add(1)
-	s.bumpClient(j.client, func(c *clientStat) { c.completed++ })
-}
-
-func (s *Server) countFailed(j *Job) {
-	s.failed.Add(1)
-	s.bumpClient(j.client, func(c *clientStat) { c.failed++ })
-}
-
-func (s *Server) countCancelled(j *Job) {
-	s.cancelled.Add(1)
-	s.bumpClient(j.client, func(c *clientStat) { c.cancelled++ })
+	s.mu.Unlock()
+	job.cancel()
+	job.queueSpan.SetStatus("rejected")
+	job.queueSpan.End()
+	jsp.SetStatus("rejected")
+	jsp.SetDetail(ErrQueueFull.Error())
+	jsp.End()
+	// A refused submission still counts as offered load: the conservation
+	// law is submitted == completed + failed + cancelled + rejected once
+	// the queue drains.
+	s.submitted.Add(1)
+	s.rejected.Add(1)
+	return nil, ErrQueueFull
 }
 
 // Job returns a submitted job by ID.
@@ -765,7 +653,7 @@ func (s *Server) jobList() []*Job {
 	return jobs
 }
 
-// worker drains the queue in class-priority order. One machine is live
+// worker drains the queue in submission order. One machine is live
 // per worker at a time, so the pool's peak memory is Options.Workers
 // machines regardless of how deep the queue gets.
 func (s *Server) worker() {
@@ -808,13 +696,13 @@ func (s *Server) runJob(job *Job) {
 	switch {
 	case err == nil:
 		job.finish(StateDone, nil)
-		s.countCompleted(job)
+		s.completed.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		job.finish(StateCancelled, err)
-		s.countCancelled(job)
+		s.cancelled.Add(1)
 	default: // ErrCycleBudget, bad configs, and anything else a run reports
 		job.finish(StateFailed, err)
-		s.countFailed(job)
+		s.failed.Add(1)
 	}
 }
 
@@ -1017,17 +905,12 @@ type Metrics struct {
 	Running    int64 `json:"running"`
 	Draining   bool  `json:"draining"`
 
-	// QueueByClass reports admitted-but-unstarted occupancy per SLO class,
-	// always all classes in priority order so the layout is deterministic.
-	QueueByClass []ClassDepth `json:"queue_by_class"`
-
 	Jobs struct {
 		Submitted uint64 `json:"submitted"`
 		Completed uint64 `json:"completed"`
 		Failed    uint64 `json:"failed"`
 		Cancelled uint64 `json:"cancelled"`
 		Rejected  uint64 `json:"rejected"`
-		Shed      uint64 `json:"shed"`
 	} `json:"jobs"`
 
 	Cache struct {
@@ -1050,29 +933,6 @@ type Metrics struct {
 
 	// Loops aggregates loop-event delays across events-enabled jobs.
 	Loops []LoopMetric `json:"loops,omitempty"`
-
-	// Clients is the per-client fairness accounting, sorted by client
-	// name; absent until a named client submits.
-	Clients []ClientMetric `json:"clients,omitempty"`
-}
-
-// ClassDepth is one SLO class's queue occupancy.
-type ClassDepth struct {
-	Class string `json:"class"`
-	Depth int    `json:"depth"`
-}
-
-// ClientMetric is one named client's lifecycle counters plus its current
-// queue occupancy.
-type ClientMetric struct {
-	Client    string `json:"client"`
-	Queued    int    `json:"queued"`
-	Submitted uint64 `json:"submitted"`
-	Completed uint64 `json:"completed"`
-	Failed    uint64 `json:"failed"`
-	Cancelled uint64 `json:"cancelled"`
-	Rejected  uint64 `json:"rejected"`
-	Shed      uint64 `json:"shed"`
 }
 
 // LoopMetric is one loose loop's aggregate delay summary.
@@ -1089,11 +949,6 @@ func (s *Server) Metrics() Metrics {
 	var m Metrics
 	m.Workers = s.opts.Workers
 	m.QueueDepth = int64(s.q.depth())
-	byClass := s.q.depthByClass()
-	m.QueueByClass = make([]ClassDepth, NumClasses)
-	for c := Class(0); c < NumClasses; c++ {
-		m.QueueByClass[c] = ClassDepth{Class: c.String(), Depth: byClass[c]}
-	}
 	m.Running = s.running.Load()
 	s.mu.Lock()
 	m.Draining = s.draining
@@ -1103,7 +958,6 @@ func (s *Server) Metrics() Metrics {
 	m.Jobs.Failed = s.failed.Load()
 	m.Jobs.Cancelled = s.cancelled.Load()
 	m.Jobs.Rejected = s.rejected.Load()
-	m.Jobs.Shed = s.shed.Load()
 	m.Cache.Hits = s.cstats.Hits()
 	m.Cache.Misses = s.cstats.Misses()
 	m.Cache.PutErrors = s.cstats.PutErrors()
@@ -1130,21 +984,5 @@ func (s *Server) Metrics() Metrics {
 		})
 	}
 	s.obsMu.Unlock()
-	queued := s.q.clientDepths()
-	s.clientMu.Lock()
-	for _, name := range stats.SortedKeys(s.clients) {
-		cs := s.clients[name]
-		m.Clients = append(m.Clients, ClientMetric{
-			Client:    name,
-			Queued:    queued[name],
-			Submitted: cs.submitted,
-			Completed: cs.completed,
-			Failed:    cs.failed,
-			Cancelled: cs.cancelled,
-			Rejected:  cs.rejected,
-			Shed:      cs.shed,
-		})
-	}
-	s.clientMu.Unlock()
 	return m
 }

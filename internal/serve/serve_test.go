@@ -392,34 +392,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsPastEventHorizon: a bench job whose IQ-EX latency puts
-// the machine's event horizon past what the kernel can schedule is a 400
+// TestSubmitRejectsPastEventHorizon: a job the kernel cannot run is a 400
 // at submission, not a worker panic that takes the daemon down, and the
-// same server then completes an ordinary job.
+// same server then completes an ordinary job. The inputs are a bench job
+// whose IQ-EX latency puts the machine's event horizon past what the
+// kernel can schedule, and a raw config whose register file is too small
+// to back its thread's architectural state.
 func TestSubmitRejectsPastEventHorizon(t *testing.T) {
 	srv := New(Options{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/api/v1/jobs?wait=1", "application/json",
-		strings.NewReader(`{"bench":"gcc","iqex":1100}`))
+	small := simCfg(t, "gcc", 1)
+	small.NumPhysRegs, small.MaxInFlight = 64, 64
+	smallBody, err := json.Marshal(JobSpec{Config: &small})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "event horizon") {
-		t.Fatalf("iqex 1100: status %d, body %s; want 400 naming the event horizon", resp.StatusCode, body)
+	for _, c := range []struct{ body, want string }{
+		{`{"bench":"gcc","iqex":1100}`, "event horizon"},
+		{string(smallBody), "physical registers"},
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs?wait=1", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Fatalf("status %d, body %s; want 400 naming %q", resp.StatusCode, body, c.want)
+		}
 	}
 	st := submitWait(t, ts.URL, JobSpec{Bench: "gcc", Warmup: new(uint64), Inst: 3000})
 	if st.State != StateDone || st.Result == nil || st.Result.Counters.Retired == 0 {
-		t.Fatalf("ordinary job after the rejection: state %q (%s)", st.State, st.Error)
+		t.Fatalf("ordinary job after the rejections: state %q (%s)", st.State, st.Error)
 	}
 }
 
