@@ -17,8 +17,6 @@
 //	-list       list the available analyzers and exit
 //	-enable     comma-separated analyzers to run (default "all")
 //	-disable    comma-separated analyzers to skip
-//	-sarif      also write the findings as a SARIF 2.1.0 log to the given
-//	            file, for native PR annotation upload in CI
 //	-timing     print one wall-time line per enabled analyzer to stderr
 //	-v          with -timing, also print the run total and call-graph time
 //
@@ -60,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	enable := fs.String("enable", "all", "comma-separated analyzers to run")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	sarif := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	timing := fs.Bool("timing", false, "print per-analyzer wall time to stderr")
 	verbose := fs.Bool("v", false, "with -timing, also print total and call-graph time")
 	perf := fs.Bool("perf", false, "report hot-path compiler diagnostics (escapes, inlining, bounds checks)")
@@ -140,12 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	relativize(diags, root)
-	if *sarif != "" {
-		if err := writeSARIF(*sarif, analyzers, diags); err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -142,59 +142,6 @@ func TestTimingOutput(t *testing.T) {
 	}
 }
 
-// TestSARIFOutput checks -sarif writes a parseable SARIF 2.1.0 log whose
-// results carry the planted finding with a root-relative location.
-func TestSARIFOutput(t *testing.T) {
-	dir := writeTempModule(t)
-	path := filepath.Join(dir, "out.sarif")
-
-	var out, errb bytes.Buffer
-	code := run([]string{"-sarif", path, "./..."}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("run -sarif = exit %d, stderr %q; want 1", code, errb.String())
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log sarifLog
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v\n%s", err, data)
-	}
-	if log.Version != "2.1.0" {
-		t.Fatalf("SARIF version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("SARIF runs = %d, want 1", len(log.Runs))
-	}
-	run0 := log.Runs[0]
-	if len(run0.Tool.Driver.Rules) != len(analysis.All()) {
-		t.Errorf("SARIF rules = %d, want one per registered analyzer (%d)",
-			len(run0.Tool.Driver.Rules), len(analysis.All()))
-	}
-	found := false
-	for _, r := range run0.Results {
-		if r.RuleID != "loopbound" {
-			continue
-		}
-		found = true
-		if len(r.Locations) != 1 {
-			t.Fatalf("loopbound result has %d locations, want 1", len(r.Locations))
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI != "internal/pipeline/loop.go" {
-			t.Errorf("SARIF uri = %q, want internal/pipeline/loop.go", loc.ArtifactLocation.URI)
-		}
-		if loc.Region.StartLine <= 0 {
-			t.Errorf("SARIF startLine = %d, want positive", loc.Region.StartLine)
-		}
-	}
-	if !found {
-		t.Fatalf("SARIF results lack the planted loopbound finding: %s", data)
-	}
-}
-
 // matcherRE mirrors .github/problem-matcher-simlint.json: the CI matcher
 // only annotates lines of this shape, so text output must keep it.
 var matcherRE = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): ([a-z][a-z-]*): (.+)$`)

@@ -174,11 +174,6 @@ func All() []*Analyzer {
 		Exhaustive(),
 		FieldReset(),
 		SinkGuard(),
-		CtxFlow(),
-		GoLeak(),
-		LockOrder(),
-		NonDetTaint(),
-		ChanClose(),
 		IfaceDispatch(),
 		DeferHot(),
 		AppendHot(),

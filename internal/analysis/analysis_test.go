@@ -108,19 +108,14 @@ func TestHotAllocFixture(t *testing.T)      { runFixture(t, HotAlloc(), "hotallo
 func TestExhaustiveFixture(t *testing.T)    { runFixture(t, Exhaustive(), "exhaustive.go") }
 func TestFieldResetFixture(t *testing.T)    { runFixture(t, FieldReset(), "fieldreset.go") }
 func TestSinkGuardFixture(t *testing.T)     { runFixture(t, SinkGuard(), "sinkguard.go") }
-func TestCtxFlowFixture(t *testing.T)       { runFixture(t, CtxFlow(), "ctxflow.go") }
-func TestGoLeakFixture(t *testing.T)        { runFixture(t, GoLeak(), "goleak.go") }
-func TestLockOrderFixture(t *testing.T)     { runFixture(t, LockOrder(), "lockorder.go") }
-func TestNonDetTaintFixture(t *testing.T)   { runFixture(t, NonDetTaint(), "nondet.go") }
-func TestChanCloseFixture(t *testing.T)     { runFixture(t, ChanClose(), "chanclose.go") }
 func TestIfaceDispatchFixture(t *testing.T) { runFixture(t, IfaceDispatch(), "ifacedispatch.go") }
 func TestDeferHotFixture(t *testing.T)      { runFixture(t, DeferHot(), "deferhot.go") }
 func TestAppendHotFixture(t *testing.T)     { runFixture(t, AppendHot(), "appendhot.go") }
 
 func TestByName(t *testing.T) {
 	all, err := ByName("all")
-	if err != nil || len(all) != 17 {
-		t.Fatalf("ByName(all) = %d analyzers, err %v; want 17, nil", len(all), err)
+	if err != nil || len(all) != 12 {
+		t.Fatalf("ByName(all) = %d analyzers, err %v; want 12, nil", len(all), err)
 	}
 	two, err := ByName("detmap,noclock")
 	if err != nil || len(two) != 2 {

@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file is the suite's cross-package engine: a whole-program static
@@ -70,39 +69,6 @@ var HotPathRoots = []string{
 	"Machine.WarmForward",
 }
 
-// SpawnSite records one goroutine spawn (`go f(...)` or `go func(){...}()`),
-// attributed — like call edges — to the declared function whose body
-// lexically contains it, however deeply nested in literals. The dataflow
-// analyzers (ctxflow, goleak) consume these edges: a goroutine's exit
-// discipline is a property of the spawning declaration, not of whichever
-// literal happened to wrap the statement.
-type SpawnSite struct {
-	// Caller is the declared function containing the go statement.
-	Caller *FuncInfo
-	// Go is the spawn statement itself.
-	Go *ast.GoStmt
-	// Callee is the spawned named function or method when the call target
-	// resolves statically; nil for function literals and unresolved values.
-	Callee *types.Func
-	// Lit is the spawned function literal, nil for named callees.
-	Lit *ast.FuncLit
-}
-
-// Body returns the spawned goroutine's body when the program contains it:
-// the literal's block, or the resolved callee's declaration body. It is nil
-// for spawns of bodyless or extra-program functions.
-func (s SpawnSite) Body(p *Program) *ast.BlockStmt {
-	if s.Lit != nil {
-		return s.Lit.Body
-	}
-	if s.Callee != nil {
-		if fi := p.Funcs[s.Callee]; fi != nil {
-			return fi.Decl.Body
-		}
-	}
-	return nil
-}
-
 // FuncInfo ties one declared function or method to its syntax and package.
 type FuncInfo struct {
 	Obj  *types.Func
@@ -129,60 +95,17 @@ type Program struct {
 	// HotRoot names, for each hot function, the root whose traversal
 	// first reached it — diagnostics use it for provenance.
 	HotRoot map[*types.Func]*types.Func
-	// Spawns maps a function to the goroutine spawns its body contains, in
-	// source order.
-	Spawns map[*types.Func][]SpawnSite
 
 	funcsInOrder []*FuncInfo
 	// named caches every package-level named type, in deterministic order,
 	// for per-site interface-dispatch resolution after construction.
 	named []*types.Named
-
-	// Lazily-built interprocedural summaries, shared read-only by the
-	// parallel analyzer jobs once computed.
-	mayAcquireOnce sync.Once
-	mayAcquire     map[*types.Func]map[string]bool
-	taintOnce      sync.Once
-	taint          *taintSummaries
 }
 
 // FuncsInOrder returns every declared function of the program in
 // (package, file, declaration) order — the deterministic iteration the
 // analyzers use instead of ranging over the Funcs map.
 func (p *Program) FuncsInOrder() []*FuncInfo { return p.funcsInOrder }
-
-// ReachableFrom walks Calls edges breadth-first from roots (in the given
-// order) and returns every reachable declared function mapped to the root
-// whose traversal first reached it. Roots map to themselves. Unlike the
-// hot-path walk it does not prune coldpath functions: cancellation and
-// leak discipline apply to cold code too.
-func (p *Program) ReachableFrom(roots []*types.Func) map[*types.Func]*types.Func {
-	reached := make(map[*types.Func]*types.Func)
-	var queue []*types.Func
-	for _, r := range roots {
-		if _, ok := reached[r]; ok {
-			continue
-		}
-		reached[r] = r
-		queue = append(queue, r)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		root := reached[fn]
-		for _, callee := range p.Calls[fn] {
-			if _, ok := p.Funcs[callee]; !ok {
-				continue
-			}
-			if _, ok := reached[callee]; ok {
-				continue
-			}
-			reached[callee] = root
-			queue = append(queue, callee)
-		}
-	}
-	return reached
-}
 
 // HotInfo returns the fact entry for fn, or nil when fn is not a declared
 // function of the program or is not hot.
@@ -203,7 +126,6 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 		Calls:   make(map[*types.Func][]*types.Func),
 		Hot:     make(map[*types.Func]bool),
 		HotRoot: make(map[*types.Func]*types.Func),
-		Spawns:  make(map[*types.Func][]SpawnSite),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -227,43 +149,9 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	prog.named = collectNamedTypes(pkgs)
 	for _, fi := range prog.funcsInOrder {
 		prog.Calls[fi.Obj] = collectCallees(fi, prog.named)
-		prog.Spawns[fi.Obj] = collectSpawns(fi)
 	}
 	prog.markHot()
 	return prog
-}
-
-// collectSpawns gathers the go statements of one declaration's body in
-// source order, resolving named spawn targets through go/types.
-func collectSpawns(fi *FuncInfo) []SpawnSite {
-	info := fi.Pkg.Info
-	var out []SpawnSite
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		site := SpawnSite{Caller: fi, Go: g}
-		switch fun := ast.Unparen(g.Call.Fun).(type) {
-		case *ast.FuncLit:
-			site.Lit = fun
-		case *ast.Ident:
-			site.Callee, _ = info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			if sel, oks := info.Selections[fun]; oks && sel.Kind() == types.MethodVal {
-				site.Callee, _ = sel.Obj().(*types.Func)
-			} else {
-				// Qualified identifier pkg.Func.
-				site.Callee, _ = info.Uses[fun.Sel].(*types.Func)
-			}
-		}
-		if site.Callee != nil {
-			site.Callee = site.Callee.Origin()
-		}
-		out = append(out, site)
-		return true
-	})
-	return out
 }
 
 // markHot runs the reachability pass: breadth-first from every root, in

@@ -125,56 +125,12 @@ func TestCallGraphHotRoot(t *testing.T) {
 	}
 }
 
-// TestCallGraphSpawnEdges checks the spawn-site records the dataflow
-// analyzers consume: one site per go statement in source order, with the
-// literal, the resolved named target, or neither (a closure through a
-// variable) — and bodies resolvable for in-program targets.
-func TestCallGraphSpawnEdges(t *testing.T) {
-	prog := loadFixtureProgram(t, "callgraph.go")
-
-	byName := make(map[string]*types.Func)
-	for fn := range prog.Funcs {
-		byName[funcDisplayName(fn)] = fn
-	}
-	spawnAll := byName["Pool.spawnAll"]
-	if spawnAll == nil {
-		t.Fatal("fixture function Pool.spawnAll missing")
-	}
-	sites := prog.Spawns[spawnAll]
-	if len(sites) != 4 {
-		t.Fatalf("Spawns[Pool.spawnAll] has %d sites, want 4", len(sites))
-	}
-
-	if sites[0].Lit == nil || sites[0].Callee != nil || sites[0].Body(prog) == nil {
-		t.Errorf("site 0 (literal): Lit=%v Callee=%v", sites[0].Lit, sites[0].Callee)
-	}
-	if sites[1].Lit != nil || sites[1].Callee != nil || sites[1].Body(prog) != nil {
-		t.Errorf("site 1 (closure via variable) should resolve to nothing, got Callee=%v", sites[1].Callee)
-	}
-	if sites[2].Callee != byName["Pool.cachedRun"] || sites[2].Body(prog) == nil {
-		t.Errorf("site 2 (method value): Callee=%v, want Pool.cachedRun with a body", sites[2].Callee)
-	}
-	if sites[3].Callee != byName["tally"] {
-		t.Errorf("site 3 (named function): Callee=%v, want tally", sites[3].Callee)
-	}
-
-	// The spawned calls are call edges too: reachability follows goroutines.
-	callees := make(map[*types.Func]bool)
-	for _, c := range prog.Calls[spawnAll] {
-		callees[c] = true
-	}
-	for _, name := range []string{"Pool.runBatch", "Pool.cachedRun", "tally"} {
-		if !callees[byName[name]] {
-			t.Errorf("Calls[Pool.spawnAll] missing %s", name)
-		}
-	}
-}
-
 // TestCallGraphRunnerHook checks the func-typed hook contract the
 // experiments.Options.Runner injection relies on: the call through the
 // hook resolves to nothing, the method-value wiring adds the edge that
 // keeps the injected implementation reachable, and the interface-typed
-// field fans out to every implementation at the call site.
+// field fans out to every implementation at the call site. It also checks
+// that spawned calls are call edges.
 func TestCallGraphRunnerHook(t *testing.T) {
 	prog := loadFixtureProgram(t, "callgraph.go")
 
@@ -231,11 +187,14 @@ func TestCallGraphRunnerHook(t *testing.T) {
 		t.Error("Calls[Pool.inject] should include Pool.cachedRun (method-value reference)")
 	}
 
-	// And reachability provenance through those edges.
-	reach := prog.ReachableFrom([]*types.Func{byName["Pool.spawnAll"]})
-	for _, name := range []string{"Pool.runBatch", "Pool.cachedRun", "tally", "ringSink.Emit", "flatSink.Emit"} {
-		if reach[byName[name]] != byName["Pool.spawnAll"] {
-			t.Errorf("ReachableFrom(spawnAll)[%s] = %v, want root Pool.spawnAll", name, reach[byName[name]])
+	// Goroutine spawns are call edges too, whatever the spawn shape.
+	callees := make(map[*types.Func]bool)
+	for _, c := range prog.Calls[byName["Pool.spawnAll"]] {
+		callees[c] = true
+	}
+	for _, name := range []string{"Pool.runBatch", "Pool.cachedRun", "tally"} {
+		if !callees[byName[name]] {
+			t.Errorf("Calls[Pool.spawnAll] missing %s", name)
 		}
 	}
 }

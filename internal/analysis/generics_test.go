@@ -89,59 +89,3 @@ func TestCalleesAtGenerics(t *testing.T) {
 		t.Fatalf("CalleesAt did not resolve Stack[int].push to the declared origin object")
 	}
 }
-
-// TestNonDetTaintGenerics checks taint summaries instantiate at generic
-// call sites: a clock value laundered through a generic function or
-// method still reaches the sink.
-func TestNonDetTaintGenerics(t *testing.T) {
-	runFixture(t, NonDetTaint(), "genericstaint.go")
-}
-
-// TestDefUseGenericMakeChan checks capacity resolution inside a generic
-// function body, where the channel's element type is a type parameter.
-func TestDefUseGenericMakeChan(t *testing.T) {
-	prog := loadFixtureProgram(t, "generics.go")
-	sig := fixtureFunc(t, prog, "signals")
-
-	du := BuildDefUse(sig.Pkg.Info, sig.Decl.Body)
-	var got int
-	var resolvedOK bool
-	ast.Inspect(sig.Decl.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
-			return true
-		}
-		got, resolvedOK = du.ResolveMakeChan(ret.Results[0])
-		return false
-	})
-	if !resolvedOK || got != 4 {
-		t.Fatalf("ResolveMakeChan over generic body = (%d, %v), want (4, true)", got, resolvedOK)
-	}
-}
-
-// TestSyncKeyGenericReceiver checks that a mutex field on an
-// instantiated generic receiver keys by the declared type name, so lock
-// facts line up across instantiations.
-func TestSyncKeyGenericReceiver(t *testing.T) {
-	prog := loadFixtureProgram(t, "generics.go")
-	push := fixtureFunc(t, prog, "Stack.push")
-
-	var keys []string
-	ast.Inspect(push.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, _, okm := mutexOpOf(push.Pkg.Info, call)
-		if !okm {
-			return true
-		}
-		if key, okk := syncKeyOf(push.Pkg.Info, recv); okk {
-			keys = append(keys, key)
-		}
-		return true
-	})
-	if len(keys) != 2 || keys[0] != "Stack.mu" || keys[1] != "Stack.mu" {
-		t.Fatalf("sync keys in generic method = %v, want [Stack.mu Stack.mu]", keys)
-	}
-}

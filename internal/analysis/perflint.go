@@ -313,3 +313,13 @@ func forEachHotDeclInFile(pass *Pass, prog *Program, file *ast.File, visit func(
 		visit(obj, fd)
 	}
 }
+
+// isBuiltinCall reports whether call invokes the named builtin.
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}

@@ -54,7 +54,7 @@ func (m *Machine) deep() {}
 // orphan is never referenced.
 func orphan() {}
 
-// --- spawn edges and hook dispatch (the dataflow layer's diet) ---
+// --- spawn edges and hook dispatch ---
 
 // Options mirrors experiments.Options: Runner is a func-typed hook an
 // outer layer injects. A call through it resolves to nothing; the value
@@ -84,7 +84,8 @@ func (p *Pool) runBatch(n int) int {
 }
 
 // spawnAll exercises every spawn shape: a literal, a closure captured
-// into a variable, a method value, and a named function.
+// into a variable, a method value, and a named function. Each spawned
+// call is an ordinary call edge of spawnAll.
 func (p *Pool) spawnAll(n int) {
 	go func() { p.runBatch(n) }()
 	work := func() { tally(n) }

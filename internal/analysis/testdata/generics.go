@@ -1,12 +1,8 @@
 // Fixture for generics and method-expression call-graph coverage: step
 // reaches clampAll/clampOne through a generic function call, push/grow
 // through a method on an instantiated generic type, and drain/flush
-// through a method expression. The dataflow tests reuse signals and
-// Stack.mu to check capacity resolution and sync keys inside generic
-// code.
+// through a method expression.
 package fixture
-
-import "sync"
 
 // Machine mirrors the simulator's hot-path shape.
 type Machine struct{ vals []int }
@@ -38,15 +34,12 @@ func clampOne[T ~int](x, hi T) T {
 // Stack is a generic container whose methods are reached through an
 // instantiation (Stack[int]) on the hot path.
 type Stack[T any] struct {
-	mu    sync.Mutex
 	items []T
 }
 
 func (s *Stack[T]) push(v T) {
-	s.mu.Lock()
 	s.grow(1)
 	s.items = append(s.items, v)
-	s.mu.Unlock()
 }
 
 func (s *Stack[T]) grow(n int) {
@@ -60,10 +53,3 @@ func (s *Stack[T]) grow(n int) {
 func (m *Machine) drain() { m.flush() }
 
 func (m *Machine) flush() { m.vals = m.vals[:0] }
-
-// signals builds a channel of a type-parameter element; the dataflow
-// layer should still resolve the make's constant capacity.
-func signals[T any]() chan T {
-	ch := make(chan T, 4)
-	return ch
-}

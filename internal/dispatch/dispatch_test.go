@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -246,6 +247,7 @@ func TestRetrySchedule(t *testing.T) {
 // and checks the hedge fires, wins, and the hung request is not charged
 // against the primary's health.
 func TestHedgeRescuesHungPrimary(t *testing.T) {
+	before := runtime.NumGoroutine()
 	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 1})
 	defer closeAll()
 	urls := servetest.URLs(backends)
@@ -296,6 +298,19 @@ func TestHedgeRescuesHungPrimary(t *testing.T) {
 	// health must be untouched.
 	if m.Backends[primary].Failures != 0 || m.Backends[primary].Down {
 		t.Fatalf("primary charged for a hedge-cancelled request: %+v", m.Backends[primary])
+	}
+
+	// The abandoned primary is the one request dispatch gives up on by
+	// design; once the coordinator and backends are down, neither it nor
+	// the hedge may have left a goroutine behind.
+	c.Close()
+	closeAll()
+	for i := 0; i < 500 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew from %d to %d after Close", before, after)
 	}
 }
 

@@ -74,7 +74,7 @@ func decodeResult(b []byte) (*pipeline.Result, error) {
 // a caller that wants a Result decodes its own, so none can alias (and
 // then mutate) another's.
 type MemStore struct {
-	mu sync.Mutex
+	mu sync.Mutex // a leaf lock (see Server.mu)
 	m  map[string][]byte
 }
 

@@ -7,8 +7,8 @@ import "sync"
 // finalized, so its slot never sits as a tombstone until a worker reaches
 // it: submit-cancel-submit at exact capacity admits the third job.
 type jobQueue struct {
-	mu       sync.Mutex
-	nonEmpty sync.Cond // signalled on enqueue and close
+	mu       sync.Mutex // a leaf lock (see Server.mu)
+	nonEmpty sync.Cond  // signalled on enqueue and close
 	limit    int
 	fifo     []*Job
 	closed   bool

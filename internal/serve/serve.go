@@ -241,6 +241,8 @@ type Job struct {
 	span      *trace.ActiveSpan
 	queueSpan *trace.ActiveSpan
 
+	// mu is a leaf lock (see Server.mu): finishQueued drops it before
+	// taking the queue's.
 	mu sync.Mutex
 	// spec is the submission, held only while the job is queued: the
 	// worker takes it at pickup and a cancel while queued drops it, so a
@@ -427,6 +429,12 @@ type Server struct {
 	q  *jobQueue
 	wg sync.WaitGroup
 
+	// Lock order: mu may be held while taking the queue's lock (Submit's
+	// tryEnqueue, beginDrain's close) or the store's (Submit's cache
+	// lookup), never the other way round. Every other serve lock — the
+	// queue's, the MemStore's, Job.mu and obsMu — is a leaf: nothing
+	// takes a second serve lock while holding one. No analyzer or test
+	// checks this order; keep it when adding a nested acquisition.
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // job IDs in submission order (detmap: no map iteration)
@@ -444,7 +452,8 @@ type Server struct {
 	cstats CacheStats
 
 	// Aggregate observability, fed by finished jobs (KIPS) and by
-	// events-enabled jobs' sinks (loop delays).
+	// events-enabled jobs' sinks (loop delays). obsMu is a leaf lock
+	// (see mu).
 	obsMu    sync.Mutex
 	kipsHist *stats.Histogram
 	kipsSum  float64
