@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the whole evaluation. Quick-length runs are used so the suite
-// completes in minutes; cmd/experiments runs the full-length versions.
+// completes in minutes; cmd/loosweep runs the full-length versions.
 package loosesim_test
 
 import (

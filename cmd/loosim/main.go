@@ -6,14 +6,14 @@
 //	loosim -bench gcc -deciq 5 -iqex 5 -regread 3
 //	loosim -bench swim -dra
 //	loosim -bench apsi-swim -load stall -inst 1000000
-//	loosim -bench apsi -dra -intervals out.csv -events out.jsonl
+//	loosim -bench apsi -dra -intervals iv.jsonl -events ev.jsonl
 //	loosim -bench gcc -sample 20 -window 2000
 //	loosim -validate -inst 120000 -warmup 40000
 //
 // The observability flags attach internal/obs probes: -intervals writes a
-// per-interval time series (CSV, or JSONL when the path ends in .jsonl or
-// .json), -events writes the loop-event stream as JSONL. Aggregate either
-// file with cmd/loopstat. Probes never change simulation outcomes.
+// per-interval time series and -events the loop-event stream, both as
+// JSONL. Aggregate either file, or both, with cmd/loostrace. Probes never
+// change simulation outcomes.
 //
 // -sample N runs a SMARTS-style sampled simulation (internal/sample): a
 // functional-warming chain carries cache and predictor state between N
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"loosesim/internal/obs"
@@ -100,18 +99,12 @@ func printJSON(cfg pipeline.Config, res *pipeline.Result, host hostProfile) {
 	}
 }
 
-// intervalWriter is either of obs's interval writers, by error contract.
-type intervalWriter interface {
-	obs.IntervalSink
-	Err() error
-}
-
 // verifyStreams checks every observability output for a latched error
 // once the run completes. Any truncated stream — including an error that
 // latches only during the final Flush, after the last mid-run batch — must
 // fail the run: main exits nonzero on a non-nil return. Nil arguments are
 // streams that were never attached.
-func verifyStreams(evw *obs.RingWriter, ivw intervalWriter, tr *pipeline.Tracer) error {
+func verifyStreams(evw *obs.RingWriter, ivw *obs.IntervalJSONL, tr *pipeline.Tracer) error {
 	if evw != nil {
 		if err := evw.Flush(); err != nil {
 			return fmt.Errorf("event stream truncated: %w", err)
@@ -228,7 +221,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print extended statistics")
 		asJSON   = flag.Bool("json", false, "emit the result as JSON")
 		trace    = flag.Uint64("trace", 0, "trace the first N retired instructions to stderr")
-		ivPath   = flag.String("intervals", "", "write the per-interval time series to FILE (.jsonl/.json = JSONL, else CSV)")
+		ivPath   = flag.String("intervals", "", "write the per-interval time series to FILE as JSONL")
 		evPath   = flag.String("events", "", "write the loop-event stream to FILE as JSONL")
 		ivCycles = flag.Int64("interval", 0, "cycles per observation interval (0 = default 10000)")
 
@@ -325,7 +318,7 @@ func main() {
 
 	// Observability probes.
 	var (
-		ivw    intervalWriter
+		ivw    *obs.IntervalJSONL
 		ivFile *os.File
 		evw    *obs.RingWriter
 		evFile *os.File
@@ -335,11 +328,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if strings.HasSuffix(*ivPath, ".jsonl") || strings.HasSuffix(*ivPath, ".json") {
-			ivw = obs.NewIntervalJSONL(ivFile)
-		} else {
-			ivw = obs.NewIntervalCSV(ivFile)
-		}
+		ivw = obs.NewIntervalJSONL(ivFile)
 		cfg.Intervals = ivw
 		cfg.SampleInterval = *ivCycles
 	}
@@ -348,7 +337,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		evw = obs.NewRingWriter(evFile, 0)
+		evw = obs.NewRingWriter(evFile)
 		cfg.Events = evw
 	}
 

@@ -28,7 +28,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // the run, before reporting — must still surface from verifyStreams, which
 // main turns into log.Fatal and therefore a nonzero exit.
 func TestVerifyStreamsFinalFlush(t *testing.T) {
-	evw := obs.NewRingWriter(&failAfter{n: 0}, 100)
+	evw := obs.NewRingWriter(&failAfter{n: 0})
 	evw.Event(obs.Event{Cycle: 1}) // buffered; the write happens in Flush
 	err := verifyStreams(evw, nil, nil)
 	if err == nil {
@@ -40,20 +40,15 @@ func TestVerifyStreamsFinalFlush(t *testing.T) {
 }
 
 func TestVerifyStreamsIntervalError(t *testing.T) {
-	ivw := obs.NewIntervalCSV(&failAfter{n: 1}) // header ok, row fails
+	ivw := obs.NewIntervalJSONL(&failAfter{n: 1}) // first record ok, second fails
 	ivw.Interval(obs.Interval{Index: 0})
+	ivw.Interval(obs.Interval{Index: 1})
 	err := verifyStreams(nil, ivw, nil)
 	if err == nil {
-		t.Fatal("interval row error must fail verification")
+		t.Fatal("interval record error must fail verification")
 	}
 	if !strings.Contains(err.Error(), "interval stream truncated") {
 		t.Errorf("error %q does not name the interval stream", err)
-	}
-
-	jw := obs.NewIntervalJSONL(&failAfter{n: 0})
-	jw.Interval(obs.Interval{Index: 0})
-	if verifyStreams(nil, jw, nil) == nil {
-		t.Fatal("JSONL interval error must fail verification")
 	}
 }
 
@@ -73,9 +68,9 @@ func TestVerifyStreamsCleanAndNil(t *testing.T) {
 		t.Fatalf("no streams attached must verify clean: %v", err)
 	}
 	var buf strings.Builder
-	evw := obs.NewRingWriter(&buf, 0)
+	evw := obs.NewRingWriter(&buf)
 	evw.Event(obs.Event{Cycle: 1})
-	ivw := obs.NewIntervalCSV(&buf)
+	ivw := obs.NewIntervalJSONL(&buf)
 	ivw.Interval(obs.Interval{Index: 0})
 	if err := verifyStreams(evw, ivw, nil); err != nil {
 		t.Fatalf("healthy streams must verify clean: %v", err)

@@ -1,6 +1,7 @@
-// Command loostrace renders the span streams written by loosweep and
-// loosimd tracing (-trace span.jsonl) into per-job waterfalls and a
-// fleet-wide stage attribution.
+// Command loostrace renders the JSONL streams the simulator and its
+// serving stack write: host-time spans from loosweep and loosimd tracing
+// (-trace), and the simulated-time loop-event and interval streams from
+// loosim (-events, -intervals).
 //
 // Usage:
 //
@@ -8,17 +9,32 @@
 //	loostrace -top 3 spans.jsonl     # only the 3 slowest traces' waterfalls
 //	loostrace -json spans.jsonl      # machine-readable fleet summary
 //	cat a.jsonl b.jsonl | loostrace -
+//	loosim -bench apsi -dra -events ev.jsonl -intervals iv.jsonl
+//	loostrace ev.jsonl iv.jsonl      # per-loop table and interval summary
 //
-// Coordinator and backend spans that share a trace ID are stitched into one
-// tree: concatenating the two sides' span files (the trace IDs and span IDs
-// are deterministic, so the files agree) yields complete submit-to-cycle-loop
-// waterfalls. A span whose parent is absent from the input renders as an
-// extra root, so a backend-only file still produces a readable forest.
+// Each record is sorted by its keys: a "trace" key marks a span, a "kind"
+// key a loop event, an "index" key an interval; any other record is an
+// error naming its file and line. loostrace prints one section per record
+// kind present, in that order.
+//
+// Spans: coordinator and backend spans that share a trace ID are stitched
+// into one tree: concatenating the two sides' span files (the trace IDs and
+// span IDs are deterministic, so the files agree) yields complete
+// submit-to-cycle-loop waterfalls. A span whose parent is absent from the
+// input renders as an extra root, so a backend-only file still produces a
+// readable forest. -json, -top and -summary apply to this section only.
+//
+// Loop events yield a per-loop table: traversal count, mean and p99 delay,
+// and total cycles lost per loose loop. Intervals yield run totals,
+// per-interval IPC spread, the Figure-9-style operand delivery shares
+// re-aggregated from raw counts, and the worst operand-reissue burst.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +44,7 @@ import (
 	"strings"
 	"time"
 
+	"loosesim/internal/obs"
 	"loosesim/internal/trace"
 )
 
@@ -41,86 +58,174 @@ func main() {
 		summary = flag.Bool("summary", false, "suppress waterfalls; fleet summary only")
 	)
 	flag.Parse()
-	if flag.NArg() != 1 {
-		log.Fatal("usage: loostrace [-json] [-top N] [-summary] <spans.jsonl | ->")
+	if flag.NArg() == 0 {
+		log.Fatal("usage: loostrace [-json] [-top N] [-summary] <file.jsonl | -> ...")
 	}
 
-	spans, err := readSpans(flag.Arg(0))
+	st, err := readStreams(flag.Args())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(spans) == 0 {
-		log.Fatal("no spans in input")
-	}
-	traces := buildTraces(spans)
-	fleet := summarize(traces)
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(fleet); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if len(st.spans) == 0 && st.events == 0 && len(st.intervals) == 0 {
+		log.Fatal("no records in input")
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	if !*summary {
+	if err := render(w, st, *asJSON, *top, *summary); err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// render prints one section per record kind present, blank-line separated:
+// spans, then the per-loop table, then the interval summary.
+func render(w io.Writer, st *streams, asJSON bool, top int, summaryOnly bool) error {
+	started := false
+	section := func() {
+		if started {
+			fmt.Fprintln(w)
+		}
+		started = true
+	}
+	if len(st.spans) > 0 {
+		section()
+		if err := renderSpans(w, st.spans, asJSON, top, summaryOnly); err != nil {
+			return err
+		}
+	}
+	if st.events > 0 {
+		section()
+		fmt.Fprintf(w, "loop events      %d\n", st.events)
+		fmt.Fprint(w, st.delays.Table())
+	}
+	if len(st.intervals) > 0 {
+		section()
+		summarizeIntervals(w, st.intervals)
+	}
+	return nil
+}
+
+// renderSpans prints the span section: the fleet summary as JSON, or the
+// waterfalls (all, the top N slowest, or none) followed by the text summary.
+func renderSpans(w io.Writer, spans []trace.Span, asJSON bool, top int, summaryOnly bool) error {
+	traces := buildTraces(spans)
+	fleet := summarize(traces)
+	if asJSON {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(fleet)
+	}
+	if !summaryOnly {
 		shown := traces
-		if *top > 0 && *top < len(traces) {
+		if top > 0 && top < len(traces) {
 			byDur := make([]*traceTree, len(traces))
 			copy(byDur, traces)
 			sort.SliceStable(byDur, func(i, j int) bool { return byDur[i].duration() > byDur[j].duration() })
-			shown = byDur[:*top]
+			shown = byDur[:top]
 		}
 		for _, tt := range shown {
 			printWaterfall(w, tt)
 		}
 	}
 	printSummary(w, fleet)
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }
 
-// readSpans parses one span per JSONL line from the named file or stdin.
-func readSpans(name string) ([]trace.Span, error) {
-	var r io.Reader = os.Stdin
-	if name != "-" {
-		f, err := os.Open(name)
-		if err != nil {
+// streams holds every record read, by kind. Loop events are aggregated as
+// they arrive; spans and intervals are kept for their summaries.
+type streams struct {
+	spans     []trace.Span
+	delays    *obs.LoopDelays
+	events    int
+	intervals []obs.Interval
+}
+
+// recordKeys holds the keys that tell the three record kinds apart.
+type recordKeys struct {
+	Trace json.RawMessage `json:"trace"`
+	Kind  json.RawMessage `json:"kind"`
+	Index json.RawMessage `json:"index"`
+}
+
+func newStreams() *streams { return &streams{delays: obs.NewLoopDelays(0)} }
+
+// readStreams reads every named JSONL file ("-" = stdin) in order.
+func readStreams(names []string) (*streams, error) {
+	st := newStreams()
+	for _, name := range names {
+		if err := st.readFile(name); err != nil {
 			return nil, err
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				log.Printf("close %s: %v", name, err)
-			}
-		}()
-		r = f
 	}
-	var spans []trace.Span
+	return st, nil
+}
+
+func (st *streams) readFile(name string) error {
+	if name == "-" {
+		return st.read("stdin", os.Stdin)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	err = st.read(name, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// read adds one stream's records, one per non-blank line.
+func (st *streams) read(name string, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	for line := 1; sc.Scan(); line++ {
+		rec := bytes.TrimSpace(sc.Bytes())
+		if len(rec) == 0 {
 			continue
 		}
+		if err := st.add(rec); err != nil {
+			return fmt.Errorf("%s: line %d: %w", name, line, err)
+		}
+	}
+	return sc.Err()
+}
+
+// add sorts one record by its keys and decodes it as that kind.
+func (st *streams) add(rec []byte) error {
+	var keys recordKeys
+	if err := json.Unmarshal(rec, &keys); err != nil {
+		return err
+	}
+	switch {
+	case keys.Trace != nil:
 		var s trace.Span
-		if err := json.Unmarshal([]byte(text), &s); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+		if err := json.Unmarshal(rec, &s); err != nil {
+			return err
 		}
 		if s.Trace == "" || s.Span == 0 {
-			return nil, fmt.Errorf("line %d: span missing trace or span ID", line)
+			return errors.New("span missing trace or span ID")
 		}
-		spans = append(spans, s)
+		st.spans = append(st.spans, s)
+	case keys.Kind != nil:
+		var e obs.Event
+		if err := json.Unmarshal(rec, &e); err != nil {
+			return err
+		}
+		st.delays.Event(e)
+		st.events++
+	case keys.Index != nil:
+		var iv obs.Interval
+		if err := json.Unmarshal(rec, &iv); err != nil {
+			return err
+		}
+		st.intervals = append(st.intervals, iv)
+	default:
+		return errors.New("not a span, loop event or interval: no trace, kind or index key")
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return spans, nil
+	return nil
 }
 
 // node is one span plus its resolved children, ordered by span ID (the IDs
@@ -138,10 +243,8 @@ type traceTree struct {
 	nodes int
 }
 
-// duration is the whole trace's wall span: max end minus min start over
-// every member span. Zero when the stream was recorded with no clock.
-func (t *traceTree) duration() time.Duration {
-	var lo, hi int64
+// bounds returns the trace's earliest span start and latest span end.
+func (t *traceTree) bounds() (lo, hi int64) {
 	first := true
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -159,27 +262,14 @@ func (t *traceTree) duration() time.Duration {
 	for _, r := range t.roots {
 		walk(r)
 	}
-	return time.Duration(hi - lo)
+	return lo, hi
 }
 
-// start is the trace's earliest span start.
-func (t *traceTree) start() int64 {
-	lo := int64(0)
-	first := true
-	var walk func(n *node)
-	walk = func(n *node) {
-		if first || n.span.Start < lo {
-			lo = n.span.Start
-		}
-		first = false
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	for _, r := range t.roots {
-		walk(r)
-	}
-	return lo
+// duration is the whole trace's wall span: max end minus min start over
+// every member span. Zero when the stream was recorded with no clock.
+func (t *traceTree) duration() time.Duration {
+	lo, hi := t.bounds()
+	return time.Duration(hi - lo)
 }
 
 // buildTraces groups spans by trace ID and links parents to children.
@@ -267,7 +357,7 @@ func printWaterfall(w io.Writer, tt *traceTree) {
 		header += fmt.Sprintf("  %s", d)
 	}
 	fmt.Fprintln(w, header)
-	base := tt.start()
+	base, _ := tt.bounds()
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
 		s := n.span
@@ -453,4 +543,73 @@ func printSummary(w io.Writer, f Fleet) {
 	for _, p := range f.CriticalPaths {
 		fmt.Fprintf(w, "  %4d×  %-12s %s\n", p.Count, time.Duration(p.MeanNS), p.Path)
 	}
+}
+
+// summarizeIntervals prints run totals, the IPC spread, the operand
+// delivery shares re-aggregated from the raw counts, and the worst
+// operand-reissue interval.
+func summarizeIntervals(w io.Writer, series []obs.Interval) {
+	var (
+		cycles                 int64
+		retired                uint64
+		branches, mispredicts  uint64
+		loads, l1, l2          uint64
+		reads, pre, fw, crc    uint64
+		misses, opRe, dataRe   uint64
+		useless                uint64
+		minIPC, maxIPC, sumIPC float64
+		peak                   obs.Interval
+	)
+	minIPC = series[0].IPC
+	for _, iv := range series {
+		cycles += iv.Cycles()
+		retired += iv.Retired
+		branches += iv.Branches
+		mispredicts += iv.Mispredicts
+		loads += iv.Loads
+		l1 += iv.L1Misses
+		l2 += iv.L2Misses
+		reads += iv.OperandsRead
+		pre += iv.OperandPreRead
+		fw += iv.OperandForwarded
+		crc += iv.OperandCRC
+		misses += iv.OperandMisses
+		opRe += iv.OperandReissues
+		dataRe += iv.DataReissues
+		useless += iv.UselessWork
+		sumIPC += iv.IPC
+		if iv.IPC < minIPC {
+			minIPC = iv.IPC
+		}
+		if iv.IPC > maxIPC {
+			maxIPC = iv.IPC
+		}
+		if iv.OperandReissues > peak.OperandReissues {
+			peak = iv
+		}
+	}
+	aggIPC := 0.0
+	if cycles > 0 {
+		aggIPC = float64(retired) / float64(cycles)
+	}
+	fmt.Fprintf(w, "intervals        %d (%d cycles, %d retired, IPC %.3f)\n",
+		len(series), cycles, retired, aggIPC)
+	fmt.Fprintf(w, "ipc spread       min %.3f  mean %.3f  max %.3f\n",
+		minIPC, sumIPC/float64(len(series)), maxIPC)
+	if branches > 0 {
+		fmt.Fprintf(w, "branches         %d (mispredict %.2f%%)\n",
+			branches, 100*float64(mispredicts)/float64(branches))
+	}
+	if loads > 0 {
+		fmt.Fprintf(w, "loads            %d (L1 miss %.2f%%, L2 misses %d)\n",
+			loads, 100*float64(l1)/float64(loads), l2)
+	}
+	if reads > 0 {
+		fmt.Fprintf(w, "operand delivery pre-read %.1f%%, forwarded %.1f%%, CRC %.1f%%, miss %.3f%% of %d reads\n",
+			100*float64(pre)/float64(reads), 100*float64(fw)/float64(reads),
+			100*float64(crc)/float64(reads), 100*float64(misses)/float64(reads), reads)
+		fmt.Fprintf(w, "operand reissues %d total; peak %d in interval %d [cycle %d-%d]\n",
+			opRe, peak.OperandReissues, peak.Index, peak.StartCycle, peak.EndCycle)
+	}
+	fmt.Fprintf(w, "reissued work    %d data reissues, %d useless executions\n", dataRe, useless)
 }

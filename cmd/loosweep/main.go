@@ -1,13 +1,18 @@
-// Command loosweep runs the paper's sweeps through a fleet of loosimd
-// backends via the dispatch coordinator: shard-by-content-key assignment,
-// bounded per-backend windows, retries with jittered backoff, hedged
-// requests, health-based ejection, and graceful degradation to local
-// simulation when the fleet is gone. The results are byte-identical to a
-// local serial run — the fleet changes where a sweep executes, never what
-// it computes.
+// Command loosweep regenerates the paper's figures and ablations, locally
+// or through a fleet of loosimd backends via the dispatch coordinator:
+// shard-by-content-key assignment, bounded per-backend windows, retries
+// with jittered backoff, hedged requests, health-based ejection, and
+// graceful degradation to local simulation when the fleet is gone. With no
+// -backends every batch runs locally. The results are byte-identical
+// either way — the fleet changes where a sweep executes, never what it
+// computes.
 //
 // Usage:
 //
+//	loosweep -fig 4                     # Figure 4 only, on this host
+//	loosweep -fig all -quick            # every figure, short runs
+//	loosweep -ablation crc              # one ablation
+//	loosweep -fig all -cache DIR        # reuse results stored in DIR
 //	loosweep -backends http://a:8087,http://b:8087 -fig 4
 //	loosweep -backends http://a:8087 -fig all -json > report.json
 package main
@@ -20,14 +25,65 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"loosesim/internal/dispatch"
 	"loosesim/internal/experiments"
+	"loosesim/internal/pipeline"
+	"loosesim/internal/serve"
 	"loosesim/internal/trace"
 )
+
+// sweep is one experiment the driver can run.
+type sweep struct {
+	name string
+	run  func(experiments.Options) (*experiments.Table, error)
+}
+
+// figures and ablations map every -fig and -ablation name to its
+// experiment, in the order "all" runs them. `-fig N` selects "figN". The
+// "loops" ablation has no table: its run is nil and the driver prints
+// experiments.LoopDelayCheck instead.
+var (
+	figures = []sweep{
+		{"fig4", experiments.Fig4},
+		{"fig5", experiments.Fig5},
+		{"fig6", experiments.Fig6},
+		{"fig8", experiments.Fig8},
+		{"fig9", experiments.Fig9},
+	}
+	ablations = []sweep{
+		{"recovery", experiments.AblationLoadRecovery},
+		{"crc", experiments.AblationCRC},
+		{"fwd", experiments.AblationForwardDepth},
+		{"iqpressure", experiments.AblationIQPressure},
+		{"crcpolicy", experiments.AblationCRCPolicy},
+		{"monolithic", experiments.AblationMonolithic},
+		{"memdep", experiments.AblationMemDep},
+		{"predictor", experiments.AblationPredictor},
+		{"loops", nil},
+	}
+)
+
+// selectSweeps resolves one flag's value against its table: "" selects
+// nothing, "all" every entry, anything else the entry named prefix+value.
+func selectSweeps(table []sweep, kind, prefix, value string) ([]sweep, error) {
+	switch value {
+	case "":
+		return nil, nil
+	case "all":
+		return table, nil
+	}
+	for _, s := range table {
+		if s.name == prefix+value {
+			return []sweep{s}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown %s %q", kind, value)
+}
 
 func main() {
 	log.SetFlags(0)
@@ -35,10 +91,12 @@ func main() {
 
 	var (
 		backends  = flag.String("backends", "", "comma-separated loosimd base URLs (empty: run everything locally)")
-		fig       = flag.String("fig", "", "figure to regenerate through the fleet: 4, 5, 6, 8, 9, or all")
+		fig       = flag.String("fig", "", "figure to regenerate: 4, 5, 6, 8, 9, or all")
+		ablation  = flag.String("ablation", "", "ablation to run: recovery, crc, fwd, iqpressure, crcpolicy, monolithic, memdep, predictor, loops, or all")
 		quick     = flag.Bool("quick", false, "short runs (smoke-test quality)")
 		measure   = flag.Uint64("inst", 0, "override measured instructions per run")
 		seed      = flag.Int64("seed", 1, "simulation seed")
+		cacheDir  = flag.String("cache", "", "content-addressed result cache for local runs (shareable with loosimd -cache)")
 		inflight  = flag.Int("inflight", 0, "max in-flight requests per backend (0 = default)")
 		attempts  = flag.Int("attempts", 0, "max submission attempts per job before local fallback (0 = default)")
 		backoff   = flag.Duration("backoff", 0, "base retry backoff (0 = default)")
@@ -53,12 +111,20 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fig == "" {
+	if *fig == "" && *ablation == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *asJSON && *asCSV {
 		log.Fatal("-json and -csv are mutually exclusive")
+	}
+	figs, err := selectSweeps(figures, "figure", "fig", *fig)
+	if err != nil {
+		log.Fatal(err)
+	}
+	abls, err := selectSweeps(ablations, "ablation", "", *ablation)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var tracer *trace.Tracer
@@ -79,6 +145,20 @@ func main() {
 		}()
 	}
 
+	var (
+		local  func(context.Context, []pipeline.Config) ([]*pipeline.Result, error)
+		cstats serve.CacheStats
+	)
+	if *cacheDir != "" {
+		store, err := serve.NewDirStore(*cacheDir)
+		if err != nil {
+			log.Fatal(err)
+		}
+		local = func(ctx context.Context, cfgs []pipeline.Config) ([]*pipeline.Result, error) {
+			return serve.RunAllCached(ctx, store, &cstats, cfgs)
+		}
+	}
+
 	coord, err := dispatch.New(dispatch.Options{
 		Backends:      splitBackends(*backends),
 		InFlight:      *inflight,
@@ -89,6 +169,7 @@ func main() {
 		EjectAfter:    *eject,
 		NoCache:       *noCache,
 		Tracer:        tracer,
+		Local:         local,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -105,35 +186,14 @@ func main() {
 	opt.Seed = *seed
 	opt.Runner = coord.Runner(context.Background())
 
-	type job struct {
-		name string
-		run  func(experiments.Options) (*experiments.Table, error)
+	var jobs []sweep
+	for _, s := range slices.Concat(figs, abls) {
+		if s.run == nil {
+			fmt.Println(experiments.LoopDelayCheck())
+			continue
+		}
+		jobs = append(jobs, s)
 	}
-	var jobs []job
-	addFig := func(name string, f func(experiments.Options) (*experiments.Table, error)) {
-		jobs = append(jobs, job{name, f})
-	}
-	switch *fig {
-	case "4":
-		addFig("fig4", experiments.Fig4)
-	case "5":
-		addFig("fig5", experiments.Fig5)
-	case "6":
-		addFig("fig6", experiments.Fig6)
-	case "8":
-		addFig("fig8", experiments.Fig8)
-	case "9":
-		addFig("fig9", experiments.Fig9)
-	case "all":
-		addFig("fig4", experiments.Fig4)
-		addFig("fig5", experiments.Fig5)
-		addFig("fig6", experiments.Fig6)
-		addFig("fig8", experiments.Fig8)
-		addFig("fig9", experiments.Fig9)
-	default:
-		log.Fatalf("unknown figure %q", *fig)
-	}
-
 	for _, j := range jobs {
 		start := time.Now()
 		t, err := j.run(opt)
@@ -143,6 +203,9 @@ func main() {
 		wall := time.Since(start).Seconds()
 		switch {
 		case *asJSON:
+			// Each table carries its name and host-side cost so a sweep's
+			// output is self-describing and throughput regressions show
+			// up in the archived reports.
 			report := struct {
 				Name        string
 				HostSeconds float64
@@ -162,6 +225,9 @@ func main() {
 			fmt.Println(t)
 			fmt.Printf("[%s took %.1fs]\n\n", j.name, wall)
 		}
+	}
+	if *cacheDir != "" {
+		fmt.Printf("[cache: %d hits, %d misses]\n", cstats.Hits(), cstats.Misses())
 	}
 	if !*asJSON {
 		printFleetSummary(coord.Metrics())
@@ -202,9 +268,10 @@ func writeCSV(f *os.File, t *experiments.Table) error {
 }
 
 // printFleetSummary reports the coordinator's counters to stderr so they
-// never pollute table output.
+// never pollute table output. A run with no backends has no fleet to
+// report on.
 func printFleetSummary(m dispatch.Metrics) {
-	if m.Requests == 0 && m.LocalFallbacks == 0 {
+	if len(m.Backends) == 0 {
 		return
 	}
 	log.Printf("fleet: %d requests, %d cache hits (%.0f%%), %d retries, %d/%d hedges won, %d ejections, %d local fallbacks",

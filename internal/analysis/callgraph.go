@@ -97,9 +97,6 @@ type Program struct {
 	HotRoot map[*types.Func]*types.Func
 
 	funcsInOrder []*FuncInfo
-	// named caches every package-level named type, in deterministic order,
-	// for per-site interface-dispatch resolution after construction.
-	named []*types.Named
 }
 
 // FuncsInOrder returns every declared function of the program in
@@ -146,9 +143,9 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 			}
 		}
 	}
-	prog.named = collectNamedTypes(pkgs)
+	named := collectNamedTypes(pkgs)
 	for _, fi := range prog.funcsInOrder {
-		prog.Calls[fi.Obj] = collectCallees(fi, prog.named)
+		prog.Calls[fi.Obj] = collectCallees(fi, named)
 	}
 	prog.markHot()
 	return prog
@@ -291,44 +288,6 @@ func collectCallees(fi *FuncInfo, named []*types.Named) []*types.Func {
 		return true
 	})
 	return out
-}
-
-// CalleesAt resolves a single call expression to its possible declared
-// targets with the same rules collectCallees uses for edges: direct and
-// qualified calls through go/types, interface dispatch fanned out to every
-// in-program implementation. Calls through plain function-typed values
-// resolve to nothing.
-func (p *Program) CalleesAt(info *types.Info, call *ast.CallExpr) []*types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return []*types.Func{fn.Origin()}
-		}
-	case *ast.SelectorExpr:
-		sel, ok := info.Selections[fun]
-		if !ok {
-			if fn, okq := info.Uses[fun.Sel].(*types.Func); okq {
-				return []*types.Func{fn.Origin()}
-			}
-			return nil
-		}
-		if sel.Kind() != types.MethodVal {
-			return nil
-		}
-		callee, ok := sel.Obj().(*types.Func)
-		if !ok {
-			return nil
-		}
-		recv := sel.Recv()
-		if ptr, okp := recv.(*types.Pointer); okp {
-			recv = ptr.Elem()
-		}
-		if iface, oki := recv.Underlying().(*types.Interface); oki {
-			return implementations(iface, callee.Name(), p.named)
-		}
-		return []*types.Func{callee.Origin()}
-	}
-	return nil
 }
 
 // implementations resolves an interface method to every concrete method in

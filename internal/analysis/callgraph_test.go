@@ -127,7 +127,7 @@ func TestCallGraphHotRoot(t *testing.T) {
 
 // TestCallGraphRunnerHook checks the func-typed hook contract the
 // experiments.Options.Runner injection relies on: the call through the
-// hook resolves to nothing, the method-value wiring adds the edge that
+// hook adds no edge, the method-value wiring adds the edge that
 // keeps the injected implementation reachable, and the interface-typed
 // field fans out to every implementation at the call site. It also checks
 // that spawned calls are call edges.
@@ -135,45 +135,26 @@ func TestCallGraphRunnerHook(t *testing.T) {
 	prog := loadFixtureProgram(t, "callgraph.go")
 
 	byName := make(map[string]*types.Func)
-	var fis = make(map[string]*FuncInfo)
-	for fn, fi := range prog.Funcs {
+	for fn := range prog.Funcs {
 		byName[funcDisplayName(fn)] = fn
-		fis[funcDisplayName(fn)] = fi
 	}
-	runBatch := fis["Pool.runBatch"]
+	runBatch := byName["Pool.runBatch"]
 	if runBatch == nil {
 		t.Fatal("fixture function Pool.runBatch missing")
 	}
 
-	var hookCall, emitCall *ast.CallExpr
-	ast.Inspect(runBatch.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, oks := call.Fun.(*ast.SelectorExpr); oks {
-			switch sel.Sel.Name {
-			case "Runner":
-				hookCall = call
-			case "Emit":
-				emitCall = call
-			}
-		}
-		return true
-	})
-	if hookCall == nil || emitCall == nil {
-		t.Fatalf("fixture call sites missing: hook=%v emit=%v", hookCall, emitCall)
-	}
-
-	if got := prog.CalleesAt(runBatch.Pkg.Info, hookCall); len(got) != 0 {
-		t.Errorf("CalleesAt(p.opts.Runner(n)) = %v, want none (plain function value)", got)
-	}
+	// runBatch makes two calls: p.sink.Emit fans out to both
+	// implementations (plus the interface method itself), and
+	// p.opts.Runner, a plain function value, adds no edge.
 	emitees := make(map[*types.Func]bool)
-	for _, fn := range prog.CalleesAt(runBatch.Pkg.Info, emitCall) {
-		emitees[fn] = true
+	for _, c := range prog.Calls[runBatch] {
+		emitees[c] = true
+		if c.Name() != "Emit" {
+			t.Errorf("Calls[Pool.runBatch] has %v; only the Emit call makes edges", c)
+		}
 	}
-	if !emitees[byName["ringSink.Emit"]] || !emitees[byName["flatSink.Emit"]] || len(emitees) != 2 {
-		t.Errorf("CalleesAt(p.sink.Emit(n)) = %v, want both implementations", emitees)
+	if !emitees[byName["ringSink.Emit"]] || !emitees[byName["flatSink.Emit"]] {
+		t.Errorf("Calls[Pool.runBatch] = %v, want both Emit implementations", prog.Calls[runBatch])
 	}
 
 	// The wiring edge: inject -> cachedRun via the method-value reference.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"sort"
 	"testing"
 )
@@ -40,52 +39,41 @@ func TestCallGraphGenerics(t *testing.T) {
 	}
 }
 
-// TestCalleesAtGenerics checks the single-call resolver normalizes
-// instantiated callees the same way the edge collector does.
-func TestCalleesAtGenerics(t *testing.T) {
+// TestCallsGenericsOrigin checks that the edge collector normalizes
+// instantiated callees: the edges out of Machine.step name the declared
+// generic function and the declared method of the generic type, each as
+// the identical graph node the program indexed, not an instantiation clone.
+func TestCallsGenericsOrigin(t *testing.T) {
 	prog := loadFixtureProgram(t, "generics.go")
 	step := fixtureFunc(t, prog, "Machine.step")
-	push := fixtureFunc(t, prog, "Stack.push")
+	var callees []string
+	for _, c := range prog.Calls[step.Obj] {
+		callees = append(callees, funcDisplayName(c))
+	}
+	sort.Strings(callees)
 
-	var resolved []string
-	ast.Inspect(step.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, fn := range prog.CalleesAt(step.Pkg.Info, call) {
-			resolved = append(resolved, funcDisplayName(fn))
-		}
-		return true
-	})
-	sort.Strings(resolved)
-
-	want := []string{"Stack.push", "clampAll"}
-	if len(resolved) != len(want) {
-		t.Fatalf("resolved callees = %v, want %v", resolved, want)
+	// drain is reached through a method expression, which collectCallees
+	// records as an edge too.
+	want := []string{"Machine.drain", "Stack.push", "clampAll"}
+	if len(callees) != len(want) {
+		t.Fatalf("Calls[Machine.step] = %v, want %v", callees, want)
 	}
 	for i := range want {
-		if resolved[i] != want[i] {
-			t.Fatalf("resolved callees = %v, want %v", resolved, want)
+		if callees[i] != want[i] {
+			t.Fatalf("Calls[Machine.step] = %v, want %v", callees, want)
 		}
 	}
 
-	// The resolved push must be the identical graph node the program
-	// indexed from the declaration, not an instantiation clone.
-	found := false
-	ast.Inspect(step.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, fn := range prog.CalleesAt(step.Pkg.Info, call) {
-			if fn == push.Obj {
+	for _, name := range []string{"Stack.push", "clampAll"} {
+		decl := fixtureFunc(t, prog, name)
+		found := false
+		for _, c := range prog.Calls[step.Obj] {
+			if c == decl.Obj {
 				found = true
 			}
 		}
-		return true
-	})
-	if !found {
-		t.Fatalf("CalleesAt did not resolve Stack[int].push to the declared origin object")
+		if !found {
+			t.Fatalf("Calls[Machine.step] = %v, want the declared %s object", prog.Calls[step.Obj], name)
+		}
 	}
 }

@@ -97,9 +97,6 @@ type Options struct {
 	// After is the timer source for backoff, hedging, and probing; nil
 	// selects time.After. Tests inject a fake clock here.
 	After func(time.Duration) <-chan time.Time
-	// Events, when non-nil, receives one record per coordinator
-	// lifecycle event, on top of the always-on counters behind Metrics.
-	Events EventSink
 	// Tracer, when non-nil, records one trace per job: a root span plus
 	// children for every attempt, backoff wait, hedge, probe, and local
 	// fallback, with the trace propagated to backends via the
@@ -138,7 +135,6 @@ type Coordinator struct {
 	backends []*backend
 	localSem chan struct{} // bounds machines live during local fallback
 
-	events EventSink
 	tracer *trace.Tracer
 	counts [NumEventKinds]atomic.Uint64
 
@@ -175,7 +171,6 @@ func New(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:     opts,
 		client:   opts.Client,
-		events:   opts.Events,
 		tracer:   opts.Tracer,
 		jitter:   opts.Jitter,
 		after:    opts.After,
@@ -253,15 +248,10 @@ func backoff(attempt int, base, ceil time.Duration, jitter float64) time.Duratio
 	return time.Duration(float64(d) * (0.5 + 0.5*jitter))
 }
 
-// emit counts one lifecycle event and forwards it to the optional sink.
-// This is the coordinator's only per-event code (a simlint hot-path
-// root), so it stays allocation-free: one atomic add, one nil check.
-func (c *Coordinator) emit(kind EventKind, backendIdx int) {
+// emit counts one lifecycle event. This is the coordinator's only
+// per-event code (a simlint hot-path root), so it stays one atomic add.
+func (c *Coordinator) emit(kind EventKind) {
 	c.counts[kind].Add(1)
-	if c.events == nil {
-		return
-	}
-	c.events.Event(Event{Kind: kind, Backend: backendIdx})
 }
 
 // Metrics snapshots the coordinator's counters.
@@ -319,7 +309,7 @@ func (c *Coordinator) fail(b int, err error) error {
 	bk.failures.Add(1)
 	if n := bk.fails.Add(1); int(n) >= c.opts.EjectAfter {
 		if bk.down.CompareAndSwap(false, true) {
-			c.emit(EvEject, b)
+			c.emit(EvEject)
 		}
 	}
 	return err
@@ -341,7 +331,7 @@ func (c *Coordinator) ok(b int) {
 	bk := c.backends[b]
 	bk.fails.Store(0)
 	if bk.down.CompareAndSwap(true, false) {
-		c.emit(EvReadmit, b)
+		c.emit(EvReadmit)
 	}
 }
 
@@ -361,7 +351,7 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []pipeline.Config) ([]*pi
 	if c.allDown() {
 		// The whole fleet is unreachable before anything started: one
 		// local batch run on the bounded pool, not per-job fallbacks.
-		c.emit(EvLocalFallback, -1)
+		c.emit(EvLocalFallback)
 		return c.local(ctx, cfgs)
 	}
 	keys := make([]string, len(cfgs))
@@ -526,13 +516,13 @@ func (c *Coordinator) runJob(ctx context.Context, key string, pt point) (*pipeli
 		var delay time.Duration
 		var bp *backpressureError
 		if errors.As(err, &bp) {
-			c.emit(EvBackpressure, b)
+			c.emit(EvBackpressure)
 			delay = bp.after
 			if delay > c.opts.BackoffCap {
 				delay = c.opts.BackoffCap
 			}
 		} else {
-			c.emit(EvRetry, b)
+			c.emit(EvRetry)
 			delay = backoff(attempt, c.opts.BackoffBase, c.opts.BackoffCap, c.jitter())
 		}
 		bsp := root.Child("backoff")
@@ -550,7 +540,7 @@ func (c *Coordinator) runJob(ctx context.Context, key string, pt point) (*pipeli
 	// locally. The result is bit-identical to a fleet run by the
 	// determinism contract, so the sweep's output does not depend on
 	// which path served it.
-	c.emit(EvLocalFallback, -1)
+	c.emit(EvLocalFallback)
 	lsp := root.Child("local")
 	res, err := c.runLocal(ctx, pt)
 	lsp.SetError(err)
@@ -632,7 +622,7 @@ func (c *Coordinator) tryOnce(ctx context.Context, primary int, key string, pt p
 			if s < 0 {
 				continue // nobody to hedge onto
 			}
-			c.emit(EvHedge, s)
+			c.emit(EvHedge)
 			inFlight++
 			hsp := root.Child("hedge")
 			open = append(open, hsp)
@@ -644,7 +634,7 @@ func (c *Coordinator) tryOnce(ctx context.Context, primary int, key string, pt p
 			inFlight--
 			if o.err == nil {
 				if o.hedged {
-					c.emit(EvHedgeWon, -1)
+					c.emit(EvHedgeWon)
 				}
 				o.sp.SetWinner()
 				o.sp.End()
@@ -690,7 +680,7 @@ func (c *Coordinator) post(ctx context.Context, b int, pt point, sp *trace.Activ
 	bk.inFlight.Add(1)
 	defer bk.inFlight.Add(-1)
 	bk.requests.Add(1)
-	c.emit(EvRequest, b)
+	c.emit(EvRequest)
 
 	body, err := json.Marshal(serve.JobSpec{Config: &pt.cfg, Checkpoint: pt.ckpt, NoCache: c.opts.NoCache})
 	if err != nil {
@@ -727,7 +717,7 @@ func (c *Coordinator) post(ctx context.Context, b int, pt point, sp *trace.Activ
 		}
 		c.ok(b)
 		if st.Cached {
-			c.emit(EvCacheHit, b)
+			c.emit(EvCacheHit)
 			sp.SetDetail("cache-hit")
 		}
 		return st.Result, nil

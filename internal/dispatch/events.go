@@ -1,13 +1,10 @@
 package dispatch
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
-// EventKind names one coordinator lifecycle event. The kinds double as the
-// coordinator's counter set: every emitted event increments its kind's
-// counter, and Metrics reads the counters back out.
+// EventKind names one coordinator lifecycle event and indexes its counter:
+// every emitted event increments its kind's counter, and Metrics reads the
+// counters back out. Trace spans record the events themselves.
 type EventKind uint8
 
 // The coordinator's lifecycle events.
@@ -61,51 +58,6 @@ func (k EventKind) String() string {
 		return eventKindNames[k]
 	}
 	return fmt.Sprintf("dispatch-event(%d)", int(k))
-}
-
-// ParseEventKind inverts EventKind.String.
-func ParseEventKind(s string) (EventKind, error) {
-	for i, n := range eventKindNames {
-		if n == s {
-			return EventKind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("dispatch: unknown event kind %q", s)
-}
-
-// MarshalJSON encodes the kind by name, keeping event output
-// self-describing and stable against reorderings of the constants.
-func (k EventKind) MarshalJSON() ([]byte, error) {
-	return strconv.AppendQuote(nil, k.String()), nil
-}
-
-// UnmarshalJSON decodes a kind name.
-func (k *EventKind) UnmarshalJSON(b []byte) error {
-	s, err := strconv.Unquote(string(b))
-	if err != nil {
-		return fmt.Errorf("dispatch: bad event kind %s: %w", b, err)
-	}
-	parsed, err := ParseEventKind(s)
-	if err != nil {
-		return err
-	}
-	*k = parsed
-	return nil
-}
-
-// Event is one coordinator lifecycle record.
-type Event struct {
-	Kind EventKind `json:"kind"`
-	// Backend is the index into Options.Backends the event concerns, or
-	// -1 when the event is not tied to one backend.
-	Backend int `json:"backend"`
-}
-
-// EventSink receives coordinator lifecycle events. Implementations must be
-// safe for concurrent use; the coordinator calls them from request
-// goroutines.
-type EventSink interface {
-	Event(Event)
 }
 
 // Metrics is a snapshot of the coordinator's counters.

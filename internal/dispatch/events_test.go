@@ -1,15 +1,13 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// TestEventKindRoundTrip pins the stable string names: every kind must
-// render a non-numeric name and survive String → Parse and JSON
-// marshal → unmarshal unchanged.
-func TestEventKindRoundTrip(t *testing.T) {
+// TestEventKindString pins the stable string names: every kind must render
+// a non-numeric name, and an out-of-range kind must say what it is.
+func TestEventKindString(t *testing.T) {
 	wantNames := map[EventKind]string{
 		EvRequest:       "request",
 		EvCacheHit:      "cache-hit",
@@ -32,48 +30,6 @@ func TestEventKindRoundTrip(t *testing.T) {
 		if strings.ContainsAny(name, "0123456789(") {
 			t.Errorf("kind %d renders numerically as %q; names must be self-describing", k, name)
 		}
-
-		parsed, err := ParseEventKind(name)
-		if err != nil || parsed != k {
-			t.Errorf("ParseEventKind(%q) = (%v, %v), want (%v, nil)", name, parsed, err, k)
-		}
-
-		b, err := json.Marshal(k)
-		if err != nil {
-			t.Fatalf("marshal kind %v: %v", k, err)
-		}
-		if string(b) != `"`+name+`"` {
-			t.Errorf("kind %v marshals to %s, want %q", k, b, name)
-		}
-		var back EventKind
-		if err := json.Unmarshal(b, &back); err != nil || back != k {
-			t.Errorf("unmarshal %s = (%v, %v), want (%v, nil)", b, back, err, k)
-		}
-	}
-
-	// Events embed the name, so a JSONL event stream is self-describing.
-	b, err := json.Marshal(Event{Kind: EvHedgeWon, Backend: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != `{"kind":"hedge-won","backend":2}` {
-		t.Errorf("event JSON = %s", b)
-	}
-	var ev Event
-	if err := json.Unmarshal(b, &ev); err != nil || ev.Kind != EvHedgeWon || ev.Backend != 2 {
-		t.Errorf("event round trip = (%+v, %v)", ev, err)
-	}
-
-	// Unknown names and out-of-range kinds fail loudly, not silently.
-	if _, err := ParseEventKind("nope"); err == nil {
-		t.Error("ParseEventKind accepted an unknown name")
-	}
-	var bad EventKind
-	if err := json.Unmarshal([]byte(`"nope"`), &bad); err == nil {
-		t.Error("UnmarshalJSON accepted an unknown name")
-	}
-	if err := json.Unmarshal([]byte(`7`), &bad); err == nil {
-		t.Error("UnmarshalJSON accepted a bare number")
 	}
 	if got := NumEventKinds.String(); !strings.Contains(got, "dispatch-event") {
 		t.Errorf("out-of-range String() = %q", got)

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation, plus the ablations DESIGN.md calls out. Each experiment
 // returns a Table whose rows mirror the corresponding figure's series, so
-// cmd/experiments, the benchmark harness, and the examples all print the
+// cmd/loosweep, the benchmark harness, and the examples all print the
 // same data.
 package experiments
 

@@ -10,7 +10,7 @@ import (
 // for each loop it tracks the traversal count, the delay distribution
 // (mean, quantiles), and the total cycles lost. It implements EventSink,
 // so it can hang directly off the machine or be fed from a decoded JSONL
-// file (cmd/loopstat does both ends).
+// file (cmd/loostrace does the latter).
 type LoopDelays struct {
 	hists [NumEventKinds]*stats.Histogram
 	lost  [NumEventKinds]uint64

@@ -138,31 +138,3 @@ func (f EventFunc) Event(e Event) {
 	// simlint:ignore ifacedispatch adapter type: the indirection IS the sanctioned EventSink seam
 	f(e)
 }
-
-// multiSink fans one event out to several sinks in order.
-type multiSink []EventSink
-
-// Event forwards e to every sink.
-func (m multiSink) Event(e Event) {
-	for _, s := range m {
-		s.Event(e)
-	}
-}
-
-// Tee combines sinks into one; nil entries are dropped. It returns nil when
-// nothing remains, preserving the machine's nil fast path.
-func Tee(sinks ...EventSink) EventSink {
-	var kept multiSink
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return kept
-}

@@ -7,7 +7,8 @@ package obs
 // aggregate hides are visible.
 //
 // Raw counts and derived rates are both present: rates for plotting, raw
-// counts so downstream tools (cmd/loopstat) can re-aggregate exactly.
+// counts so downstream tools (cmd/loostrace) can re-aggregate exactly.
+// loosim writes the series as JSON Lines through IntervalJSONL.
 type Interval struct {
 	Index      int   `json:"index"`
 	StartCycle int64 `json:"start_cycle"`

@@ -49,36 +49,19 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	var a, b []Event
-	sink := Tee(nil, EventFunc(func(e Event) { a = append(a, e) }), nil,
-		EventFunc(func(e Event) { b = append(b, e) }))
-	sink.Event(Event{Cycle: 1})
-	sink.Event(Event{Cycle: 2})
-	if len(a) != 2 || len(b) != 2 {
-		t.Errorf("tee delivered %d/%d events, want 2/2", len(a), len(b))
-	}
-	if Tee(nil, nil) != nil {
-		t.Error("tee of nothing must be nil (preserving the nil fast path)")
-	}
-	one := EventFunc(func(Event) {})
-	if got := Tee(nil, one); got == nil {
-		t.Error("tee of one sink must not be nil")
-	}
-}
-
 func TestRingWriterFlushesAllEvents(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewRingWriter(&buf, 3) // force multiple batch flushes
-	for i := 0; i < 10; i++ {
+	w := NewRingWriter(&buf)
+	const n = 2*ringBatch + 10 // two mid-run batch flushes plus a final partial one
+	for i := 0; i < n; i++ {
 		w.Event(Event{Cycle: int64(i), Kind: EvBranchMispredict, Delay: int64(i)})
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 10 {
-		t.Fatalf("wrote %d lines, want 10", len(lines))
+	if len(lines) != n {
+		t.Fatalf("wrote %d lines, want %d", len(lines), n)
 	}
 	for i, line := range lines {
 		var e Event
@@ -104,15 +87,21 @@ func (w *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestRingWriterLatchesError covers a mid-run failure: the first batch
+// flush fails on its third record, and the error latches at once.
 func TestRingWriterLatchesError(t *testing.T) {
-	w := NewRingWriter(&failAfter{n: 2}, 1) // flush per event
-	w.Event(Event{Cycle: 1})
-	w.Event(Event{Cycle: 2})
-	w.Event(Event{Cycle: 3}) // fails
-	if w.Err() == nil {
-		t.Fatal("third write must latch an error")
+	w := NewRingWriter(&failAfter{n: 2})
+	for i := 0; i < ringBatch-1; i++ {
+		w.Event(Event{Cycle: int64(i)})
 	}
-	w.Event(Event{Cycle: 4}) // dropped silently
+	if w.Err() != nil {
+		t.Fatal("no write may happen before the ring fills")
+	}
+	w.Event(Event{Cycle: ringBatch}) // fills the ring: the batch flush fails
+	if w.Err() == nil {
+		t.Fatal("the failed batch flush must latch an error")
+	}
+	w.Event(Event{Cycle: ringBatch + 1}) // dropped silently
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush must report the latched error")
 	}
@@ -123,7 +112,7 @@ func TestRingWriterLatchesError(t *testing.T) {
 // final Flush, and a failure there must both be returned and latch — this
 // is the error cmd/loosim's verifyStreams turns into a nonzero exit.
 func TestRingWriterFinalFlushLatchesError(t *testing.T) {
-	w := NewRingWriter(&failAfter{n: 0}, 100) // capacity > events: no mid-run flush
+	w := NewRingWriter(&failAfter{n: 0}) // fewer events than a batch: no mid-run flush
 	for i := 0; i < 5; i++ {
 		w.Event(Event{Cycle: int64(i)})
 	}
@@ -138,25 +127,6 @@ func TestRingWriterFinalFlushLatchesError(t *testing.T) {
 	}
 	if err := w.Flush(); err == nil {
 		t.Fatal("repeated Flush must keep reporting the latched error")
-	}
-}
-
-// TestIntervalCSVLatchesRowError covers the non-header case: the header
-// succeeds, a later row fails, and the error must latch without being
-// overwritten by subsequent (dropped) rows.
-func TestIntervalCSVLatchesRowError(t *testing.T) {
-	w := NewIntervalCSV(&failAfter{n: 1}) // header ok, first row fails
-	if w.Err() != nil {
-		t.Fatal("header must succeed")
-	}
-	w.Interval(Interval{Index: 0})
-	err := w.Err()
-	if err == nil {
-		t.Fatal("row write error must latch")
-	}
-	w.Interval(Interval{Index: 1}) // dropped silently
-	if w.Err() != err {
-		t.Fatal("latched error must not change once set")
 	}
 }
 
@@ -207,57 +177,6 @@ func TestLoopDelaysAggregation(t *testing.T) {
 	if strings.Contains(table, "tlb-trap") {
 		t.Errorf("table must skip loops that never fired:\n%s", table)
 	}
-}
-
-func TestIntervalCSVRoundTrip(t *testing.T) {
-	iv := Interval{
-		Index: 2, StartCycle: 20000, EndCycle: 30000,
-		Retired: 24000, IPC: 2.4,
-		Branches: 3000, Mispredicts: 150, MispredictRate: 0.05,
-		Loads: 8000, L1Misses: 400, L2Misses: 40, L1MissRate: 0.05, L2MissRate: 0.005,
-		IQOccupancy:  64.25,
-		OperandsRead: 40000, OperandPreRead: 24000, OperandForwarded: 12000,
-		OperandCRC: 3960, OperandMisses: 40,
-		PreReadShare: 0.6, ForwardShare: 0.3, CRCShare: 0.099, MissShare: 0.001,
-		OperandReissues: 35, DataReissues: 120, SquashedIssued: 800, UselessWork: 955,
-	}
-	var buf bytes.Buffer
-	w := NewIntervalCSV(&buf)
-	w.Interval(iv)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want header + 1 row", len(lines))
-	}
-	header := strings.Split(lines[0], ",")
-	row := strings.Split(lines[1], ",")
-	if len(header) != len(row) {
-		t.Fatalf("header has %d columns, row has %d — schema drift", len(header), len(row))
-	}
-	cols := make(map[string]string)
-	for i, h := range header {
-		cols[h] = row[i]
-	}
-	for col, want := range map[string]string{
-		"index": "2", "start_cycle": "20000", "end_cycle": "30000",
-		"retired": "24000", "ipc": "2.4", "mispredicts": "150",
-		"op_preread": "24000", "op_miss_share": "0.001",
-		"operand_reissues": "35", "useless_work": "955",
-	} {
-		if cols[col] != want {
-			t.Errorf("column %s = %q, want %q", col, cols[col], want)
-		}
-	}
-}
-
-func TestIntervalCSVLatchesHeaderError(t *testing.T) {
-	w := NewIntervalCSV(&failAfter{n: 0})
-	if w.Err() == nil {
-		t.Fatal("header write error must latch")
-	}
-	w.Interval(Interval{Index: 1}) // must not panic, must stay dropped
 }
 
 func TestIntervalJSONLRoundTrip(t *testing.T) {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -15,24 +14,18 @@ import (
 type RingWriter struct {
 	enc *json.Encoder
 	buf []Event
-	max int
 	err error
 }
 
-// DefaultRingCapacity is the batch size used when NewRingWriter is given a
-// non-positive capacity.
-const DefaultRingCapacity = 4096
+// ringBatch is the number of events a RingWriter buffers per flush.
+const ringBatch = 4096
 
-// NewRingWriter writes events to w as JSON Lines, flushing every capacity
-// events (capacity <= 0 selects DefaultRingCapacity).
-func NewRingWriter(w io.Writer, capacity int) *RingWriter {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
+// NewRingWriter writes events to w as JSON Lines, flushing every
+// ringBatch events.
+func NewRingWriter(w io.Writer) *RingWriter {
 	return &RingWriter{
 		enc: json.NewEncoder(w),
-		buf: make([]Event, 0, capacity),
-		max: capacity,
+		buf: make([]Event, 0, ringBatch),
 	}
 }
 
@@ -41,9 +34,9 @@ func (r *RingWriter) Event(e Event) {
 	if r.err != nil {
 		return
 	}
-	// simlint:prealloc ring sized to max at construction; flush precedes overflow
+	// simlint:prealloc ring sized to ringBatch at construction; flush precedes overflow
 	r.buf = append(r.buf, e)
-	if len(r.buf) >= r.max {
+	if len(r.buf) >= ringBatch {
 		r.flush()
 	}
 }
@@ -74,54 +67,6 @@ func (r *RingWriter) Flush() error {
 
 // Err returns the first write error, if any.
 func (r *RingWriter) Err() error { return r.err }
-
-// intervalCSVHeader fixes the CSV schema. Column order matches the Fprintf
-// in (*IntervalCSV).Interval; TestIntervalCSVRoundTrip locks the two
-// together.
-const intervalCSVHeader = "index,start_cycle,end_cycle,retired,ipc," +
-	"branches,mispredicts,mispredict_rate," +
-	"loads,l1_misses,l2_misses,l1_miss_rate,l2_miss_rate," +
-	"iq_occupancy," +
-	"operands_read,op_preread,op_forwarded,op_crc,op_misses," +
-	"op_preread_share,op_forward_share,op_crc_share,op_miss_share," +
-	"operand_reissues,data_reissues,squashed_issued,useless_work"
-
-// IntervalCSV writes the interval time series as CSV with a fixed header.
-// Errors latch; check Err after the run.
-type IntervalCSV struct {
-	w   io.Writer
-	err error
-}
-
-// NewIntervalCSV writes the header immediately; a header-write error
-// latches and suppresses all rows.
-func NewIntervalCSV(w io.Writer) *IntervalCSV {
-	c := &IntervalCSV{w: w}
-	_, c.err = fmt.Fprintln(w, intervalCSVHeader)
-	return c
-}
-
-// Interval writes one row. Formatting here is once per sample period
-// (default 100k cycles), not per cycle.
-//
-// simlint:coldpath interval reporting amortised over the sample period
-func (c *IntervalCSV) Interval(iv Interval) {
-	if c.err != nil {
-		return
-	}
-	_, c.err = fmt.Fprintf(c.w,
-		"%d,%d,%d,%d,%.6g,%d,%d,%.6g,%d,%d,%d,%.6g,%.6g,%.6g,%d,%d,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%d,%d,%d,%d\n",
-		iv.Index, iv.StartCycle, iv.EndCycle, iv.Retired, iv.IPC,
-		iv.Branches, iv.Mispredicts, iv.MispredictRate,
-		iv.Loads, iv.L1Misses, iv.L2Misses, iv.L1MissRate, iv.L2MissRate,
-		iv.IQOccupancy,
-		iv.OperandsRead, iv.OperandPreRead, iv.OperandForwarded, iv.OperandCRC, iv.OperandMisses,
-		iv.PreReadShare, iv.ForwardShare, iv.CRCShare, iv.MissShare,
-		iv.OperandReissues, iv.DataReissues, iv.SquashedIssued, iv.UselessWork)
-}
-
-// Err returns the first write error, if any.
-func (c *IntervalCSV) Err() error { return c.err }
 
 // IntervalJSONL writes the interval time series as JSON Lines (one
 // Interval object per line). Errors latch; check Err after the run.

@@ -162,8 +162,8 @@ func TestDeterminism(t *testing.T) {
 	probed := func() (*Result, string, string) {
 		var evBuf, ivBuf bytes.Buffer
 		c := cfg
-		events := obs.NewRingWriter(&evBuf, 0)
-		intervals := obs.NewIntervalCSV(&ivBuf)
+		events := obs.NewRingWriter(&evBuf)
+		intervals := obs.NewIntervalJSONL(&ivBuf)
 		c.Events = events
 		c.Intervals = intervals
 		c.SampleInterval = 2_500

@@ -133,8 +133,8 @@ func TestObservabilityWritersProduceParseableStreams(t *testing.T) {
 	cfg.MeasureInstructions = 20_000
 
 	var evBuf, ivBuf bytes.Buffer
-	events := obs.NewRingWriter(&evBuf, 0)
-	intervals := obs.NewIntervalCSV(&ivBuf)
+	events := obs.NewRingWriter(&evBuf)
+	intervals := obs.NewIntervalJSONL(&ivBuf)
 	cfg.Events = events
 	cfg.Intervals = intervals
 	cfg.SampleInterval = 2_000

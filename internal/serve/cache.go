@@ -108,7 +108,7 @@ func (s *MemStore) Len() int {
 
 // DirStore persists results as one JSON file per key in a directory, so a
 // cache survives restarts and is shared between loosimd and
-// `experiments -cache` pointing at the same path.
+// `loosweep -cache` pointing at the same path.
 type DirStore struct {
 	dir string
 }

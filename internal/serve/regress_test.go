@@ -298,8 +298,8 @@ func TestDirStoreCorruptEntryRecomputes(t *testing.T) {
 }
 
 // TestMetricsGolden pins the /metrics JSON shape byte for byte. The
-// response is part of the wire contract (loosweep, dashboards, loopstat
-// all parse it); run `go test -run TestMetricsGolden -update` after a
+// response is part of the wire contract (loosweep and dashboards parse
+// it); run `go test -run TestMetricsGolden -update` after a
 // deliberate schema change.
 func TestMetricsGolden(t *testing.T) {
 	srv := New(Options{Workers: 3})

@@ -19,7 +19,6 @@ package loosesim
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -115,18 +114,6 @@ type (
 // NewLoopDelays returns an in-process per-loop delay aggregator (bound <= 0
 // selects the default histogram bound).
 func NewLoopDelays(bound int) *LoopDelays { return obs.NewLoopDelays(bound) }
-
-// NewEventWriter returns a batching JSONL event writer; call Flush and
-// check its error once the run completes.
-func NewEventWriter(w io.Writer, capacity int) *obs.RingWriter {
-	return obs.NewRingWriter(w, capacity)
-}
-
-// NewIntervalCSV returns a CSV interval writer; check Err after the run.
-func NewIntervalCSV(w io.Writer) *obs.IntervalCSV { return obs.NewIntervalCSV(w) }
-
-// TeeEvents fans an event stream out to several sinks.
-func TeeEvents(sinks ...EventSink) EventSink { return obs.Tee(sinks...) }
 
 // ErrCycleBudget is returned by RunContext when Config.CycleBudget expires
 // before the measurement window completes.

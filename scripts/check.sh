@@ -50,11 +50,14 @@ go test ./internal/pipeline -run '^FuzzSnapshotRoundTrip$' -fuzz '^FuzzSnapshotR
 echo "==> TLB fuzz smoke (FuzzTLBMatchesLinearScan, 5s past the seed corpus)"
 go test ./internal/mem -run '^FuzzTLBMatchesLinearScan$' -fuzz '^FuzzTLBMatchesLinearScan$' -fuzztime 5s >/dev/null
 
-echo "==> observability smoke (loosim -intervals/-events | loopstat)"
+echo "==> observability smoke (loosim -intervals/-events | loostrace)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/loosim -bench apsi -dra -warmup 20000 -inst 60000 \
-	-intervals "$tmp/iv.csv" -events "$tmp/ev.jsonl" >/dev/null
-go run ./cmd/loopstat -events "$tmp/ev.jsonl" -intervals "$tmp/iv.csv" >/dev/null
+	-intervals "$tmp/iv.jsonl" -events "$tmp/ev.jsonl" >/dev/null
+go run ./cmd/loostrace "$tmp/ev.jsonl" "$tmp/iv.jsonl" >/dev/null
+
+echo "==> figure driver smoke (loosweep -quick -ablation fwd, local)"
+go run ./cmd/loosweep -quick -ablation fwd >/dev/null
 
 echo "All checks passed."
