@@ -217,8 +217,8 @@ func (st *streams) add(rec []byte) error {
 		st.delays.Event(e)
 		st.events++
 	case keys.Index != nil:
-		var iv obs.Interval
-		if err := json.Unmarshal(rec, &iv); err != nil {
+		iv, err := decodeInterval(rec)
+		if err != nil {
 			return err
 		}
 		st.intervals = append(st.intervals, iv)
@@ -226,6 +226,35 @@ func (st *streams) add(rec []byte) error {
 		return errors.New("not a span, loop event or interval: no trace, kind or index key")
 	}
 	return nil
+}
+
+// summedFields are the interval fields summarizeIntervals reads, beyond
+// the "index" that makes a record an interval. A record missing one is
+// rejected rather than read as zero, which would under-report the run
+// without a sign.
+var summedFields = []string{
+	"start_cycle", "end_cycle", "retired", "ipc",
+	"branches", "mispredicts", "loads", "l1_misses", "l2_misses",
+	"operands_read", "op_preread", "op_forwarded", "op_crc", "op_misses",
+	"operand_reissues", "data_reissues", "useless_work",
+}
+
+// decodeInterval decodes one interval record that has every summed field.
+func decodeInterval(rec []byte) (obs.Interval, error) {
+	var iv obs.Interval
+	if err := json.Unmarshal(rec, &iv); err != nil {
+		return iv, err
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(rec, &fields); err != nil {
+		return iv, err
+	}
+	for _, name := range summedFields {
+		if _, ok := fields[name]; !ok {
+			return iv, fmt.Errorf("interval record missing field %q", name)
+		}
+	}
+	return iv, nil
 }
 
 // node is one span plus its resolved children, ordered by span ID (the IDs

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -262,6 +263,33 @@ func TestReadRejectsUnknownRecord(t *testing.T) {
 		err := newStreams().read("input", strings.NewReader(input))
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want prefix %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestReadRejectsIncompleteInterval removes each field the interval
+// summary sums from one record and requires the read to fail with the
+// file, line and field, instead of summing the field as zero.
+func TestReadRejectsIncompleteInterval(t *testing.T) {
+	lines := strings.SplitAfter(string(writeIntervals(t, intervalSeries(3))), "\n")
+	for _, name := range summedFields {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rec[name]; !ok {
+			t.Fatalf("the interval writer writes no %q field", name)
+		}
+		delete(rec, name)
+		cut, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := lines[0] + string(cut) + "\n" + lines[2]
+		err = newStreams().read("iv.jsonl", strings.NewReader(input))
+		want := fmt.Sprintf("iv.jsonl: line 2: interval record missing field %q", name)
+		if err == nil || err.Error() != want {
+			t.Errorf("record without %s: err = %v, want %q", name, err, want)
 		}
 	}
 }

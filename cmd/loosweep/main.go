@@ -186,10 +186,16 @@ func main() {
 	opt.Seed = *seed
 	opt.Runner = coord.Runner(context.Background())
 
+	// With -json, stdout carries the JSON reports alone; the text that
+	// goes with them is written to stderr instead.
+	notes := os.Stdout
+	if *asJSON {
+		notes = os.Stderr
+	}
 	var jobs []sweep
 	for _, s := range slices.Concat(figs, abls) {
 		if s.run == nil {
-			fmt.Println(experiments.LoopDelayCheck())
+			fmt.Fprintln(notes, experiments.LoopDelayCheck())
 			continue
 		}
 		jobs = append(jobs, s)
@@ -227,7 +233,7 @@ func main() {
 		}
 	}
 	if *cacheDir != "" {
-		fmt.Printf("[cache: %d hits, %d misses]\n", cstats.Hits(), cstats.Misses())
+		fmt.Fprintf(notes, "[cache: %d hits, %d misses]\n", cstats.Hits(), cstats.Misses())
 	}
 	if !*asJSON {
 		printFleetSummary(coord.Metrics())

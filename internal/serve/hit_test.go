@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,16 +13,22 @@ import (
 	"loosesim/internal/sample"
 )
 
-// postWait submits body through h with ?wait=1 and returns the response
-// body, failing unless the job finished.
-func postWait(t testing.TB, h http.Handler, body []byte) []byte {
-	t.Helper()
+// post submits body through h with ?wait=1 and returns the status code and
+// the response body.
+func post(h http.Handler, body []byte) (int, []byte) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs?wait=1", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	return rec.Code, rec.Body.Bytes()
+}
+
+// postWait is post failing unless the job finished.
+func postWait(t testing.TB, h http.Handler, body []byte) []byte {
+	t.Helper()
+	code, got := post(h, body)
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, got)
 	}
-	return rec.Body.Bytes()
+	return got
 }
 
 // getBody fetches path through h and returns the response body.
@@ -45,10 +52,20 @@ func encodeStatus(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// indexed reports whether srv's request index holds body.
+func indexed(srv *Server, body []byte) bool {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	_, ok := srv.requests[sha256.Sum256(body)]
+	return ok
+}
+
 // TestResponsesMatchStatusEncoding pins the HTTP bodies of a simulated
 // job and of a cache hit, from both stores, to json.Encoder's encoding of
 // the jobs' Status: serving a hit from the stored bytes must not change
-// a byte of the wire format.
+// a byte of the wire format. The hit comes twice: first as a body the
+// server has not seen (decoded), then as the same bytes again (answered
+// from the request index), and the two bodies differ only in the job ID.
 func TestResponsesMatchStatusEncoding(t *testing.T) {
 	dir, err := NewDirStore(t.TempDir())
 	if err != nil {
@@ -63,19 +80,36 @@ func TestResponsesMatchStatusEncoding(t *testing.T) {
 			defer srv.Close()
 			h := srv.Handler()
 			cfg := simCfg(t, "m88-comp", 3)
-			body, err := json.Marshal(JobSpec{Config: &cfg})
+			spec := JobSpec{Config: &cfg}
+			body, err := json.Marshal(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var results [][]byte
-			for _, wantCached := range []bool{false, true} {
-				got := postWait(t, h, body)
+			// The same spec in other bytes: a digest the index has not seen.
+			reworded, err := json.MarshalIndent(spec, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var results, bodies [][]byte
+			var ids []string
+			for i, sub := range []struct {
+				body       []byte
+				wantCached bool
+				wantIndex  bool // the index holds the body before it is posted
+			}{{body, false, false}, {reworded, true, false}, {reworded, true, true}} {
+				if got := indexed(srv, sub.body); got != sub.wantIndex {
+					t.Fatalf("submission %d: indexed before posting = %v, want %v", i, got, sub.wantIndex)
+				}
+				got := postWait(t, h, sub.body)
+				if !indexed(srv, sub.body) {
+					t.Fatalf("submission %d: a cacheable body was not indexed", i)
+				}
 				var st Status
 				if err := json.Unmarshal(got, &st); err != nil {
 					t.Fatal(err)
 				}
-				if st.Cached != wantCached || st.Result == nil {
-					t.Fatalf("cached = %v, result %v; want cached %v and a result", st.Cached, st.Result != nil, wantCached)
+				if st.Cached != sub.wantCached || st.Result == nil {
+					t.Fatalf("cached = %v, result %v; want cached %v and a result", st.Cached, st.Result != nil, sub.wantCached)
 				}
 				job, ok := srv.Job(st.ID)
 				if !ok {
@@ -93,9 +127,17 @@ func TestResponsesMatchStatusEncoding(t *testing.T) {
 					t.Fatal(err)
 				}
 				results = append(results, r)
+				bodies = append(bodies, got)
+				ids = append(ids, st.ID)
 			}
-			if !bytes.Equal(results[0], results[1]) {
-				t.Fatalf("hit result differs from the simulated one:\n%s\n%s", results[1], results[0])
+			for _, r := range results[1:] {
+				if !bytes.Equal(results[0], r) {
+					t.Fatalf("hit result differs from the simulated one:\n%s\n%s", r, results[0])
+				}
+			}
+			idField := func(id string) []byte { return []byte(`"id":"` + id + `"`) }
+			if got := bytes.Replace(bodies[2], idField(ids[2]), idField(ids[1]), 1); !bytes.Equal(got, bodies[1]) {
+				t.Fatalf("indexed hit body differs from the decoded hit's beyond the job ID:\n got %s\nwant %s", bodies[2], bodies[1])
 			}
 			if got, want := getBody(t, h, "/api/v1/jobs"), encodeStatus(t, srv.Jobs()); !bytes.Equal(got, want) {
 				t.Fatalf("GET /jobs body differs from the Jobs encoding:\n got %s\nwant %s", got, want)
@@ -247,8 +289,9 @@ func TestFinishedJobsReleaseCheckpoints(t *testing.T) {
 }
 
 // BenchmarkServeHit times one ?wait=1 cache hit through the HTTP handler
-// on a warmed in-memory store: request decode, content key, lookup and
-// response.
+// on a warmed in-memory store, for a body the server has seen before:
+// reading and hashing the body, the request-index and store lookups, the
+// job record and the response. The request is not decoded.
 func BenchmarkServeHit(b *testing.B) {
 	srv := New(Options{Workers: 1})
 	defer srv.Close()

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -85,10 +87,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	body, err := readBody(r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -96,7 +96,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// into the submitting attempt's trace. Malformed headers are ignored
 	// (Parse rejects them), not errors: tracing is advisory.
 	parent, _ := trace.Parse(r.Header.Get(trace.TraceparentHeader))
-	job, err := s.SubmitTraced(spec, parent)
+	job, err := s.submitBody(body, parent)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
@@ -128,6 +128,81 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 	}
 	writeStatus(w, code, st, enc)
+}
+
+// maxBodyHint caps the buffer a request's Content-Length reserves up
+// front; a longer body still reads in full, growing as it goes.
+const maxBodyHint = 1 << 20
+
+// readBody reads a request body whole, into a buffer sized from its
+// Content-Length when it declares one.
+func readBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyHint {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
+}
+
+// requestIndexCap bounds the request index; a full index is cleared
+// rather than evicted piecemeal, since a cleared entry costs only one
+// decode the next time its body arrives.
+const requestIndexCap = 4096
+
+// submitBody submits a JSON-encoded JobSpec. A repeat is recognised by its
+// bytes: a body whose sha256 the request index holds is answered from the
+// store under the key it decoded to before, without decoding it again.
+// That is safe because decoding, validation and the content key are pure
+// functions of the bytes, so identical bytes always reach the same key;
+// the index only maps a digest to a key, and the store stays the only
+// authority on what a key holds. Only a body that decoded, validated and
+// produced a cacheable key is indexed — no figure or no-cache jobs — and
+// anything the index cannot answer (an unknown digest, a key the store no
+// longer holds, a draining server) takes the decode path.
+func (s *Server) submitBody(body []byte, parent trace.SpanContext) (*Job, error) {
+	digest := sha256.Sum256(body)
+	if job := s.submitIndexed(digest, parent); job != nil {
+		return job, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var spec JobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return nil, err
+	}
+	key, err := spec.key()
+	if err != nil {
+		return nil, err
+	}
+	if key != "" && !spec.NoCache {
+		s.mu.Lock()
+		if len(s.requests) >= requestIndexCap {
+			clear(s.requests)
+		}
+		s.requests[digest] = key
+		s.mu.Unlock()
+	}
+	return s.admit(spec, key, parent)
+}
+
+// submitIndexed answers an indexed request body whose key the store still
+// holds, as the cache hit a decoded submission of the same bytes would be.
+// It returns nil when it cannot, and the caller decodes the body instead.
+func (s *Server) submitIndexed(digest [sha256.Size]byte, parent trace.SpanContext) *Job {
+	s.mu.Lock()
+	key, ok := s.requests[digest]
+	if !ok || s.draining {
+		s.mu.Unlock()
+		return nil
+	}
+	enc, ok, err := s.store.Get(key)
+	if err != nil || !ok {
+		s.mu.Unlock()
+		return nil
+	}
+	jsp := s.serveSpan(parent, key, "")
+	return s.hitLocked(key, enc, jsp, jsp.Child("cache"))
 }
 
 // handleList writes every job's status as one JSON array, the bytes

@@ -295,6 +295,45 @@ func TestDirStoreCorruptEntryRecomputes(t *testing.T) {
 	if err != nil || !ok || res == nil {
 		t.Fatalf("Get after recompute = (%v, %v, %v), want a healthy entry", res, ok, err)
 	}
+
+	// Through a server: a request body indexed under key, whose entry has
+	// since been torn, falls back to the decode path and recomputes.
+	srv := New(Options{Workers: 1, Store: store})
+	defer srv.Close()
+	h := srv.Handler()
+	body, err := json.Marshal(JobSpec{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(wantCached bool) {
+		t.Helper()
+		var st Status
+		if err := json.Unmarshal(postWait(t, h, body), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Cached != wantCached {
+			t.Fatalf("cached = %v, want %v", st.Cached, wantCached)
+		}
+		got, err := json.Marshal(st.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, a) {
+			t.Fatal("served result differs from the original")
+		}
+	}
+	submit(true)
+	if !indexed(srv, body) {
+		t.Fatal("a cacheable body was not indexed")
+	}
+	if err := os.WriteFile(path, []byte(`{"torn`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	submit(false)
+	submit(true)
+	if m := srv.Metrics(); m.Cache.Misses != 1 || m.Cache.Hits != 2 {
+		t.Fatalf("server cache misses %d, hits %d; want 1 and 2", m.Cache.Misses, m.Cache.Hits)
+	}
 }
 
 // TestMetricsGolden pins the /metrics JSON shape byte for byte. The

@@ -14,6 +14,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -430,16 +431,22 @@ type Server struct {
 	wg sync.WaitGroup
 
 	// Lock order: mu may be held while taking the queue's lock (Submit's
-	// tryEnqueue, beginDrain's close) or the store's (Submit's cache
-	// lookup), never the other way round. Every other serve lock — the
-	// queue's, the MemStore's, Job.mu and obsMu — is a leaf: nothing
-	// takes a second serve lock while holding one. No analyzer or test
-	// checks this order; keep it when adding a nested acquisition.
+	// tryEnqueue, beginDrain's close) or the store's (the cache lookups of
+	// Submit and of an indexed request), never the other way round. Every
+	// other serve lock — the queue's, the MemStore's, Job.mu and obsMu — is
+	// a leaf: nothing takes a second serve lock while holding one. No
+	// analyzer or test checks this order; keep it when adding a nested
+	// acquisition.
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // job IDs in submission order (detmap: no map iteration)
 	nextID   int
 	draining bool
+	// requests, guarded by mu like the fields above, maps the sha256 of a
+	// request body that decoded to a cacheable job to that job's content
+	// key (see submitBody). At most requestIndexCap entries; cleared when
+	// full.
+	requests map[[sha256.Size]byte]string
 
 	running atomic.Int64
 
@@ -485,6 +492,7 @@ func New(opts Options) *Server {
 		cancelAll: cancel,
 		q:         newJobQueue(opts.QueueDepth),
 		jobs:      make(map[string]*Job),
+		requests:  make(map[[sha256.Size]byte]string),
 		kipsHist:  stats.NewHistogram(kipsHistBound),
 		delays:    obs.NewLoopDelays(0),
 	}
@@ -496,69 +504,87 @@ func New(opts Options) *Server {
 }
 
 // Submit validates and enqueues a job. Single-simulation jobs that hit the
-// cache complete immediately without occupying a worker.
+// cache complete immediately without occupying a worker. Validation
+// failures happen before any span opens — rejected specs never become
+// jobs, so they never appear in traces either.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	return s.SubmitTraced(spec, trace.SpanContext{})
+	key, err := spec.key()
+	if err != nil {
+		return nil, err
+	}
+	return s.admit(spec, key, trace.SpanContext{})
 }
 
-// SubmitTraced is Submit continuing a caller-supplied trace: when parent is
-// non-zero (decoded from a Traceparent header), the job's spans join the
-// coordinator's trace instead of starting a fresh one. Validation failures
-// happen before any span opens — rejected specs never become jobs, so they
-// never appear in traces either.
-func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, error) {
+// key validates a spec and returns its content address, or "" for a
+// figure job, which has none.
+func (s JobSpec) key() (string, error) {
 	kinds := 0
-	if spec.Bench != "" {
+	if s.Bench != "" {
 		kinds++
 	}
-	if spec.Figure != "" {
+	if s.Figure != "" {
 		kinds++
 	}
-	if spec.Config != nil {
+	if s.Config != nil {
 		kinds++
 	}
 	if kinds != 1 {
-		return nil, errors.New("serve: a job needs exactly one of bench, figure, or config")
+		return "", errors.New("serve: a job needs exactly one of bench, figure, or config")
 	}
-	if spec.Checkpoint != nil && spec.Config == nil {
-		return nil, errors.New("serve: a checkpoint job needs a raw config")
+	if s.Checkpoint != nil && s.Config == nil {
+		return "", errors.New("serve: a checkpoint job needs a raw config")
 	}
-	var key string
-	if spec.Figure != "" {
-		if figure(spec.Figure) == nil {
-			return nil, fmt.Errorf("serve: unknown figure %q", spec.Figure)
+	if s.Figure != "" {
+		if figure(s.Figure) == nil {
+			return "", fmt.Errorf("serve: unknown figure %q", s.Figure)
 		}
-	} else {
-		cfg, err := spec.config()
-		if err != nil {
-			return nil, err
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		key, err = ConfigKey(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Checkpoint != nil {
-			// Prefix with the checkpoint's content address: same config,
-			// different starting state, different result.
-			key = snap.Digest(spec.Checkpoint)[:16] + key
-		}
+		return "", nil
 	}
+	cfg, err := s.config()
+	if err != nil {
+		return "", err
+	}
+	if err := cfg.Validate(); err != nil {
+		return "", err
+	}
+	key, err := ConfigKey(cfg)
+	if err != nil {
+		return "", err
+	}
+	if s.Checkpoint != nil {
+		// Prefix with the checkpoint's content address: same config,
+		// different starting state, different result.
+		key = snap.Digest(s.Checkpoint)[:16] + key
+	}
+	return key, nil
+}
 
-	// The serve span continues the coordinator's trace when the submission
-	// carried one; otherwise it roots a fresh trace keyed by the job's
-	// content address (or figure name), so repeated runs of the same sweep
-	// produce the same trace IDs.
-	var jsp *trace.ActiveSpan
-	if parent.Trace != "" {
-		jsp = s.opts.Tracer.Continue(parent, "serve")
-	} else if key != "" {
-		jsp = s.opts.Tracer.Root(key, "serve")
-	} else {
-		jsp = s.opts.Tracer.Root("figure:"+spec.Figure, "serve")
+// serveSpan opens a job's serve span. It continues the coordinator's trace
+// when the submission carried one; otherwise it roots a fresh trace keyed
+// by the job's content address (or figure name), so repeated runs of the
+// same sweep produce the same trace IDs.
+func (s *Server) serveSpan(parent trace.SpanContext, key, fig string) *trace.ActiveSpan {
+	switch {
+	case parent.Trace != "":
+		return s.opts.Tracer.Continue(parent, "serve")
+	case key != "":
+		return s.opts.Tracer.Root(key, "serve")
 	}
+	return s.opts.Tracer.Root("figure:"+fig, "serve")
+}
+
+// nextJobID assigns the next job ID. Called with s.mu held.
+func (s *Server) nextJobID() string {
+	s.nextID++
+	return "job-" + strconv.Itoa(s.nextID)
+}
+
+// admit turns a validated spec, whose content address is key, into a job:
+// a cache hit born finished, or a queued job. When parent is non-zero
+// (decoded from a Traceparent header), the job's spans join the
+// coordinator's trace instead of starting a fresh one.
+func (s *Server) admit(spec JobSpec, key string, parent trace.SpanContext) (*Job, error) {
+	jsp := s.serveSpan(parent, key, spec.Figure)
 
 	s.mu.Lock()
 	if s.draining {
@@ -568,34 +594,18 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 		jsp.End()
 		return nil, ErrDraining
 	}
-	s.nextID++
-	id := "job-" + strconv.Itoa(s.nextID)
 
-	// Cache fast path: a hit needs no worker, no queue slot, and no
-	// construction — the whole point of content addressing. Its job is
-	// born finished and holds the stored bytes, undecoded.
 	if key != "" && !spec.NoCache {
 		csp := jsp.Child("cache")
 		if enc, ok, err := s.store.Get(key); err == nil && ok {
-			csp.SetStatus("hit")
-			csp.End()
-			job := &Job{id: id, key: key, state: StateDone, cached: true, enc: enc, done: finished}
-			s.jobs[id] = job
-			s.order = append(s.order, id)
-			s.mu.Unlock()
-			s.cstats.hits.Add(1)
-			s.submitted.Add(1)
-			s.completed.Add(1)
-			jsp.SetStatus(string(StateDone))
-			jsp.End()
-			return job, nil
+			return s.hitLocked(key, enc, jsp, csp), nil
 		}
 		csp.SetStatus("miss")
 		csp.End()
 	}
 
 	job := &Job{
-		id:    id,
+		id:    s.nextJobID(),
 		spec:  new(JobSpec),
 		key:   key,
 		srv:   s,
@@ -631,6 +641,26 @@ func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (*Job, err
 	s.submitted.Add(1)
 	s.rejected.Add(1)
 	return nil, ErrQueueFull
+}
+
+// hitLocked is the cache fast path, shared by decoded and indexed
+// submissions: a hit needs no worker, no queue slot, and no construction —
+// the whole point of content addressing. Its job is born finished and
+// holds enc, the stored bytes, undecoded. Called with s.mu held and the
+// job's serve and cache spans open; it releases s.mu and ends both spans.
+func (s *Server) hitLocked(key string, enc []byte, jsp, csp *trace.ActiveSpan) *Job {
+	job := &Job{id: s.nextJobID(), key: key, state: StateDone, cached: true, enc: enc, done: finished}
+	s.jobs[job.id] = job
+	s.order = append(s.order, job.id)
+	s.mu.Unlock()
+	csp.SetStatus("hit")
+	csp.End()
+	s.cstats.hits.Add(1)
+	s.submitted.Add(1)
+	s.completed.Add(1)
+	jsp.SetStatus(string(StateDone))
+	jsp.End()
+	return job
 }
 
 // Job returns a submitted job by ID.

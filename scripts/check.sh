@@ -50,6 +50,13 @@ go test ./internal/pipeline -run '^FuzzSnapshotRoundTrip$' -fuzz '^FuzzSnapshotR
 echo "==> TLB fuzz smoke (FuzzTLBMatchesLinearScan, 5s past the seed corpus)"
 go test ./internal/mem -run '^FuzzTLBMatchesLinearScan$' -fuzz '^FuzzTLBMatchesLinearScan$' -fuzztime 5s >/dev/null
 
+echo "==> request-index fuzz smoke (FuzzSubmitIndex, 5s past the seed corpus)"
+# A body posted twice to one server must be answered as a fresh server
+# answers it once: the request index changes how a repeat is served, never
+# what. Minimization is capped at 20 runs: a mutant of the corpus's 100 KB
+# checkpoint body otherwise spends the whole budget being minimized.
+go test ./internal/serve -run '^FuzzSubmitIndex$' -fuzz '^FuzzSubmitIndex$' -fuzztime 5s -fuzzminimizetime 20x >/dev/null
+
 echo "==> observability smoke (loosim -intervals/-events | loostrace)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
