@@ -1,8 +1,8 @@
-// Command loosimd serves simulation and figure jobs over HTTP: a bounded
-// worker pool runs them on the deterministic pipeline, a content-addressed
-// cache (in-memory, or on disk with -cache, shared with `experiments
-// -cache`) makes repeated sweep points instant, and /metrics exposes queue
-// depth, cache hit rate, per-job KIPS, and aggregate loop delays.
+// Command loosimd serves simulation jobs over HTTP: a bounded worker pool
+// runs them on the deterministic pipeline, a content-addressed cache
+// (in-memory, or on disk with -cache, shared with `loosweep -cache`) makes
+// repeated sweep points instant, and /metrics exposes queue depth, cache
+// hit rate, per-job KIPS, and aggregate loop delays.
 //
 //	loosimd -addr :8087 -cache /var/tmp/loosesim-cache
 //	curl -s localhost:8087/api/v1/jobs?wait=1 -d '{"bench":"gcc","dra":true}'

@@ -482,7 +482,7 @@ func summarize(traces []*traceTree) Fleet {
 			}
 			self := dur - covered
 			if self < 0 {
-				self = 0 // concurrent children (hedges) overlap the parent
+				self = 0 // a child timed by another host's clock can overrun the parent
 			}
 			stages[i].Count++
 			stages[i].TotalNS += dur

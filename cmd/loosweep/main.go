@@ -1,11 +1,12 @@
 // Command loosweep regenerates the paper's figures and ablations, locally
 // or through a fleet of loosimd backends via the dispatch coordinator:
 // shard-by-content-key assignment, bounded per-backend windows, retries
-// with jittered backoff, hedged requests, health-based ejection, and
-// graceful degradation to local simulation when the fleet is gone. With no
-// -backends every batch runs locally. The results are byte-identical
-// either way — the fleet changes where a sweep executes, never what it
-// computes.
+// that walk the hash ring with jittered backoff, and local simulation of
+// any job the fleet did not serve. With no -backends every batch runs
+// locally. The results are byte-identical either way — the fleet changes
+// where a sweep executes, never what it computes. SIGINT or SIGTERM
+// cancels in-flight requests and local runs, and the command exits
+// non-zero.
 //
 // Usage:
 //
@@ -25,9 +26,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"loosesim/internal/dispatch"
@@ -98,11 +101,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		cacheDir  = flag.String("cache", "", "content-addressed result cache for local runs (shareable with loosimd -cache)")
 		inflight  = flag.Int("inflight", 0, "max in-flight requests per backend (0 = default)")
-		attempts  = flag.Int("attempts", 0, "max submission attempts per job before local fallback (0 = default)")
-		backoff   = flag.Duration("backoff", 0, "base retry backoff (0 = default)")
-		hedge     = flag.Duration("hedge", 0, "duplicate a request on a second backend after this delay (0 = off)")
-		probe     = flag.Duration("probe", 0, "health-probe interval (0 = default)")
-		eject     = flag.Int("eject", 0, "consecutive failures that eject a backend (0 = default)")
 		noCache   = flag.Bool("nocache", false, "ask backends to bypass their result caches")
 		asJSON    = flag.Bool("json", false, "emit tables as JSON")
 		asCSV     = flag.Bool("csv", false, "emit tables as CSV")
@@ -160,16 +158,11 @@ func main() {
 	}
 
 	coord, err := dispatch.New(dispatch.Options{
-		Backends:      splitBackends(*backends),
-		InFlight:      *inflight,
-		Attempts:      *attempts,
-		BackoffBase:   *backoff,
-		HedgeDelay:    *hedge,
-		ProbeInterval: *probe,
-		EjectAfter:    *eject,
-		NoCache:       *noCache,
-		Tracer:        tracer,
-		Local:         local,
+		Backends: splitBackends(*backends),
+		InFlight: *inflight,
+		NoCache:  *noCache,
+		Tracer:   tracer,
+		Local:    local,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -184,7 +177,9 @@ func main() {
 		opt.Measure = *measure
 	}
 	opt.Seed = *seed
-	opt.Runner = coord.Runner(context.Background())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	opt.Runner = coord.Runner(ctx)
 
 	// With -json, stdout carries the JSON reports alone; the text that
 	// goes with them is written to stderr instead.
@@ -204,6 +199,9 @@ func main() {
 		start := time.Now()
 		t, err := j.run(opt)
 		if err != nil {
+			if ctx.Err() != nil {
+				log.Fatalf("%s: interrupted", j.name)
+			}
 			log.Fatalf("%s: %v", j.name, err)
 		}
 		wall := time.Since(start).Seconds()
@@ -280,13 +278,9 @@ func printFleetSummary(m dispatch.Metrics) {
 	if len(m.Backends) == 0 {
 		return
 	}
-	log.Printf("fleet: %d requests, %d cache hits (%.0f%%), %d retries, %d/%d hedges won, %d ejections, %d local fallbacks",
-		m.Requests, m.CacheHits, 100*m.CacheHitRate, m.Retries, m.HedgesWon, m.Hedges, m.Ejections, m.LocalFallbacks)
+	log.Printf("fleet: %d requests, %d cache hits (%.0f%%), %d retries, %d local fallbacks",
+		m.Requests, m.CacheHits, 100*m.CacheHitRate, m.Retries, m.LocalFallbacks)
 	for _, b := range m.Backends {
-		state := "up"
-		if b.Down {
-			state = "down"
-		}
-		log.Printf("fleet: backend %s: %d requests, %d failures, %s", b.URL, b.Requests, b.Failures, state)
+		log.Printf("fleet: backend %s: %d requests, %d failures", b.URL, b.Requests, b.Failures)
 	}
 }

@@ -5,11 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"loosesim/internal/serve"
+	"loosesim/internal/serve/servetest"
 )
 
 // TestMain runs the command itself, instead of the tests, when
@@ -23,11 +31,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns the command, not yet started, with args.
+func command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LOOSWEEP_RUN_MAIN=1")
+	return cmd
+}
+
 // loosweep runs the command with args and returns its stdout and stderr.
 func loosweep(t *testing.T, args ...string) (stdout, stderr []byte) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "LOOSWEEP_RUN_MAIN=1")
+	cmd := command(args...)
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	if err := cmd.Run(); err != nil {
@@ -132,5 +146,90 @@ func TestSelectSweeps(t *testing.T) {
 		if _, err := selectSweeps(c.table, c.kind, c.prefix, c.value); err == nil {
 			t.Errorf("%s %q resolved; want an unknown-name error", c.kind, c.value)
 		}
+	}
+}
+
+// tookLine matches the per-table timing line, the one line of table output
+// that differs between runs.
+var tookLine = regexp.MustCompile(`(?m)^\[\w+ took [0-9.]+s\]\n`)
+
+// fleetLine matches the stderr fleet summary's request and hit counts.
+var fleetLine = regexp.MustCompile(`fleet: (\d+) requests, (\d+) cache hits`)
+
+// TestFleetFigureThroughCache regenerates a figure through an in-process
+// backend twice: both tables match the local run, and the second run is
+// answered entirely from the backend's cache.
+func TestFleetFigureThroughCache(t *testing.T) {
+	b := servetest.StartBackend(serve.Options{Workers: 2})
+	defer b.Close()
+	args := []string{"-fig", "6", "-quick", "-inst", "2000"}
+	local, _ := loosweep(t, args...)
+	want := tookLine.ReplaceAll(local, nil)
+	for run := 1; run <= 2; run++ {
+		stdout, stderr := loosweep(t, append(args, "-backends", b.URL)...)
+		if got := tookLine.ReplaceAll(stdout, nil); !bytes.Equal(got, want) {
+			t.Fatalf("run %d: fleet table differs from the local one:\n%s\nlocal:\n%s", run, got, want)
+		}
+		m := fleetLine.FindSubmatch(stderr)
+		if m == nil {
+			t.Fatalf("run %d: no fleet summary on stderr:\n%s", run, stderr)
+		}
+		requests, _ := strconv.Atoi(string(m[1]))
+		hits, _ := strconv.Atoi(string(m[2]))
+		if requests == 0 || (run == 2 && hits != requests) {
+			t.Fatalf("run %d: %d requests, %d cache hits; want every request of the second run a hit", run, requests, hits)
+		}
+	}
+}
+
+// TestInterruptCancelsHungBackend: a sweep stuck on a backend that never
+// answers ends on SIGINT, with a non-zero exit, within a few seconds.
+func TestInterruptCancelsHungBackend(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		// With the body read, the server notices the client hang up and
+		// ends the request's context, so Close does not wait on it.
+		_, _ = io.Copy(io.Discard, r.Body)
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	}))
+	defer hung.Close()
+
+	cmd := command("-fig", "6", "-quick", "-inst", "2000", "-backends", hung.URL)
+	var errOut bytes.Buffer
+	cmd.Stderr = &errOut
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	kill := func() {
+		_ = cmd.Process.Kill()
+		<-exited
+	}
+	select {
+	case <-arrived:
+	case err := <-exited:
+		t.Fatalf("loosweep exited (%v) before reaching the backend:\n%s", err, errOut.Bytes())
+	case <-time.After(30 * time.Second):
+		kill()
+		t.Fatal("no request reached the backend within 30s")
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		kill()
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+			t.Fatalf("loosweep after SIGINT: %v, want a non-zero exit\n%s", err, errOut.Bytes())
+		}
+	case <-time.After(5 * time.Second):
+		kill()
+		t.Fatalf("loosweep still running 5s after SIGINT:\n%s", errOut.Bytes())
 	}
 }

@@ -49,8 +49,8 @@ var HotPathRoots = []string{
 	// every job the daemon hosts, so it is held to the same allocation
 	// discipline as the machine itself.
 	"jobEventSink.Event",
-	// The sweep coordinator's event counter runs once per request, retry,
-	// and hedge across the whole fleet — hot enough that it must stay one
+	// The sweep coordinator's event counter runs once per request and
+	// retry across the whole fleet — hot enough that it must stay one
 	// atomic add plus a guarded interface call.
 	"Coordinator.emit",
 	// Span delivery runs on every traced stage transition across the

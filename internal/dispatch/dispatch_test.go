@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,7 +68,6 @@ func assertByteIdentical(t *testing.T, got, want []*pipeline.Result) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	base, ceil := 50*time.Millisecond, 2*time.Second
 	tests := []struct {
 		name    string
 		attempt int
@@ -85,96 +86,90 @@ func TestBackoffSchedule(t *testing.T) {
 		{"negative-attempt", -3, 0, 25 * time.Millisecond},
 	}
 	for _, tc := range tests {
-		if got := backoff(tc.attempt, base, ceil, tc.jitter); got != tc.want {
+		if got := backoff(tc.attempt, tc.jitter); got != tc.want {
 			t.Errorf("%s: backoff(%d, jitter=%v) = %v, want %v", tc.name, tc.attempt, tc.jitter, got, tc.want)
 		}
 	}
 }
 
-// TestRingStableUnderEjection is the shard-stability property: ejecting a
-// backend moves only the keys it owned, and readmitting it restores the
-// original assignment exactly.
-func TestRingStableUnderEjection(t *testing.T) {
-	urls := make([]string, 5)
+func fleetURLs(n int) []string {
+	urls := make([]string, n)
 	for i := range urls {
 		urls[i] = "http://backend-" + strconv.Itoa(i) + ":8080"
 	}
-	r := newRing(urls)
-	all := func(int) bool { return true }
-
-	const nkeys = 1000
-	keys := make([]string, nkeys)
-	before := make([]int, nkeys)
-	for i := range keys {
-		keys[i] = "key-" + strconv.Itoa(i)
-		before[i] = r.owner(keys[i], all, -1)
-		if before[i] < 0 || before[i] >= len(urls) {
-			t.Fatalf("key %d: owner %d out of range", i, before[i])
-		}
-	}
-
-	const ejected = 2
-	without := func(b int) bool { return b != ejected }
-	moved := 0
-	for i := range keys {
-		after := r.owner(keys[i], without, -1)
-		if after == ejected {
-			t.Fatalf("key %d assigned to ejected backend", i)
-		}
-		switch {
-		case before[i] == ejected:
-			moved++
-		case after != before[i]:
-			t.Fatalf("key %d moved from %d to %d though its owner %d stayed admitted",
-				i, before[i], after, before[i])
-		}
-	}
-	if moved == 0 {
-		t.Fatal("ejected backend owned no keys; property vacuous (raise nkeys)")
-	}
-
-	for i := range keys {
-		if got := r.owner(keys[i], all, -1); got != before[i] {
-			t.Fatalf("key %d: assignment after readmission = %d, want %d", i, got, before[i])
-		}
-	}
+	return urls
 }
 
-func TestRingExclude(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
+// TestRingWalkVisitsEveryBackend: a job's attempts 0..n-1 go to n distinct
+// backends and attempt n wraps to the owner again; a one-backend ring
+// retries its only backend and an empty ring has no owner.
+func TestRingWalkVisitsEveryBackend(t *testing.T) {
+	urls := fleetURLs(5)
 	r := newRing(urls)
-	all := func(int) bool { return true }
-	for i := 0; i < 100; i++ {
-		key := "k" + strconv.Itoa(i)
-		primary := r.owner(key, all, -1)
-		secondary := r.owner(key, all, primary)
-		if secondary == primary {
-			t.Fatalf("key %q: secondary = primary = %d", key, primary)
-		}
-		if secondary < 0 {
-			t.Fatalf("key %q: no secondary in a 3-backend fleet", key)
+	n := len(urls)
+	for i := 0; i < 200; i++ {
+		key := "key-" + strconv.Itoa(i)
+		seen := make(map[int]bool, n)
+		for a := 0; a < n; a++ {
+			b := r.owner(key, a)
+			if b < 0 || b >= n || seen[b] {
+				t.Fatalf("key %q attempt %d: backend %d (seen %v)", key, a, b, seen)
+			}
+			seen[b] = true
+			if wrap := r.owner(key, a+n); wrap != b {
+				t.Fatalf("key %q: attempt %d goes to %d, attempt %d to %d; want a wrap", key, a+n, wrap, a, b)
+			}
 		}
 	}
 	one := newRing(urls[:1])
-	if got := one.owner("k", all, 0); got != -1 {
-		t.Fatalf("single-backend ring with owner excluded: got %d, want -1", got)
+	for a := 0; a < attempts; a++ {
+		if got := one.owner("k", a); got != 0 {
+			t.Fatalf("one-backend ring, attempt %d: backend %d, want 0", a, got)
+		}
+	}
+	if got := newRing(nil).owner("k", 0); got != -1 {
+		t.Fatalf("empty ring: owner %d, want -1", got)
+	}
+}
+
+// TestRingStableWithoutBackend is the shard-stability property: a ring
+// built without one URL keeps every key that URL did not own on the same
+// URL, and each key it did own moves to the backend the full ring tries
+// on the key's second attempt.
+func TestRingStableWithoutBackend(t *testing.T) {
+	urls := fleetURLs(5)
+	full := newRing(urls)
+	const gone = 2
+	rest := slices.Delete(slices.Clone(urls), gone, gone+1)
+	less := newRing(rest)
+	moved := 0
+	for i := 0; i < 1000; i++ {
+		key := "key-" + strconv.Itoa(i)
+		before, after := urls[full.owner(key, 0)], rest[less.owner(key, 0)]
+		if before == urls[gone] {
+			moved++
+			if want := urls[full.owner(key, 1)]; after != want {
+				t.Fatalf("key %q: owner without %s is %s, want its successor %s", key, urls[gone], after, want)
+			}
+			continue
+		}
+		if after != before {
+			t.Fatalf("key %q moved from %s to %s though %s stayed", key, before, after, before)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the removed backend owned no keys; property vacuous (raise the key count)")
 	}
 }
 
 // instantClock fires every timer immediately and records the requested
-// durations — except durations equal to park, whose channels never fire
-// (used to idle the probe loop out of the way).
+// durations.
 type instantClock struct {
-	park time.Duration
-
 	mu    sync.Mutex
 	fired []time.Duration
 }
 
 func (c *instantClock) After(d time.Duration) <-chan time.Time {
-	if d == c.park {
-		return make(chan time.Time)
-	}
 	c.mu.Lock()
 	c.fired = append(c.fired, d)
 	c.mu.Unlock()
@@ -189,8 +184,6 @@ func (c *instantClock) delays() []time.Duration {
 	return append([]time.Duration(nil), c.fired...)
 }
 
-const parkProbes = 12345 * time.Hour
-
 // TestRetrySchedule drives one job through two scripted transport
 // failures and checks the exact jittered backoff sequence the coordinator
 // slept, plus the resulting counters.
@@ -203,16 +196,12 @@ func TestRetrySchedule(t *testing.T) {
 		servetest.FaultSpec{Fault: servetest.DropConn},
 		servetest.FaultSpec{Fault: servetest.DropConn},
 	)
-	clock := &instantClock{park: parkProbes}
+	clock := &instantClock{}
 	c, err := New(Options{
-		Backends:      []string{b.URL},
-		Client:        &http.Client{Transport: tr},
-		Attempts:      4,
-		BackoffBase:   50 * time.Millisecond,
-		BackoffCap:    2 * time.Second,
-		ProbeInterval: parkProbes,
-		Jitter:        func() float64 { return 0 },
-		After:         clock.After,
+		Backends: []string{b.URL},
+		Client:   &http.Client{Transport: tr},
+		Jitter:   func() float64 { return 0 },
+		After:    clock.After,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,51 +224,37 @@ func TestRetrySchedule(t *testing.T) {
 	if m.Requests != 3 || m.Retries != 2 {
 		t.Fatalf("requests = %d retries = %d, want 3 and 2", m.Requests, m.Retries)
 	}
-	if m.Backends[0].Failures != 2 || m.Backends[0].Down {
-		t.Fatalf("backend metrics = %+v, want 2 failures and not down", m.Backends[0])
+	if m.Backends[0].Failures != 2 {
+		t.Fatalf("backend metrics = %+v, want 2 failures", m.Backends[0])
 	}
 	if tr.Remaining() != 0 {
 		t.Fatalf("unconsumed faults: %d", tr.Remaining())
 	}
 }
 
-// TestHedgeRescuesHungPrimary aims a black-hole fault at the key's owner
-// and checks the hedge fires, wins, and the hung request is not charged
-// against the primary's health.
-func TestHedgeRescuesHungPrimary(t *testing.T) {
-	before := runtime.NumGoroutine()
-	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 1})
+// TestSuccessorServesRefusedOwner: when the backend owning a job's key
+// refuses connections, attempt 1 goes to the next backend clockwise on the
+// ring, which serves the job; nothing runs locally.
+func TestSuccessorServesRefusedOwner(t *testing.T) {
+	backends, closeAll := servetest.StartBackends(3, serve.Options{Workers: 1})
 	defer closeAll()
-	urls := servetest.URLs(backends)
+	c, err := New(Options{
+		Backends: servetest.URLs(backends),
+		Jitter:   func() float64 { return 0 },
+		After:    (&instantClock{}).After,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
 	cfgs := []pipeline.Config{testCfg(t, "swim", 3)}
 	key, err := serve.ConfigKey(cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	clock := &instantClock{park: parkProbes}
-	tr := &servetest.Tripper{}
-	c, err := New(Options{
-		Backends:      urls,
-		Client:        &http.Client{Transport: tr},
-		HedgeDelay:    77 * time.Millisecond,
-		ProbeInterval: parkProbes,
-		Jitter:        func() float64 { return 0 },
-		After:         clock.After,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	primary := c.pick(key, -1)
-	if primary < 0 {
-		t.Fatal("no primary")
-	}
-	primaryHost := strings.TrimPrefix(urls[primary], "http://")
-	tr.Match = func(r *http.Request) bool { return r.URL.Host == primaryHost }
-	tr.Script(servetest.FaultSpec{Fault: servetest.Hang})
+	owner, successor := c.ring.owner(key, 0), c.ring.owner(key, 1)
+	backends[owner].Close() // its port now refuses connections
 
 	got, err := c.RunAll(context.Background(), cfgs)
 	if err != nil {
@@ -288,62 +263,77 @@ func TestHedgeRescuesHungPrimary(t *testing.T) {
 	assertByteIdentical(t, got, localBaseline(t, cfgs))
 
 	m := c.Metrics()
-	if m.Hedges != 1 || m.HedgesWon != 1 {
-		t.Fatalf("hedges = %d won = %d, want 1 and 1", m.Hedges, m.HedgesWon)
+	if m.Requests != 2 || m.Retries != 1 || m.LocalFallbacks != 0 {
+		t.Fatalf("requests=%d retries=%d fallbacks=%d, want 2/1/0", m.Requests, m.Retries, m.LocalFallbacks)
 	}
-	if m.Requests != 2 || m.Retries != 0 {
-		t.Fatalf("requests = %d retries = %d, want 2 and 0", m.Requests, m.Retries)
+	if o := m.Backends[owner]; o.Requests != 1 || o.Failures != 1 {
+		t.Fatalf("owner backend = %+v, want 1 request, 1 failure", o)
 	}
-	// The hung request ended by our own cancellation; the primary's
-	// health must be untouched.
-	if m.Backends[primary].Failures != 0 || m.Backends[primary].Down {
-		t.Fatalf("primary charged for a hedge-cancelled request: %+v", m.Backends[primary])
+	if s := m.Backends[successor]; s.Requests != 1 || s.Failures != 0 {
+		t.Fatalf("successor backend = %+v, want 1 request, 0 failures", s)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestCancelAbandonsHungBackend: a backend that never answers holds its
+// job until the caller's context ends. Cancelling it makes RunAll return
+// context.Canceled, with no local run and no failure charged to the
+// backend, and once the coordinator and backend are closed the abandoned
+// exchange has left no goroutine behind.
+func TestCancelAbandonsHungBackend(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b := servetest.StartBackend(serve.Options{Workers: 1})
+	defer b.Close()
+	tr := &servetest.Tripper{}
+	tr.Script(servetest.FaultSpec{Fault: servetest.Hang})
+	sent := make(chan struct{}, 1) // the one request's arrival
+	c, err := New(Options{
+		Backends: []string{b.URL},
+		Client: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			sent <- struct{}{}
+			return tr.RoundTrip(req)
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfgs := []pipeline.Config{testCfg(t, "gcc", 4)}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunAll(ctx, cfgs)
+		done <- err
+	}()
+	<-sent
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunAll = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunAll still running 10s after its context was cancelled")
+	}
+	m := c.Metrics()
+	if m.Requests != 1 || m.Retries != 0 || m.LocalFallbacks != 0 || m.Backends[0].Failures != 0 {
+		t.Fatalf("metrics after cancel = %+v, want 1 request and nothing else", m)
 	}
 
-	// The abandoned primary is the one request dispatch gives up on by
-	// design; once the coordinator and backends are down, neither it nor
-	// the hedge may have left a goroutine behind.
 	c.Close()
-	closeAll()
+	b.Close()
 	for i := 0; i < 500 && runtime.NumGoroutine() > before; i++ {
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines grew from %d to %d after Close", before, after)
-	}
-}
-
-// TestBatchLocalDegradeWhenAllDown covers the batch-level degrade: with
-// every backend ejected before the batch starts, RunAll runs the whole
-// batch through the local engine in one shot.
-func TestBatchLocalDegradeWhenAllDown(t *testing.T) {
-	c, err := New(Options{
-		Backends:      []string{"http://127.0.0.1:9", "http://127.0.0.1:10"},
-		ProbeInterval: parkProbes,
-		After:         (&instantClock{park: parkProbes}).After,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, bk := range c.backends {
-		bk.down.Store(true)
-	}
-
-	cfgs := []pipeline.Config{testCfg(t, "gcc", 1), testCfg(t, "comp", 2)}
-	got, err := c.RunAll(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertByteIdentical(t, got, localBaseline(t, cfgs))
-
-	m := c.Metrics()
-	if m.LocalFallbacks != 1 {
-		t.Fatalf("local fallbacks = %d, want exactly 1 (one batch degrade)", m.LocalFallbacks)
-	}
-	if m.Requests != 0 {
-		t.Fatalf("requests = %d, want 0 (nothing should touch the fleet)", m.Requests)
 	}
 }
 
@@ -392,16 +382,14 @@ func TestRunAllFirstErrorPosition(t *testing.T) {
 
 // TestSimErrorIsPermanent: a failure reported by a healthy backend (here
 // an exhausted cycle budget) must surface immediately — no retries, no
-// local fallback, and no health penalty for the backend.
+// local fallback, and no failure charged to the backend.
 func TestSimErrorIsPermanent(t *testing.T) {
 	b := servetest.StartBackend(serve.Options{Workers: 1})
 	defer b.Close()
 
-	clock := &instantClock{park: parkProbes}
 	c, err := New(Options{
-		Backends:      []string{b.URL},
-		ProbeInterval: parkProbes,
-		After:         clock.After,
+		Backends: []string{b.URL},
+		After:    (&instantClock{}).After,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -425,9 +413,9 @@ func TestSimErrorIsPermanent(t *testing.T) {
 
 // TestBackpressureHonorsRetryAfter drives one job through two injected
 // 429s and checks the coordinator sleeps exactly the Retry-After hints
-// (capped at BackoffCap) instead of the jittered schedule, counts them as
-// backpressure rather than retries, and never charges the shedding
-// backend's health.
+// (capped at the 2s backoff cap) instead of the jittered schedule, counts
+// them as backpressure rather than retries, and never charges the
+// shedding backend with a failure.
 func TestBackpressureHonorsRetryAfter(t *testing.T) {
 	b := servetest.StartBackend(serve.Options{Workers: 1})
 	defer b.Close()
@@ -437,16 +425,12 @@ func TestBackpressureHonorsRetryAfter(t *testing.T) {
 		servetest.FaultSpec{Fault: servetest.Status429, RetryAfter: 5}, // over the cap
 		servetest.FaultSpec{Fault: servetest.Status429, RetryAfter: 1},
 	)
-	clock := &instantClock{park: parkProbes}
+	clock := &instantClock{}
 	c, err := New(Options{
-		Backends:      []string{b.URL},
-		Client:        &http.Client{Transport: tr},
-		Attempts:      4,
-		BackoffBase:   50 * time.Millisecond,
-		BackoffCap:    2 * time.Second,
-		ProbeInterval: parkProbes,
-		Jitter:        func() float64 { return 0 },
-		After:         clock.After,
+		Backends: []string{b.URL},
+		Client:   &http.Client{Transport: tr},
+		Jitter:   func() float64 { return 0 },
+		After:    clock.After,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +444,7 @@ func TestBackpressureHonorsRetryAfter(t *testing.T) {
 	}
 	assertByteIdentical(t, got, localBaseline(t, cfgs))
 
-	// 5s hint capped at the 2s BackoffCap, then the 1s hint verbatim —
+	// 5s hint capped at the 2s backoff cap, then the 1s hint verbatim —
 	// and neither is the jittered 25ms/50ms schedule TestRetrySchedule
 	// pins for transport failures.
 	wantDelays := []time.Duration{2 * time.Second, time.Second}
@@ -472,7 +456,7 @@ func TestBackpressureHonorsRetryAfter(t *testing.T) {
 	if m.Requests != 3 || m.Backpressure != 2 || m.Retries != 0 {
 		t.Fatalf("requests=%d backpressure=%d retries=%d, want 3/2/0", m.Requests, m.Backpressure, m.Retries)
 	}
-	if m.Backends[0].Failures != 0 || m.Backends[0].Down {
+	if m.Backends[0].Failures != 0 {
 		t.Fatalf("backend charged for shedding load: %+v", m.Backends[0])
 	}
 	if tr.Remaining() != 0 {

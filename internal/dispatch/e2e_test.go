@@ -27,33 +27,26 @@ func sweep24(t *testing.T) []pipeline.Config {
 
 // TestFleetSweepDeterminism is the headline end-to-end property: a
 // 24-config sweep sharded over 3 in-process backends — with a fault
-// script (drops, 500s, torn bodies, latency, a black hole) chewing on the
-// traffic — produces results byte-identical to a serial local run.
+// script (a drop, a 500, a torn body, latency) chewing on the traffic —
+// produces results byte-identical to a serial local run.
 func TestFleetSweepDeterminism(t *testing.T) {
 	backends, closeAll := servetest.StartBackends(3, serve.Options{Workers: 2})
 	defer closeAll()
 
 	tr := &servetest.Tripper{}
+	// Three failing faults against four attempts per job: even a job that
+	// draws all three reaches a backend on its last attempt, so every
+	// config must come back from the fleet, not from local fallback.
+	const failing = 3
 	tr.Script(
 		servetest.FaultSpec{Fault: servetest.DropConn},
 		servetest.FaultSpec{Fault: servetest.Status500},
-		servetest.FaultSpec{Fault: servetest.TruncateBody},
 		servetest.FaultSpec{Fault: servetest.Latency, Delay: time.Millisecond},
-		servetest.FaultSpec{Fault: servetest.DropConn},
-		// Last so a hedge launched to rescue it cannot itself draw a
-		// fault.
-		servetest.FaultSpec{Fault: servetest.Hang},
+		servetest.FaultSpec{Fault: servetest.TruncateBody},
 	)
-
-	// Attempts exceeds the total fault count so no job can exhaust the
-	// fleet: every config must come back from a backend, not fallback.
 	c, err := New(Options{
-		Backends:    servetest.URLs(backends),
-		Client:      &http.Client{Transport: tr},
-		Attempts:    8,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  10 * time.Millisecond,
-		HedgeDelay:  20 * time.Millisecond,
+		Backends: servetest.URLs(backends),
+		Client:   &http.Client{Transport: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +70,8 @@ func TestFleetSweepDeterminism(t *testing.T) {
 	for _, bm := range m.Backends {
 		failures += bm.Failures
 	}
-	// Hang and hedge-cancelled requests are deliberately not charged, so
-	// the observed count can be below the script length — but the drops,
-	// 500s, and torn bodies must have been seen by somebody.
-	if failures == 0 {
-		t.Fatalf("faults were scripted but no backend failure observed: %+v", m)
+	if failures != failing || m.Retries != failing {
+		t.Fatalf("failures = %d retries = %d, want %d each (metrics %+v)", failures, m.Retries, failing, m)
 	}
 	if m.LocalFallbacks != 0 {
 		t.Fatalf("local fallbacks = %d, want 0 (attempts outnumber faults)", m.LocalFallbacks)
@@ -107,10 +97,8 @@ func TestForcedLocalFallbackDeterminism(t *testing.T) {
 	c, err := New(Options{
 		// TCP port 9 (discard) is closed in any sane test environment;
 		// dialing it fails fast.
-		Backends:    []string{"http://127.0.0.1:9", "http://127.0.0.1:10"},
-		Attempts:    1,
-		BackoffBase: time.Microsecond,
-		BackoffCap:  time.Microsecond,
+		Backends: []string{"http://127.0.0.1:9", "http://127.0.0.1:10"},
+		After:    (&instantClock{}).After,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +113,7 @@ func TestForcedLocalFallbackDeterminism(t *testing.T) {
 	assertByteIdentical(t, got, localBaseline(t, cfgs))
 
 	m := c.Metrics()
-	if m.LocalFallbacks == 0 {
-		t.Fatalf("expected local fallbacks against a dead fleet: %+v", m)
+	if m.LocalFallbacks != uint64(len(cfgs)) || m.Requests != attempts*uint64(len(cfgs)) {
+		t.Fatalf("against a dead fleet every job must try %d times and run locally: %+v", attempts, m)
 	}
 }

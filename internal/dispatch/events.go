@@ -17,23 +17,12 @@ const (
 	// EvRetry is a transient backend failure that scheduled a backoff
 	// retry.
 	EvRetry
-	// EvHedge is a hedged duplicate launched against a second backend
-	// after the hedge delay expired with the primary still in flight.
-	EvHedge
-	// EvHedgeWon is a hedged duplicate that returned first.
-	EvHedgeWon
-	// EvEject is a backend removed from the ring after consecutive
-	// failures.
-	EvEject
-	// EvReadmit is an ejected backend restored to the ring by a
-	// successful response or health probe.
-	EvReadmit
-	// EvLocalFallback is a job degraded to local simulation because no
-	// backend could serve it.
+	// EvLocalFallback is a job (or an empty fleet's whole batch) run
+	// locally because no backend served it.
 	EvLocalFallback
 	// EvBackpressure is a 429 from a healthy backend whose Retry-After
-	// hint replaced the jittered backoff for the next attempt. It does not
-	// count toward ejection: an overloaded queue is load, not failure.
+	// hint replaced the jittered backoff for the next attempt. It is not a
+	// backend failure: an overloaded queue is load, not failure.
 	EvBackpressure
 
 	// NumEventKinds bounds the enumeration.
@@ -44,10 +33,6 @@ var eventKindNames = [NumEventKinds]string{
 	"request",
 	"cache-hit",
 	"retry",
-	"hedge",
-	"hedge-won",
-	"eject",
-	"readmit",
 	"local-fallback",
 	"backpressure",
 }
@@ -65,10 +50,6 @@ type Metrics struct {
 	Requests       uint64 `json:"requests"`
 	CacheHits      uint64 `json:"cache_hits"`
 	Retries        uint64 `json:"retries"`
-	Hedges         uint64 `json:"hedges"`
-	HedgesWon      uint64 `json:"hedges_won"`
-	Ejections      uint64 `json:"ejections"`
-	Readmissions   uint64 `json:"readmissions"`
 	LocalFallbacks uint64 `json:"local_fallbacks"`
 	Backpressure   uint64 `json:"backpressure"`
 	// CacheHitRate is CacheHits over completed backend requests.
@@ -83,5 +64,4 @@ type BackendMetrics struct {
 	InFlight int64  `json:"in_flight"`
 	Requests uint64 `json:"requests"`
 	Failures uint64 `json:"failures"`
-	Down     bool   `json:"down"`
 }

@@ -12,10 +12,6 @@ func TestEventKindString(t *testing.T) {
 		EvRequest:       "request",
 		EvCacheHit:      "cache-hit",
 		EvRetry:         "retry",
-		EvHedge:         "hedge",
-		EvHedgeWon:      "hedge-won",
-		EvEject:         "eject",
-		EvReadmit:       "readmit",
 		EvLocalFallback: "local-fallback",
 		EvBackpressure:  "backpressure",
 	}

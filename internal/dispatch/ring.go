@@ -18,15 +18,15 @@ type ringPoint struct {
 	backend int
 }
 
-// ring is a consistent-hash ring over the configured backends. Membership
-// changes (ejection, readmission) are expressed at lookup time through the
-// admitted predicate rather than by rebuilding the ring, which is what
-// gives the stability property the sweep cache depends on: ejecting a
-// backend moves only the keys that backend owned (each slides forward to
-// its next admitted point), and readmitting it restores exactly the
-// original assignment.
+// ring is a consistent-hash ring over the configured backends. A job's
+// attempts walk it clockwise from the job's key, one distinct backend per
+// attempt, so attempt 0 goes to the key's owner and a retry goes to the
+// backend that would own the key if the owner were gone. Point positions
+// depend only on URLs, so a ring built without one backend keeps every
+// key that backend did not own where it was.
 type ring struct {
-	points []ringPoint
+	points   []ringPoint
+	backends int
 }
 
 // newRing builds the ring for a fixed backend list. The point positions
@@ -45,27 +45,34 @@ func newRing(backends []string) *ring {
 		}
 		return pts[a].backend < pts[b].backend
 	})
-	return &ring{points: pts}
+	return &ring{points: pts, backends: len(backends)}
 }
 
-// owner returns the backend owning key: the first point clockwise from
-// hash(key) whose backend is admitted and not the excluded index (pass
-// exclude < 0 to exclude nothing — hedged requests use it to find a
-// distinct secondary). Returns -1 when no backend qualifies.
-func (r *ring) owner(key string, admitted func(int) bool, exclude int) int {
+// owner returns the backend for a job's attempt: the (attempt mod n)-th
+// distinct backend met clockwise from hash(key), n being the fleet size,
+// so attempts 0..n-1 visit every backend once and then wrap. Returns -1
+// for an empty ring.
+func (r *ring) owner(key string, attempt int) int {
 	n := len(r.points)
 	if n == 0 {
 		return -1
 	}
 	h := hash64(key)
 	start := sort.Search(n, func(i int) bool { return r.points[i].hash >= h })
+	skip := attempt % r.backends
+	seen := make([]bool, r.backends)
 	for k := 0; k < n; k++ {
 		b := r.points[(start+k)%n].backend
-		if b != exclude && admitted(b) {
+		if seen[b] {
+			continue
+		}
+		if skip == 0 {
 			return b
 		}
+		seen[b] = true
+		skip--
 	}
-	return -1
+	return -1 // unreachable: one lap of the ring meets every backend
 }
 
 // hash64 is the ring's position function (FNV-1a, stable across runs and

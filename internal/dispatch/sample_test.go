@@ -5,7 +5,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"loosesim/internal/sample"
 	"loosesim/internal/serve"
@@ -21,12 +20,7 @@ func TestRunSampledMatchesLocal(t *testing.T) {
 	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 2})
 	defer closeAll()
 
-	c, err := New(Options{
-		Backends:    servetest.URLs(backends),
-		Attempts:    3,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  10 * time.Millisecond,
-	})
+	c, err := New(Options{Backends: servetest.URLs(backends)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +60,8 @@ func TestRunSampledMatchesLocal(t *testing.T) {
 // must still match the serial sampler byte for byte.
 func TestRunSampledLocalFallback(t *testing.T) {
 	c, err := New(Options{
-		Backends:    []string{"http://127.0.0.1:9"},
-		Attempts:    1,
-		BackoffBase: time.Microsecond,
-		BackoffCap:  time.Microsecond,
+		Backends: []string{"http://127.0.0.1:9"},
+		After:    (&instantClock{}).After,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,17 +35,12 @@ func TestTraceRetrySiblingSpans(t *testing.T) {
 	)
 	var sink trace.Collector
 	tracer := trace.New(trace.Options{Seed: 1, Sink: &sink})
-	clock := &instantClock{park: parkProbes}
 	c, err := New(Options{
-		Backends:      []string{b.URL},
-		Client:        &http.Client{Transport: tr},
-		Attempts:      4,
-		BackoffBase:   50 * time.Millisecond,
-		BackoffCap:    2 * time.Second,
-		ProbeInterval: parkProbes,
-		Jitter:        func() float64 { return 0 },
-		After:         clock.After,
-		Tracer:        tracer,
+		Backends: []string{b.URL},
+		Client:   &http.Client{Transport: tr},
+		Jitter:   func() float64 { return 0 },
+		After:    (&instantClock{}).After,
+		Tracer:   tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,73 +91,6 @@ func TestTraceRetrySiblingSpans(t *testing.T) {
 	}
 }
 
-// TestTraceHedgeWinnerMarked hangs the key's owner so the hedge wins, and
-// checks the hedge span alone carries the winner flag while the cancelled
-// primary's span still closes.
-func TestTraceHedgeWinnerMarked(t *testing.T) {
-	backends, closeAll := servetest.StartBackends(2, serve.Options{Workers: 1})
-	defer closeAll()
-	urls := servetest.URLs(backends)
-
-	cfgs := []pipeline.Config{testCfg(t, "swim", 3)}
-	key, err := serve.ConfigKey(cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var sink trace.Collector
-	tracer := trace.New(trace.Options{Seed: 1, Sink: &sink})
-	clock := &instantClock{park: parkProbes}
-	tr := &servetest.Tripper{}
-	c, err := New(Options{
-		Backends:      urls,
-		Client:        &http.Client{Transport: tr},
-		HedgeDelay:    77 * time.Millisecond,
-		ProbeInterval: parkProbes,
-		Jitter:        func() float64 { return 0 },
-		After:         clock.After,
-		Tracer:        tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	primary := c.pick(key, -1)
-	if primary < 0 {
-		t.Fatal("no primary")
-	}
-	primaryHost := strings.TrimPrefix(urls[primary], "http://")
-	tr.Match = func(r *http.Request) bool { return r.URL.Host == primaryHost }
-	tr.Script(servetest.FaultSpec{Fault: servetest.Hang})
-
-	if _, err := c.RunAll(context.Background(), cfgs); err != nil {
-		t.Fatal(err)
-	}
-	if n := tracer.Open(); n != 0 {
-		t.Fatalf("open spans after hedged RunAll = %d, want 0", n)
-	}
-
-	var postSeen, hedgeSeen bool
-	for _, s := range sink.Spans() {
-		switch s.Name {
-		case "post":
-			postSeen = true
-			if s.Winner {
-				t.Fatal("hung primary marked winner")
-			}
-		case "hedge":
-			hedgeSeen = true
-			if !s.Winner || s.Status != "ok" {
-				t.Fatalf("hedge span = %+v, want winner with status ok", s)
-			}
-		}
-	}
-	if !postSeen || !hedgeSeen {
-		t.Fatalf("post/hedge spans missing (post=%v hedge=%v)", postSeen, hedgeSeen)
-	}
-}
-
 // TestTraceStreamByteIdentical runs the same faulted single-job scenario
 // twice — fresh backend, coordinator, and writer each time, with a
 // constant injected clock — and demands byte-identical span streams.
@@ -179,16 +107,12 @@ func TestTraceStreamByteIdentical(t *testing.T) {
 			Now:  func() time.Time { return time.Unix(0, 424242) },
 			Sink: w,
 		})
-		clock := &instantClock{park: parkProbes}
 		c, err := New(Options{
-			Backends:      []string{b.URL},
-			Client:        &http.Client{Transport: tr},
-			Attempts:      3,
-			BackoffBase:   time.Millisecond,
-			ProbeInterval: parkProbes,
-			Jitter:        func() float64 { return 0 },
-			After:         clock.After,
-			Tracer:        tracer,
+			Backends: []string{b.URL},
+			Client:   &http.Client{Transport: tr},
+			Jitter:   func() float64 { return 0 },
+			After:    (&instantClock{}).After,
+			Tracer:   tracer,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -225,16 +149,12 @@ func TestTraceOffCountersIdentical(t *testing.T) {
 			servetest.FaultSpec{Fault: servetest.DropConn},
 			servetest.FaultSpec{Fault: servetest.Status500},
 		)
-		clock := &instantClock{park: parkProbes}
 		c, err := New(Options{
-			Backends:      []string{b.URL},
-			Client:        &http.Client{Transport: tr},
-			Attempts:      4,
-			BackoffBase:   time.Millisecond,
-			ProbeInterval: parkProbes,
-			Jitter:        func() float64 { return 0 },
-			After:         clock.After,
-			Tracer:        tracer,
+			Backends: []string{b.URL},
+			Client:   &http.Client{Transport: tr},
+			Jitter:   func() float64 { return 0 },
+			After:    (&instantClock{}).After,
+			Tracer:   tracer,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -307,10 +227,9 @@ func TestTraceFleetGolden(t *testing.T) {
 		rt[strings.TrimPrefix(stable[i], "http://")] = strings.TrimPrefix(u, "http://")
 	}
 	c, err := New(Options{
-		Backends:      stable,
-		Client:        &http.Client{Transport: rt},
-		ProbeInterval: parkProbes, // probe spans would land nondeterministically mid-sweep
-		Tracer:        tracer,
+		Backends: stable,
+		Client:   &http.Client{Transport: rt},
+		Tracer:   tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +319,7 @@ func checkFleetSpans(t *testing.T, stream []byte, jobs int) {
 			case "post":
 				hasPost = true
 				if !s.Winner {
-					t.Fatalf("trace %s: unhedged post not marked winner", id)
+					t.Fatalf("trace %s: unfaulted post not marked winner", id)
 				}
 			case "serve":
 				hasServe = true

@@ -23,10 +23,13 @@ type Options struct {
 	// Seed is the base simulation seed.
 	Seed int64
 	// Runner, when non-nil, replaces loosesim.RunAll as the batch engine
-	// behind every experiment. The serving layer injects a cached runner
-	// here (serve.RunAllCached) so regenerating a figure reuses any sweep
-	// point already in the content-addressed store. A Runner must honour
-	// RunAll's contract: results in input order, first error aborts.
+	// behind every experiment. cmd/loosweep injects the dispatch
+	// coordinator here (dispatch.Coordinator.Runner), which shards the
+	// batch over a fleet of backends or, with no fleet, runs it locally,
+	// through serve.RunAllCached under -cache, so regenerating a figure
+	// reuses any sweep point already in a content-addressed store. A
+	// Runner must honour RunAll's contract: results in input order, first
+	// error aborts.
 	Runner func([]pipeline.Config) ([]*pipeline.Result, error)
 }
 

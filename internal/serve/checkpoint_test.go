@@ -82,13 +82,14 @@ func TestCheckpointJobThroughServer(t *testing.T) {
 
 // TestCheckpointJobRequiresConfig: checkpoints carry opaque machine
 // state, so they only make sense against the exact raw config they were
-// taken under — bench and figure jobs must reject them.
+// taken under — a bench job, or a spec naming no job at all, must reject
+// them.
 func TestCheckpointJobRequiresConfig(t *testing.T) {
 	srv := New(Options{Workers: 1})
 	defer srv.Close()
 	for _, spec := range []JobSpec{
 		{Bench: "gcc", Checkpoint: []byte{1, 2, 3}},
-		{Figure: "4", Checkpoint: []byte{1, 2, 3}},
+		{Checkpoint: []byte{1, 2, 3}},
 	} {
 		if _, err := srv.Submit(spec); err == nil {
 			t.Errorf("spec %+v must fail", spec)

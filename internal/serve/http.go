@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 
@@ -42,9 +43,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // (the job's result encoding, or nil) spliced in as the "result" member.
 // The bytes are exactly json.Marshal's for the Status with its Result
 // decoded from enc, without decoding it: encoding/json writes a nested
-// Result as it writes one alone, and "result" is the last member a
-// single-simulation job's status has (only figure jobs carry a table,
-// and they have no result), so the splice goes before the closing brace.
+// Result as it writes one alone, and "result" is the last member of a
+// Status, so the splice goes before the closing brace.
 func appendStatus(b []byte, st Status, enc []byte) ([]byte, error) {
 	head, err := json.Marshal(st)
 	if err != nil {
@@ -156,10 +156,11 @@ const requestIndexCap = 4096
 // That is safe because decoding, validation and the content key are pure
 // functions of the bytes, so identical bytes always reach the same key;
 // the index only maps a digest to a key, and the store stays the only
-// authority on what a key holds. Only a body that decoded, validated and
-// produced a cacheable key is indexed — no figure or no-cache jobs — and
-// anything the index cannot answer (an unknown digest, a key the store no
-// longer holds, a draining server) takes the decode path.
+// authority on what a key holds. Only a body that decoded strictly (one
+// JSON value, nothing but whitespace after it), validated and asked for
+// the cache is indexed, and anything the index cannot answer (an unknown
+// digest, a key the store no longer holds, a draining server) takes the
+// decode path.
 func (s *Server) submitBody(body []byte, parent trace.SpanContext) (*Job, error) {
 	digest := sha256.Sum256(body)
 	if job := s.submitIndexed(digest, parent); job != nil {
@@ -171,11 +172,14 @@ func (s *Server) submitBody(body []byte, parent trace.SpanContext) (*Job, error)
 	if err := dec.Decode(&spec); err != nil {
 		return nil, err
 	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("serve: request body has data after the job")
+	}
 	key, err := spec.key()
 	if err != nil {
 		return nil, err
 	}
-	if key != "" && !spec.NoCache {
+	if !spec.NoCache {
 		s.mu.Lock()
 		if len(s.requests) >= requestIndexCap {
 			clear(s.requests)
@@ -201,7 +205,7 @@ func (s *Server) submitIndexed(digest [sha256.Size]byte, parent trace.SpanContex
 		s.mu.Unlock()
 		return nil
 	}
-	jsp := s.serveSpan(parent, key, "")
+	jsp := s.serveSpan(parent, key)
 	return s.hitLocked(key, enc, jsp, jsp.Child("cache"))
 }
 

@@ -76,6 +76,8 @@ func TestRequestIndexRejectsBadBodies(t *testing.T) {
 		`{"bench":"gcc","inst":5000,"priority":1}`,
 		`{"config":{"NoSuchField":1}}`,
 		`{"bench":"gcc","figure":"4"}`,
+		`{"bench":"gcc","warmup":0,"inst":500} trailing garbage`,
+		`{"bench":"gcc","warmup":0,"inst":500} {}`,
 	} {
 		var first []byte
 		for i := 0; i < 3; i++ {
@@ -318,7 +320,7 @@ func submitAnswer(t *testing.T, h http.Handler, body []byte) answer {
 // one. The request index may change how a repeat is answered, never what:
 // every answer must carry the fresh server's status code, job state, key,
 // error and result bytes. A body that decodes to a costlier job than the
-// corpus holds — a figure, a host timeout, another machine, a longer run —
+// corpus holds — a host timeout, another machine, a longer run —
 // is skipped: the fuzzer explores encodings, not machine sizes.
 func FuzzSubmitIndex(f *testing.F) {
 	machines := map[string]bool{}
@@ -335,8 +337,8 @@ func FuzzSubmitIndex(f *testing.F) {
 		var spec JobSpec
 		if dec.Decode(&spec) == nil {
 			if _, err := spec.key(); err == nil {
-				if spec.Figure != "" || spec.TimeoutMS != 0 {
-					t.Skip("figure or timed job")
+				if spec.TimeoutMS != 0 {
+					t.Skip("timed job")
 				}
 				cfg, _ := spec.config()
 				if cfg.WarmupInstructions > fuzzRunLimit || cfg.MeasureInstructions > fuzzRunLimit ||

@@ -1,6 +1,6 @@
 // Package serve is the simulation service layer behind cmd/loosimd: an
-// HTTP JSON API that accepts simulation and figure jobs, runs them on a
-// bounded worker pool (machines constructed lazily, one live per worker),
+// HTTP JSON API that accepts simulation jobs, runs them on a bounded
+// worker pool (machines constructed lazily, one live per worker),
 // memoizes results in a content-addressed cache keyed by the canonical
 // hash of a pipeline.Config, and exposes queue depth, cache hit rate,
 // per-job throughput, and aggregate loop delays on /metrics.
@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"loosesim/internal/experiments"
 	"loosesim/internal/obs"
 	"loosesim/internal/pipeline"
 	"loosesim/internal/snap"
@@ -79,12 +78,13 @@ var (
 	ErrQueueFull = errors.New("serve: queue full")
 )
 
-// JobSpec is the JSON body of a submission: exactly one of Bench (a single
-// simulation), Figure (a whole paper figure regenerated through the
-// cache), or Config (a complete raw configuration) must be set.
+// JobSpec is the JSON body of a submission: exactly one of Bench (a named
+// benchmark on the paper's machines) or Config (a complete raw
+// configuration) must be set. A figure is a sweep of such jobs, which
+// cmd/loosweep posts one point at a time.
 type JobSpec struct {
-	// Single-simulation jobs. Zero values select the paper's base
-	// machine defaults, mirroring cmd/loosim's flags.
+	// Named-bench jobs. Zero values select the paper's base machine
+	// defaults, mirroring cmd/loosim's flags.
 	Bench   string  `json:"bench,omitempty"`
 	DRA     bool    `json:"dra,omitempty"`
 	RegRead int     `json:"regread,omitempty"` // register file read latency; 0 = 3
@@ -95,10 +95,6 @@ type JobSpec struct {
 	Seed    int64   `json:"seed,omitempty"`    // 0 = 1
 	Warmup  *uint64 `json:"warmup,omitempty"`  // nil = machine default
 	Inst    uint64  `json:"inst,omitempty"`    // measured instructions; 0 = machine default
-
-	// Figure jobs.
-	Figure string `json:"figure,omitempty"` // 4|5|6|8|9
-	Quick  bool   `json:"quick,omitempty"`  // short runs (experiments.QuickOptions)
 
 	// Raw-config jobs: a complete pipeline.Config, the wire format the
 	// sweep coordinator (internal/dispatch) uses to ship arbitrary sweep
@@ -125,8 +121,8 @@ type JobSpec struct {
 	Events      bool  `json:"events,omitempty"`       // aggregate loop events into /metrics
 }
 
-// config builds the pipeline configuration for a single-simulation spec
-// (a named bench or a raw config).
+// config builds the pipeline configuration for a spec (a named bench or
+// a raw config).
 func (s JobSpec) config() (pipeline.Config, error) {
 	if s.Config != nil {
 		cfg := *s.Config
@@ -194,23 +190,6 @@ func (s JobSpec) config() (pipeline.Config, error) {
 	return cfg, nil
 }
 
-// figure maps a spec's figure name to its experiment.
-func figure(name string) func(experiments.Options) (*experiments.Table, error) {
-	switch name {
-	case "4":
-		return experiments.Fig4
-	case "5":
-		return experiments.Fig5
-	case "6":
-		return experiments.Fig6
-	case "8":
-		return experiments.Fig8
-	case "9":
-		return experiments.Fig9
-	}
-	return nil
-}
-
 // Job is one accepted submission and its lifecycle. All exported methods
 // are safe for concurrent use.
 //
@@ -220,7 +199,7 @@ func figure(name string) func(experiments.Options) (*experiments.Table, error) {
 // to the stored bytes.
 type Job struct {
 	id  string
-	key string // content address; single-simulation jobs only
+	key string // content address
 	srv *Server
 
 	// inQueue marks the job as present in the queue's FIFO. Guarded by
@@ -252,11 +231,10 @@ type Job struct {
 	state  JobState
 	cached bool
 	errMsg string
-	// enc is a single simulation's result as the store holds it: the
-	// bytes the job put, or got on a hit. Responses splice it in as is;
-	// Status decodes it afresh on every call.
+	// enc is the job's result as the store holds it: the bytes the job
+	// put, or got on a hit. Responses splice it in as is; Status decodes
+	// it afresh on every call.
 	enc     []byte
-	table   *experiments.Table
 	hostSec float64
 	kips    float64
 }
@@ -328,19 +306,18 @@ func (j *Job) closeSpans(state JobState) {
 	j.span.End()
 }
 
-// Status is the JSON snapshot of a job. The HTTP API writes a
-// single-simulation job's Result as the bytes the store holds, which are
-// exactly the encoding of the Result that Job.Status decodes from them.
+// Status is the JSON snapshot of a job. The HTTP API writes a job's
+// Result as the bytes the store holds, which are exactly the encoding of
+// the Result that Job.Status decodes from them.
 type Status struct {
-	ID          string             `json:"id"`
-	State       JobState           `json:"state"`
-	Key         string             `json:"key,omitempty"`
-	Cached      bool               `json:"cached,omitempty"`
-	Error       string             `json:"error,omitempty"`
-	HostSeconds float64            `json:"host_seconds,omitempty"`
-	KIPS        float64            `json:"kips,omitempty"`
-	Result      *pipeline.Result   `json:"result,omitempty"`
-	Table       *experiments.Table `json:"table,omitempty"`
+	ID          string           `json:"id"`
+	State       JobState         `json:"state"`
+	Key         string           `json:"key,omitempty"`
+	Cached      bool             `json:"cached,omitempty"`
+	Error       string           `json:"error,omitempty"`
+	HostSeconds float64          `json:"host_seconds,omitempty"`
+	KIPS        float64          `json:"kips,omitempty"`
+	Result      *pipeline.Result `json:"result,omitempty"`
 }
 
 // Status returns a snapshot of the job. Its Result is decoded from the
@@ -372,7 +349,6 @@ func (j *Job) snapshot() (Status, []byte) {
 		Error:       j.errMsg,
 		HostSeconds: j.hostSec,
 		KIPS:        j.kips,
-		Table:       j.table,
 	}, j.enc
 }
 
@@ -503,10 +479,10 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Submit validates and enqueues a job. Single-simulation jobs that hit the
-// cache complete immediately without occupying a worker. Validation
-// failures happen before any span opens — rejected specs never become
-// jobs, so they never appear in traces either.
+// Submit validates and enqueues a job. A job that hits the cache completes
+// immediately without occupying a worker. Validation failures happen
+// before any span opens — rejected specs never become jobs, so they never
+// appear in traces either.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	key, err := spec.key()
 	if err != nil {
@@ -515,30 +491,13 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return s.admit(spec, key, trace.SpanContext{})
 }
 
-// key validates a spec and returns its content address, or "" for a
-// figure job, which has none.
+// key validates a spec and returns its content address.
 func (s JobSpec) key() (string, error) {
-	kinds := 0
-	if s.Bench != "" {
-		kinds++
-	}
-	if s.Figure != "" {
-		kinds++
-	}
-	if s.Config != nil {
-		kinds++
-	}
-	if kinds != 1 {
-		return "", errors.New("serve: a job needs exactly one of bench, figure, or config")
+	if (s.Bench != "") == (s.Config != nil) {
+		return "", errors.New("serve: a job needs exactly one of bench or config")
 	}
 	if s.Checkpoint != nil && s.Config == nil {
 		return "", errors.New("serve: a checkpoint job needs a raw config")
-	}
-	if s.Figure != "" {
-		if figure(s.Figure) == nil {
-			return "", fmt.Errorf("serve: unknown figure %q", s.Figure)
-		}
-		return "", nil
 	}
 	cfg, err := s.config()
 	if err != nil {
@@ -561,16 +520,13 @@ func (s JobSpec) key() (string, error) {
 
 // serveSpan opens a job's serve span. It continues the coordinator's trace
 // when the submission carried one; otherwise it roots a fresh trace keyed
-// by the job's content address (or figure name), so repeated runs of the
-// same sweep produce the same trace IDs.
-func (s *Server) serveSpan(parent trace.SpanContext, key, fig string) *trace.ActiveSpan {
-	switch {
-	case parent.Trace != "":
+// by the job's content address, so repeated runs of the same sweep produce
+// the same trace IDs.
+func (s *Server) serveSpan(parent trace.SpanContext, key string) *trace.ActiveSpan {
+	if parent.Trace != "" {
 		return s.opts.Tracer.Continue(parent, "serve")
-	case key != "":
-		return s.opts.Tracer.Root(key, "serve")
 	}
-	return s.opts.Tracer.Root("figure:"+fig, "serve")
+	return s.opts.Tracer.Root(key, "serve")
 }
 
 // nextJobID assigns the next job ID. Called with s.mu held.
@@ -584,7 +540,7 @@ func (s *Server) nextJobID() string {
 // (decoded from a Traceparent header), the job's spans join the
 // coordinator's trace instead of starting a fresh one.
 func (s *Server) admit(spec JobSpec, key string, parent trace.SpanContext) (*Job, error) {
-	jsp := s.serveSpan(parent, key, spec.Figure)
+	jsp := s.serveSpan(parent, key)
 
 	s.mu.Lock()
 	if s.draining {
@@ -595,7 +551,7 @@ func (s *Server) admit(spec JobSpec, key string, parent trace.SpanContext) (*Job
 		return nil, ErrDraining
 	}
 
-	if key != "" && !spec.NoCache {
+	if !spec.NoCache {
 		csp := jsp.Child("cache")
 		if enc, ok, err := s.store.Get(key); err == nil && ok {
 			return s.hitLocked(key, enc, jsp, csp), nil
@@ -707,8 +663,9 @@ func (s *Server) worker() {
 }
 
 // runJob executes one dequeued job end to end, including metrics. The
-// job's host time and KIPS are recorded before its terminal transition, so
-// a waiter woken by Done (a ?wait=1 response) always sees them.
+// job's host time and KIPS, and the server's outcome counter, are recorded
+// before its terminal transition, so a waiter woken by Done (a ?wait=1
+// response) always sees them.
 func (s *Server) runJob(job *Job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -722,26 +679,20 @@ func (s *Server) runJob(job *Job) {
 	if s.opts.Now != nil {
 		start = s.opts.Now()
 	}
-	var retired uint64
-	var err error
-	if spec.Figure != "" {
-		retired, err = s.runFigure(job, spec)
-	} else {
-		retired, err = s.runSim(job, spec)
-	}
+	retired, err := s.runSim(job, spec)
 	if s.opts.Now != nil {
 		s.recordHostTime(job, s.opts.Now().Sub(start).Seconds(), retired)
 	}
 	switch {
 	case err == nil:
-		job.finish(StateDone, nil)
 		s.completed.Add(1)
+		job.finish(StateDone, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		job.finish(StateCancelled, err)
 		s.cancelled.Add(1)
+		job.finish(StateCancelled, err)
 	default: // ErrCycleBudget, bad configs, and anything else a run reports
-		job.finish(StateFailed, err)
 		s.failed.Add(1)
+		job.finish(StateFailed, err)
 	}
 }
 
@@ -766,7 +717,7 @@ func (s *Server) recordHostTime(job *Job, sec float64, retired uint64) {
 	}
 }
 
-// runSim executes a single-simulation job and returns the retired
+// runSim executes a job's simulation and returns the retired
 // instruction count (0 when no simulation completed) and the error that
 // ended the job, if any. The job keeps its result as the encoding it puts
 // in the store; a result that cannot be encoded fails the job.
@@ -827,45 +778,6 @@ func (s *Server) runSim(job *Job, spec *JobSpec) (uint64, error) {
 	job.enc = enc
 	job.mu.Unlock()
 	return res.TotalRetired, nil
-}
-
-// runFigure regenerates one paper figure through the cache and returns the
-// total retired instructions across its cache-missing simulations and the
-// error that ended the job, if any.
-func (s *Server) runFigure(job *Job, spec *JobSpec) (uint64, error) {
-	if err := job.ctx.Err(); err != nil {
-		return 0, err
-	}
-	fig := figure(spec.Figure)
-	opt := experiments.DefaultOptions()
-	if spec.Quick {
-		opt = experiments.QuickOptions()
-	}
-	var retired atomic.Uint64
-	store := s.store
-	if spec.NoCache {
-		store = nil
-	}
-	opt.Runner = func(cfgs []pipeline.Config) ([]*pipeline.Result, error) {
-		results, err := RunAllCached(job.ctx, store, &s.cstats, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			retired.Add(r.TotalRetired)
-		}
-		return results, nil
-	}
-	rsp := job.span.Child("run")
-	table, err := fig(opt)
-	endRunSpan(rsp, err)
-	if err != nil {
-		return 0, err
-	}
-	job.mu.Lock()
-	job.table = table
-	job.mu.Unlock()
-	return retired.Load(), nil
 }
 
 // endRunSpan closes a job's run span with the status its outcome maps to.

@@ -377,13 +377,13 @@ func TestServerDrain(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	srv := New(Options{Workers: 1})
 	defer srv.Close()
+	cfg := simCfg(t, "gcc", 1)
 	cases := []JobSpec{
-		{},                              // neither bench nor figure
-		{Bench: "gcc", Figure: "4"},     // both
+		{},                              // neither bench nor config
+		{Bench: "gcc", Config: &cfg},    // both
 		{Bench: "no-such-bench"},        // unknown workload
 		{Bench: "gcc", Load: "wat"},     // unknown policy
 		{Bench: "gcc", CycleBudget: -1}, // invalid config
-		{Figure: "7"},                   // unknown figure
 	}
 	for i, spec := range cases {
 		if _, err := srv.Submit(spec); err == nil {
@@ -432,40 +432,6 @@ func TestSubmitRejectsPastEventHorizon(t *testing.T) {
 	st := submitWait(t, ts.URL, JobSpec{Bench: "gcc", Warmup: new(uint64), Inst: 3000})
 	if st.State != StateDone || st.Result == nil || st.Result.Counters.Retired == 0 {
 		t.Fatalf("ordinary job after the rejections: state %q (%s)", st.State, st.Error)
-	}
-}
-
-func TestFigureJobThroughCache(t *testing.T) {
-	srv := New(Options{Workers: 2})
-	defer srv.Close()
-	job, err := srv.Submit(JobSpec{Figure: "6", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	st := job.Status()
-	if st.State != StateDone {
-		t.Fatalf("figure job state = %q (%s)", st.State, st.Error)
-	}
-	if st.Table == nil || len(st.Table.Rows) == 0 {
-		t.Fatal("figure job has no table")
-	}
-	misses := srv.Metrics().Cache.Misses
-	if misses == 0 {
-		t.Fatal("figure run must populate the cache")
-	}
-	// The same figure again is served entirely from the cache.
-	job2, err := srv.Submit(JobSpec{Figure: "6", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job2.Done()
-	m := srv.Metrics()
-	if m.Cache.Misses != misses {
-		t.Fatalf("second figure run missed the cache: %d -> %d", misses, m.Cache.Misses)
-	}
-	if m.Cache.Hits == 0 {
-		t.Fatal("second figure run must hit the cache")
 	}
 }
 

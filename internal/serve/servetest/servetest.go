@@ -81,8 +81,8 @@ const (
 	// reset), never reaching the backend.
 	DropConn
 	// Hang blocks until the request's context is cancelled, then reports
-	// its error (a black-holed connection; pairs with client timeouts and
-	// hedging).
+	// its error (a black-holed connection that only the caller's context
+	// ends).
 	Hang
 	// TruncateBody forwards the request but cuts the response body in
 	// half, leaving the client an unparseable JSON fragment.

@@ -1,8 +1,8 @@
 // Package trace is the serving stack's distributed-tracing layer: a
 // deterministic span model that decomposes a sweep job's end-to-end
-// latency into its stages — coordinator attempt, backoff wait, hedge,
-// backend queue wait, cache lookup, simulation run — the same way the
-// simulator decomposes IPC loss into per-loop delay contributions.
+// latency into its stages — coordinator attempt, backoff wait, local
+// fallback, backend queue wait, cache lookup, simulation run — the same
+// way the simulator decomposes IPC loss into per-loop delay contributions.
 //
 // Determinism is the design center, mirroring the rest of internal/:
 //
@@ -50,9 +50,8 @@ type Span struct {
 	Span uint64 `json:"span"`
 	// Parent is the parent span's ID; 0 marks a root.
 	Parent uint64 `json:"parent,omitempty"`
-	// Name is the stage: "job", "post", "hedge", "backoff", "local",
-	// "probe" on the coordinator; "serve", "cache", "queue", "run" on a
-	// backend.
+	// Name is the stage: "job", "post", "backoff", "local" on the
+	// coordinator; "serve", "cache", "queue", "run" on a backend.
 	Name string `json:"name"`
 	// Key is the job's content address (serve.ConfigKey), set on roots.
 	Key string `json:"key,omitempty"`
@@ -64,7 +63,7 @@ type Span struct {
 	// Detail carries the error message or outcome annotation, if any.
 	Detail string `json:"detail,omitempty"`
 	// Winner marks the attempt whose response the job actually used —
-	// the survivor of a retry chain or a hedge race.
+	// the survivor of a retry chain.
 	Winner bool `json:"winner,omitempty"`
 	// Start and End are injected-clock timestamps in nanoseconds; zero
 	// when the tracer has no clock.
@@ -200,8 +199,8 @@ func traceID(seed int64, key string, occurrence uint64) string {
 // maxChildIndex caps one span's distinguishable children. Index
 // assignment saturates there: a 256th child would reuse the ID, which
 // degrades uniqueness but never breaks the encoding — and no stage in
-// the serving stack approaches it (attempts are bounded by
-// Options.Attempts, backend stages by the job lifecycle).
+// the serving stack approaches it (attempts are bounded by the
+// coordinator's fixed retry count, backend stages by the job lifecycle).
 const maxChildIndex = 255
 
 // childID extends a parent's tree-path ID by one digit.

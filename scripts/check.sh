@@ -64,7 +64,15 @@ go run ./cmd/loosim -bench apsi -dra -warmup 20000 -inst 60000 \
 	-intervals "$tmp/iv.jsonl" -events "$tmp/ev.jsonl" >/dev/null
 go run ./cmd/loostrace "$tmp/ev.jsonl" "$tmp/iv.jsonl" >/dev/null
 
-echo "==> figure driver smoke (loosweep -quick -ablation fwd, local)"
-go run ./cmd/loosweep -quick -ablation fwd >/dev/null
+echo "==> figure driver smoke (loosweep -quick -ablation fwd, locally and through a dead backend)"
+go build -o "$tmp/loosweep" ./cmd/loosweep
+"$tmp/loosweep" -quick -ablation fwd >"$tmp/local.txt"
+# Port 9 (discard) is closed: every job walks the ring through its retries
+# and then runs locally, so the tables must be the local run's. Only the
+# "[name took Ns]" timing lines may differ.
+"$tmp/loosweep" -quick -ablation fwd -backends http://127.0.0.1:9 >"$tmp/fleet.txt"
+grep -v '^\[.* took .*s\]$' "$tmp/local.txt" >"$tmp/local.tables"
+grep -v '^\[.* took .*s\]$' "$tmp/fleet.txt" >"$tmp/fleet.tables"
+diff "$tmp/local.tables" "$tmp/fleet.tables"
 
 echo "All checks passed."
