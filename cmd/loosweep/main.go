@@ -22,6 +22,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -88,56 +89,75 @@ func selectSweeps(table []sweep, kind, prefix, value string) ([]sweep, error) {
 	return nil, fmt.Errorf("unknown %s %q", kind, value)
 }
 
+// flags are the command's parsed options.
+type flags struct {
+	backends, fig, ablation, cacheDir, traceFile string
+	quick, noCache, asJSON, asCSV                bool
+	measure                                      uint64
+	seed, traceSeed                              int64
+	inflight                                     int
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loosweep: ")
 
-	var (
-		backends  = flag.String("backends", "", "comma-separated loosimd base URLs (empty: run everything locally)")
-		fig       = flag.String("fig", "", "figure to regenerate: 4, 5, 6, 8, 9, or all")
-		ablation  = flag.String("ablation", "", "ablation to run: recovery, crc, fwd, iqpressure, crcpolicy, monolithic, memdep, predictor, loops, or all")
-		quick     = flag.Bool("quick", false, "short runs (smoke-test quality)")
-		measure   = flag.Uint64("inst", 0, "override measured instructions per run")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache for local runs (shareable with loosimd -cache)")
-		inflight  = flag.Int("inflight", 0, "max in-flight requests per backend (0 = default)")
-		noCache   = flag.Bool("nocache", false, "ask backends to bypass their result caches")
-		asJSON    = flag.Bool("json", false, "emit tables as JSON")
-		asCSV     = flag.Bool("csv", false, "emit tables as CSV")
-		traceFile = flag.String("trace", "", "append coordinator spans (JSONL) to this file; loostrace renders them")
-		traceSeed = flag.Int64("trace-seed", 1, "seed for deterministic trace IDs")
-	)
+	var f flags
+	flag.StringVar(&f.backends, "backends", "", "comma-separated loosimd base URLs (empty: run everything locally)")
+	flag.StringVar(&f.fig, "fig", "", "figure to regenerate: 4, 5, 6, 8, 9, or all")
+	flag.StringVar(&f.ablation, "ablation", "", "ablation to run: recovery, crc, fwd, iqpressure, crcpolicy, monolithic, memdep, predictor, loops, or all")
+	flag.BoolVar(&f.quick, "quick", false, "short runs (smoke-test quality)")
+	flag.Uint64Var(&f.measure, "inst", 0, "override measured instructions per run")
+	flag.Int64Var(&f.seed, "seed", 1, "simulation seed")
+	flag.StringVar(&f.cacheDir, "cache", "", "content-addressed result cache for local runs (shareable with loosimd -cache)")
+	flag.IntVar(&f.inflight, "inflight", 0, "max in-flight requests per backend (0 = default)")
+	flag.BoolVar(&f.noCache, "nocache", false, "ask backends to bypass their result caches")
+	flag.BoolVar(&f.asJSON, "json", false, "emit tables as JSON")
+	flag.BoolVar(&f.asCSV, "csv", false, "emit tables as CSV")
+	flag.StringVar(&f.traceFile, "trace", "", "append coordinator spans (JSONL) to this file; loostrace renders them")
+	flag.Int64Var(&f.traceSeed, "trace-seed", 1, "seed for deterministic trace IDs")
 	flag.Parse()
 
-	if *fig == "" && *ablation == "" {
+	if f.fig == "" && f.ablation == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *asJSON && *asCSV {
-		log.Fatal("-json and -csv are mutually exclusive")
+	// run returns instead of exiting so that its deferred span flush,
+	// trace file close, coordinator close and signal release all happen
+	// on a failed or interrupted sweep too.
+	if err := run(f); err != nil {
+		log.Print(err)
+		os.Exit(1)
 	}
-	figs, err := selectSweeps(figures, "figure", "fig", *fig)
-	if err != nil {
-		log.Fatal(err)
+}
+
+// run regenerates the selected figures and ablations.
+func run(f flags) error {
+	if f.asJSON && f.asCSV {
+		return errors.New("-json and -csv are mutually exclusive")
 	}
-	abls, err := selectSweeps(ablations, "ablation", "", *ablation)
+	figs, err := selectSweeps(figures, "figure", "fig", f.fig)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	abls, err := selectSweeps(ablations, "ablation", "", f.ablation)
+	if err != nil {
+		return err
 	}
 
 	var tracer *trace.Tracer
-	if *traceFile != "" {
-		f, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if f.traceFile != "" {
+		file, err := os.OpenFile(f.traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		spanOut := trace.NewWriter(f)
-		tracer = trace.New(trace.Options{Seed: *traceSeed, Now: time.Now, Sink: spanOut})
+		spanOut := trace.NewWriter(file)
+		tracer = trace.New(trace.Options{Seed: f.traceSeed, Now: time.Now, Sink: spanOut})
 		defer func() {
 			if err := spanOut.Flush(); err != nil {
 				log.Printf("trace flush: %v", err)
 			}
-			if err := f.Close(); err != nil {
+			if err := file.Close(); err != nil {
 				log.Printf("trace close: %v", err)
 			}
 		}()
@@ -147,10 +167,10 @@ func main() {
 		local  func(context.Context, []pipeline.Config) ([]*pipeline.Result, error)
 		cstats serve.CacheStats
 	)
-	if *cacheDir != "" {
-		store, err := serve.NewDirStore(*cacheDir)
+	if f.cacheDir != "" {
+		store, err := serve.NewDirStore(f.cacheDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		local = func(ctx context.Context, cfgs []pipeline.Config) ([]*pipeline.Result, error) {
 			return serve.RunAllCached(ctx, store, &cstats, cfgs)
@@ -158,25 +178,25 @@ func main() {
 	}
 
 	coord, err := dispatch.New(dispatch.Options{
-		Backends: splitBackends(*backends),
-		InFlight: *inflight,
-		NoCache:  *noCache,
+		Backends: splitBackends(f.backends),
+		InFlight: f.inflight,
+		NoCache:  f.noCache,
 		Tracer:   tracer,
 		Local:    local,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer coord.Close()
 
 	opt := experiments.DefaultOptions()
-	if *quick {
+	if f.quick {
 		opt = experiments.QuickOptions()
 	}
-	if *measure > 0 {
-		opt.Measure = *measure
+	if f.measure > 0 {
+		opt.Measure = f.measure
 	}
-	opt.Seed = *seed
+	opt.Seed = f.seed
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	opt.Runner = coord.Runner(ctx)
@@ -184,7 +204,7 @@ func main() {
 	// With -json, stdout carries the JSON reports alone; the text that
 	// goes with them is written to stderr instead.
 	notes := os.Stdout
-	if *asJSON {
+	if f.asJSON {
 		notes = os.Stderr
 	}
 	var jobs []sweep
@@ -200,13 +220,13 @@ func main() {
 		t, err := j.run(opt)
 		if err != nil {
 			if ctx.Err() != nil {
-				log.Fatalf("%s: interrupted", j.name)
+				return fmt.Errorf("%s: interrupted", j.name)
 			}
-			log.Fatalf("%s: %v", j.name, err)
+			return fmt.Errorf("%s: %w", j.name, err)
 		}
 		wall := time.Since(start).Seconds()
 		switch {
-		case *asJSON:
+		case f.asJSON:
 			// Each table carries its name and host-side cost so a sweep's
 			// output is self-describing and throughput regressions show
 			// up in the archived reports.
@@ -219,23 +239,24 @@ func main() {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(report); err != nil {
-				log.Fatal(err)
+				return err
 			}
-		case *asCSV:
+		case f.asCSV:
 			if err := writeCSV(os.Stdout, t); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		default:
 			fmt.Println(t)
 			fmt.Printf("[%s took %.1fs]\n\n", j.name, wall)
 		}
 	}
-	if *cacheDir != "" {
+	if f.cacheDir != "" {
 		fmt.Fprintf(notes, "[cache: %d hits, %d misses]\n", cstats.Hits(), cstats.Misses())
 	}
-	if !*asJSON {
+	if !f.asJSON {
 		printFleetSummary(coord.Metrics())
 	}
+	return nil
 }
 
 // splitBackends parses the -backends flag; an empty flag means an empty

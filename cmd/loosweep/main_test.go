@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -18,6 +19,7 @@ import (
 
 	"loosesim/internal/serve"
 	"loosesim/internal/serve/servetest"
+	"loosesim/internal/trace"
 )
 
 // TestMain runs the command itself, instead of the tests, when
@@ -153,6 +155,10 @@ func TestSelectSweeps(t *testing.T) {
 // that differs between runs.
 var tookLine = regexp.MustCompile(`(?m)^\[\w+ took [0-9.]+s\]\n`)
 
+// cacheLine matches the -cache hit and miss counts, which differ between
+// a cold and a warm run.
+var cacheLine = regexp.MustCompile(`(?m)^\[cache: (\d+) hits, (\d+) misses\]\n`)
+
 // fleetLine matches the stderr fleet summary's request and hit counts.
 var fleetLine = regexp.MustCompile(`fleet: (\d+) requests, (\d+) cache hits`)
 
@@ -182,8 +188,37 @@ func TestFleetFigureThroughCache(t *testing.T) {
 	}
 }
 
+// TestDeadFleetFallbackUsesCache: jobs a dead fleet cannot serve run
+// locally through -cache, so a second identical sweep is answered from
+// the cache alone and prints the same tables.
+func TestDeadFleetFallbackUsesCache(t *testing.T) {
+	args := []string{"-fig", "6", "-quick", "-inst", "2000", "-cache", t.TempDir(), "-backends", "http://127.0.0.1:9"}
+	first, _ := loosweep(t, args...)
+	second, _ := loosweep(t, args...)
+	for run, out := range [][]byte{first, second} {
+		m := cacheLine.FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("run %d: no cache line:\n%s", run+1, out)
+		}
+		hits, _ := strconv.Atoi(string(m[1]))
+		misses, _ := strconv.Atoi(string(m[2]))
+		if run == 0 && (hits != 0 || misses == 0) || run == 1 && (hits == 0 || misses != 0) {
+			t.Fatalf("run %d: %d hits, %d misses; want the first run to fill the cache and the second to read only from it", run+1, hits, misses)
+		}
+	}
+	tables := func(out []byte) []byte {
+		out = tookLine.ReplaceAll(out, nil)
+		return cacheLine.ReplaceAll(out, nil)
+	}
+	if got, want := tables(second), tables(first); !bytes.Equal(got, want) {
+		t.Fatalf("cached tables differ from the first run's:\n%s\nfirst:\n%s", got, want)
+	}
+}
+
 // TestInterruptCancelsHungBackend: a sweep stuck on a backend that never
-// answers ends on SIGINT, with a non-zero exit, within a few seconds.
+// answers ends on SIGINT, with a non-zero exit, within a few seconds, and
+// its -trace file holds the cancelled jobs' spans in a form loostrace
+// reads.
 func TestInterruptCancelsHungBackend(t *testing.T) {
 	arrived := make(chan struct{}, 1)
 	hung := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
@@ -198,7 +233,8 @@ func TestInterruptCancelsHungBackend(t *testing.T) {
 	}))
 	defer hung.Close()
 
-	cmd := command("-fig", "6", "-quick", "-inst", "2000", "-backends", hung.URL)
+	spans := filepath.Join(t.TempDir(), "spans.jsonl")
+	cmd := command("-fig", "6", "-quick", "-inst", "2000", "-backends", hung.URL, "-trace", spans)
 	var errOut bytes.Buffer
 	cmd.Stderr = &errOut
 	if err := cmd.Start(); err != nil {
@@ -231,5 +267,29 @@ func TestInterruptCancelsHungBackend(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		kill()
 		t.Fatalf("loosweep still running 5s after SIGINT:\n%s", errOut.Bytes())
+	}
+
+	data, err := os.ReadFile(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 {
+		t.Fatal("the interrupted sweep left an empty trace file")
+	}
+	cancelled := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var sp trace.Span
+		if err := json.Unmarshal(line, &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if sp.Name == "job" && sp.Status == "cancelled" {
+			cancelled++
+		}
+	}
+	if cancelled == 0 {
+		t.Fatalf("trace holds no cancelled job span:\n%s", data)
+	}
+	if out, err := exec.Command("go", "run", "loosesim/cmd/loostrace", spans).CombinedOutput(); err != nil {
+		t.Fatalf("loostrace %s: %v\n%s", spans, err, out)
 	}
 }

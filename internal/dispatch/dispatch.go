@@ -85,9 +85,11 @@ type Options struct {
 	Tracer *trace.Tracer
 	// NoCache asks the backends to bypass their result caches.
 	NoCache bool
-	// Local, when non-nil, replaces loosesim.RunAllContext as the batch
-	// engine of an empty fleet. It must honour the same contract: results
-	// in input order, first error aborts.
+	// Local, when non-nil, replaces loosesim.RunAllContext as the local
+	// engine: it runs every batch of an empty fleet, and every job
+	// without a checkpoint that the fleet did not serve, as a batch of
+	// one. It must honour the same contract: results in input order, the
+	// first error aborts and is wrapped as "config i: %w".
 	Local func(context.Context, []pipeline.Config) ([]*pipeline.Result, error)
 }
 
@@ -447,7 +449,9 @@ func (c *Coordinator) runJob(ctx context.Context, key string, pt point) (*pipeli
 }
 
 // runLocal simulates one configuration on this host, bounded so a fleet
-// outage cannot construct more live machines than GOMAXPROCS.
+// outage cannot construct more live machines than GOMAXPROCS. A plain
+// point runs through Options.Local, so it reaches the same result cache
+// as a local batch; a checkpoint window restores its machine directly.
 func (c *Coordinator) runLocal(ctx context.Context, pt point) (*pipeline.Result, error) {
 	select {
 	case c.localSem <- struct{}{}:
@@ -462,7 +466,16 @@ func (c *Coordinator) runLocal(ctx context.Context, pt point) (*pipeline.Result,
 		}
 		return m.RunContext(ctx)
 	}
-	return loosesim.RunContext(ctx, pt.cfg)
+	res, err := c.local(ctx, []pipeline.Config{pt.cfg})
+	if err != nil {
+		// Local names the failing entry of its batch of one ("config 0:
+		// ..."); RunAll names the job's own index, so report the cause.
+		if cause := errors.Unwrap(err); cause != nil {
+			err = cause
+		}
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // post submits one attempt's encoded JobSpec to backend b under its

@@ -356,6 +356,45 @@ func TestEmptyFleetRunsLocally(t *testing.T) {
 	}
 }
 
+// TestLocalFallbackThroughLocal: a job the dead fleet did not serve runs
+// through Options.Local as a batch of one, and a failing job's error
+// names its own position once, as a local batch's error does.
+func TestLocalFallbackThroughLocal(t *testing.T) {
+	var mu sync.Mutex
+	var batches []int
+	c, err := New(Options{
+		Backends: []string{"http://127.0.0.1:9"},
+		After:    (&instantClock{}).After,
+		Local: func(ctx context.Context, cfgs []pipeline.Config) ([]*pipeline.Result, error) {
+			mu.Lock()
+			batches = append(batches, len(cfgs))
+			mu.Unlock()
+			return loosesim.RunAllContext(ctx, cfgs)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	cfgs := []pipeline.Config{testCfg(t, "gcc", 3), testCfg(t, "swim", 4)}
+	got, err := c.RunAll(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertByteIdentical(t, got, localBaseline(t, cfgs))
+	if !slices.Equal(batches, []int{1, 1}) {
+		t.Fatalf("Local ran batches of %v, want one batch of one per job", batches)
+	}
+
+	bad := testCfg(t, "gcc", 1)
+	bad.CycleBudget = 1
+	_, err = c.RunAll(context.Background(), []pipeline.Config{testCfg(t, "gcc", 3), bad})
+	if !errors.Is(err, pipeline.ErrCycleBudget) || !strings.HasPrefix(err.Error(), "config 1: pipeline: ") {
+		t.Fatalf("fallback error = %v, want config 1's cycle-budget error named once", err)
+	}
+}
+
 // TestRunAllFirstErrorPosition checks the RunAllContext-compatible error
 // contract: validation errors fail fast with the config's position, and
 // the first error in input order wins.

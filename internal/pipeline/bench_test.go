@@ -25,7 +25,8 @@ func machineBenchConfig(tb testing.TB) Config {
 // -benchmem allocs/op figure is the end-to-end measure of hot-path
 // allocation, next to the per-site escape counts the perf ratchet
 // (TestRepoWithinPerfBudget) budgets; TestMachineAllocBudget gates it, and
-// `scripts/bench.sh check` compares it against BENCH_machine.json.
+// scripts/perfgate.sh runs it against the base commit's build in
+// interleaved pairs and fails when this tree is more than 15% slower.
 func BenchmarkMachine(b *testing.B) {
 	cfg := machineBenchConfig(b)
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"loosesim/internal/workload"
@@ -81,6 +82,104 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("decode(encode) is not the identity: %d bytes in, %d bytes out", len(data), len(again))
+		}
+	})
+}
+
+// fuzzWorkloads are the workloads FuzzConfig runs: an integer and an FP
+// code on one thread, and an SMT pair of each kind.
+var fuzzWorkloads = [...]string{"gcc", "swim", "m88-comp", "apsi-swim"}
+
+// fuzzPredictors are the predictor kinds FuzzConfig picks from: every kind
+// Validate accepts, the empty default, and one it rejects.
+var fuzzPredictors = [...]PredictorKind{PredTournament, PredBimodal, PredGShare, PredStatic, PredPerceptron, "", "bogus"}
+
+const (
+	// fuzzMeasure is how many instructions each FuzzConfig run retires.
+	fuzzMeasure = 2_000
+	// fuzzBudget bounds a FuzzConfig run, in cycles: an IPC of 0.01.
+	fuzzBudget = 200_000
+	// fuzzChunk is how many instructions retire between two checks of
+	// the machine's laws.
+	fuzzChunk = 64
+	// fuzzStall is the most cycles a live machine goes without retiring.
+	// The fuzzer's latencies are at most 127 cycles and the event horizon
+	// at most 1023, so the oldest instruction finishes well inside it; a
+	// run that ends its budget stalled longer than this has deadlocked.
+	fuzzStall = 50_000
+)
+
+// FuzzConfig drives the integer fields Validate checks: widths, window
+// sizes, latencies, predictor and store-wait geometry, the policy enums,
+// the predictor kind and the DRA switch, over a single-thread or SMT
+// workload. A config that Validate accepts must run ~2k instructions to
+// the end or stop on ErrCycleBudget, still retiring, with the machine's
+// conservation laws and the retired stream intact throughout. Nothing may
+// panic. The widths and latencies are 8-bit and the sizes 16-bit so that
+// every config the fuzzer builds fits in memory.
+func FuzzConfig(f *testing.F) {
+	for wl := range fuzzWorkloads {
+		for _, dra := range []bool{false, true} {
+			// The paper's machine, with and without the DRA.
+			f.Add(uint8(wl), dra, int8(8), int8(8), int8(8), int16(128), int8(8), int16(256), int16(512),
+				int8(5), int8(5), int8(3), int8(3), int8(1), int8(2), int8(9), int8(4), int8(3),
+				int16(4096), int16(1024), int16(30), int8(0), int8(0), uint8(0))
+		}
+	}
+	// A one-wide machine with a tiny window, the refetch and blind
+	// policies, and a 2-cluster DRA.
+	f.Add(uint8(2), true, int8(1), int8(1), int8(1), int16(4), int8(2), int16(8), int16(160),
+		int8(1), int8(1), int8(1), int8(1), int8(1), int8(0), int8(1), int8(1), int8(1),
+		int16(1), int16(1), int16(0), int8(1), int8(1), uint8(1))
+	// Long latencies, the stall and conservative policies, and the
+	// largest tables.
+	f.Add(uint8(1), false, int8(127), int8(3), int8(127), int16(32767), int8(127), int16(1024), int16(2048),
+		int8(127), int8(127), int8(127), int8(127), int8(127), int8(127), int8(127), int8(127), int8(127),
+		int16(16384), int16(16384), int16(500), int8(2), int8(2), uint8(4))
+
+	f.Fuzz(func(t *testing.T, wl uint8, dra bool, fetch, rename, retire int8, iq int16, clusters int8,
+		inflight, physRegs int16, decIQ, iqEx, regRead, feedback, branchFB, evict, fwd, wb, sfl int8,
+		storeWait, btb, tlbRefill int16, load, memDep int8, pred uint8) {
+		w, err := workload.ByName(fuzzWorkloads[int(wl)%len(fuzzWorkloads)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(w)
+		cfg.UseDRA = dra
+		cfg.FetchWidth, cfg.RenameWidth, cfg.RetireWidth = int(fetch), int(rename), int(retire)
+		cfg.IQEntries, cfg.Clusters, cfg.DRA.Clusters = int(iq), int(clusters), int(clusters)
+		cfg.MaxInFlight, cfg.NumPhysRegs = int(inflight), int(physRegs)
+		cfg.DecIQLat, cfg.IQExLat, cfg.RegReadLat = int(decIQ), int(iqEx), int(regRead)
+		cfg.FeedbackDelay, cfg.BranchFBDelay, cfg.IQEvictDelay = int(feedback), int(branchFB), int(evict)
+		cfg.FwdDepth, cfg.WBDelay, cfg.StoreForwardLat = int(fwd), int(wb), int(sfl)
+		cfg.StoreWaitSize, cfg.BTBEntries, cfg.TLBRefill = int(storeWait), int(btb), int(tlbRefill)
+		cfg.LoadPolicy, cfg.MemDep = LoadRecovery(load), MemDepPolicy(memDep)
+		cfg.Predictor = fuzzPredictors[int(pred)%len(fuzzPredictors)]
+		cfg.WarmupInstructions, cfg.MeasureInstructions = 0, fuzzMeasure
+		cfg.CycleBudget = fuzzBudget
+		if cfg.Validate() != nil {
+			return
+		}
+
+		law, traced := newStreamLaw(cfg)
+		m, err := New(traced)
+		if err != nil {
+			t.Fatalf("New rejects a config Validate accepts: %v", err)
+		}
+		law.attach(m)
+		for m.Retired() < fuzzMeasure {
+			err := m.RunUntilRetired(context.Background(), min(m.Retired()+fuzzChunk, fuzzMeasure))
+			checkInvariants(t, "fuzz", m)
+			law.check(t, "fuzz")
+			if errors.Is(err, ErrCycleBudget) {
+				if stalled := m.cycle - m.lastRetireCycle; stalled > fuzzStall {
+					t.Fatalf("deadlock: no retirement in the last %d cycles of the budget (%d retired)", stalled, m.Retired())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -38,8 +38,8 @@ echo "==> bench golden check (bash bench/run.sh --seed 1 --seconds 1 --trace 0: 
 # stale golden.json fails here rather than in the next benchmark run.
 bash bench/run.sh --seed 1 --seconds 1 --trace 0
 
-echo "==> bench regression gate (BenchmarkMachine vs BENCH_machine.json)"
-./scripts/bench.sh check
+echo "==> paired hot-path gate (BenchmarkMachine, this tree vs its base, interleaved)"
+./scripts/perfgate.sh
 
 echo "==> snapshot fuzz smoke (FuzzSnapshotRoundTrip, 10s past the seed corpus)"
 # The committed corpus replays as part of `go test` above; this additionally
@@ -49,6 +49,11 @@ go test ./internal/pipeline -run '^FuzzSnapshotRoundTrip$' -fuzz '^FuzzSnapshotR
 
 echo "==> TLB fuzz smoke (FuzzTLBMatchesLinearScan, 5s past the seed corpus)"
 go test ./internal/mem -run '^FuzzTLBMatchesLinearScan$' -fuzz '^FuzzTLBMatchesLinearScan$' -fuzztime 5s >/dev/null
+
+echo "==> config fuzz smoke (FuzzConfig, 5s past the seed corpus)"
+# Any config Validate accepts must run to the end or stop on its cycle
+# budget, with the machine's laws intact and no panic.
+go test ./internal/pipeline -run '^FuzzConfig$' -fuzz '^FuzzConfig$' -fuzztime 5s >/dev/null
 
 echo "==> request-index fuzz smoke (FuzzSubmitIndex, 5s past the seed corpus)"
 # A body posted twice to one server must be answered as a fresh server
