@@ -178,8 +178,7 @@ func runValidate(tmpl pipeline.Config, regRead int, o sample.Options) {
 				cfg = pipeline.BaseConfigRF(wl, regRead)
 			}
 			cfg.Seed = tmpl.Seed
-			cfg.WarmupInstructions = tmpl.WarmupInstructions
-			cfg.MeasureInstructions = tmpl.MeasureInstructions
+			cfg.Run = tmpl.Run
 			labels = append(labels, b+"/"+kind)
 			cfgs = append(cfgs, cfg)
 		}
@@ -255,29 +254,14 @@ func main() {
 	if *iqEx > 0 {
 		cfg.IQExLat = *iqEx
 	}
-	switch *loadPol {
-	case "reissue":
-		cfg.LoadPolicy = pipeline.LoadReissue
-	case "refetch":
-		cfg.LoadPolicy = pipeline.LoadRefetch
-	case "stall":
-		cfg.LoadPolicy = pipeline.LoadStall
-	default:
-		log.Fatalf("unknown load policy %q", *loadPol)
+	if cfg.LoadPolicy, err = pipeline.ParseLoadRecovery(*loadPol); err != nil {
+		log.Fatal(err)
 	}
-	switch *memDep {
-	case "storewait":
-		cfg.MemDep = pipeline.MemDepStoreWait
-	case "blind":
-		cfg.MemDep = pipeline.MemDepBlind
-	case "conservative":
-		cfg.MemDep = pipeline.MemDepConservative
-	default:
-		log.Fatalf("unknown memory dependence policy %q", *memDep)
+	if cfg.MemDep, err = pipeline.ParseMemDep(*memDep); err != nil {
+		log.Fatal(err)
 	}
 	cfg.Seed = *seed
-	cfg.WarmupInstructions = *warm
-	cfg.MeasureInstructions = *inst
+	cfg.Run = pipeline.Run{WarmupInstructions: *warm, MeasureInstructions: *inst}
 	if *iqSize > 0 {
 		cfg.IQEntries = *iqSize
 	}

@@ -7,8 +7,10 @@ import (
 )
 
 // CfgValidate returns the cfgvalidate analyzer: for every struct type that
-// declares a `Validate() error` method, each exported field must either be
-// referenced inside that method or carry a `// simlint:novalidate` comment.
+// declares a `Validate() error` method, each exported field — including
+// those promoted from embedded structs declared in the same package — must
+// either be referenced inside that method or carry a `// simlint:novalidate`
+// comment.
 //
 // The rationale is config hygiene: the simulator's behaviour is a function
 // of its Config structs, and a knob that Validate never looks at is a knob
@@ -23,55 +25,50 @@ func CfgValidate() *Analyzer {
 		AppliesTo: internalOnly,
 	}
 	a.Run = func(pass *Pass) {
-		// Collect Validate() error methods by receiver named type.
-		validateBodies := make(map[*types.TypeName]*ast.FuncDecl)
+		// The package's Validate() error methods in source order, and its
+		// struct types by name.
+		type validator struct {
+			recv *types.TypeName
+			fn   *ast.FuncDecl
+		}
+		var validators []validator
+		structs := make(map[*types.TypeName]structDecl)
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "Validate" || fn.Recv == nil || fn.Body == nil {
-					continue
-				}
-				if !returnsErrorOnly(pass, fn) {
-					continue
-				}
-				if tn := receiverTypeName(pass, fn); tn != nil {
-					validateBodies[tn] = fn
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Name != "Validate" || d.Recv == nil || d.Body == nil || !returnsErrorOnly(pass, d) {
+						continue
+					}
+					if tn := receiverTypeName(pass, d); tn != nil {
+						validators = append(validators, validator{tn, d})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						st, isStruct := ts.Type.(*ast.StructType)
+						tn, isName := pass.Info.Defs[ts.Name].(*types.TypeName)
+						if isStruct && isName {
+							structs[tn] = structDecl{file, st}
+						}
+					}
 				}
 			}
 		}
-		if len(validateBodies) == 0 {
-			return
-		}
-
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					obj, ok := pass.Info.Defs[ts.Name].(*types.TypeName)
-					if !ok {
-						continue
-					}
-					fn, ok := validateBodies[obj]
-					if !ok {
-						continue
-					}
-					checkStructValidated(pass, file, ts.Name.Name, st, fn)
-				}
-			}
+		for _, v := range validators {
+			checkStructValidated(pass, structs, v.recv, v.recv.Name(), fieldsReferenced(pass, v.fn))
 		}
 	}
 	return a
+}
+
+// structDecl is a struct type declared in the package under analysis.
+type structDecl struct {
+	file *ast.File
+	st   *ast.StructType
 }
 
 // returnsErrorOnly reports whether fn's signature is func(...) error.
@@ -109,11 +106,23 @@ func receiverTypeName(pass *Pass, fn *ast.FuncDecl) *types.TypeName {
 	return named.Obj()
 }
 
-// checkStructValidated reports exported fields of st that the Validate body
-// never references and that carry no novalidate marker.
-func checkStructValidated(pass *Pass, file *ast.File, typeName string, st *ast.StructType, validate *ast.FuncDecl) {
-	referenced := fieldsReferenced(pass, validate)
-	for _, field := range st.Fields.List {
+// checkStructValidated reports exported fields of the struct tn that
+// owner's Validate body never references and that carry no novalidate
+// marker. It descends into embedded structs declared in the same package,
+// whose promoted fields owner's Validate must cover as if they were its
+// own.
+func checkStructValidated(pass *Pass, structs map[*types.TypeName]structDecl, tn *types.TypeName, owner string, referenced map[*types.Var]bool) {
+	sd, ok := structs[tn]
+	if !ok {
+		return
+	}
+	for _, field := range sd.st.Fields.List {
+		if len(field.Names) == 0 {
+			if named, ok := pass.Info.Types[field.Type].Type.(*types.Named); ok {
+				checkStructValidated(pass, structs, named.Obj(), owner, referenced)
+			}
+			continue
+		}
 		for _, name := range field.Names {
 			if !name.IsExported() {
 				continue
@@ -122,12 +131,12 @@ func checkStructValidated(pass *Pass, file *ast.File, typeName string, st *ast.S
 			if !ok || referenced[obj] {
 				continue
 			}
-			if fieldHasNoValidate(pass, file, field, name) {
+			if fieldHasNoValidate(pass, sd.file, field, name) {
 				continue
 			}
 			pass.Reportf(name.Pos(),
 				"exported field %s.%s is never referenced in (%s).Validate; validate it or mark it `// simlint:novalidate <why>`",
-				typeName, name.Name, typeName)
+				tn.Name(), name.Name, owner)
 		}
 	}
 }

@@ -44,5 +44,27 @@ type Loose struct {
 	AtAll    string
 }
 
+// Outer's fields are embedded parts: Validate must cover every leaf they
+// promote, exactly as if Outer declared it.
+type Outer struct {
+	Inner
+	Note string // simlint:novalidate free text
+}
+
+// Inner has no Validate of its own; Outer's covers it.
+type Inner struct {
+	Size  int
+	Speed int    // want "Inner.Speed is never referenced in (Outer).Validate"
+	Tag   string // simlint:novalidate any tag is legal
+}
+
+// Validate checks Size but forgets the promoted Speed.
+func (o *Outer) Validate() error {
+	if o.Size < 1 {
+		return errors.New("size")
+	}
+	return nil
+}
+
 var _ = Config{}.hidden
 var _ = Loose{}

@@ -42,7 +42,6 @@ import (
 	"loosesim/internal/pipeline"
 	"loosesim/internal/sample"
 	"loosesim/internal/serve"
-	"loosesim/internal/snap"
 	"loosesim/internal/trace"
 )
 
@@ -309,12 +308,7 @@ func (c *Coordinator) RunSampled(ctx context.Context, cfg pipeline.Config, o sam
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The shard key mirrors the backend's cache key for a
-			// checkpoint job: checkpoint digest prefix + window config
-			// key, so repeat runs of the same window hit the same node's
-			// cache.
-			key := snap.Digest(ckpt)[:16] + wkey
-			res, err := c.runJob(ctx, key, point{cfg: wcfg, ckpt: ckpt})
+			res, err := c.runJob(ctx, serve.CheckpointKey(ckpt, wkey), point{cfg: wcfg, ckpt: ckpt})
 			if err != nil {
 				errs[i] = fmt.Errorf("window %d: %w", i, err)
 				return

@@ -3,12 +3,14 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"loosesim/internal/sample"
 	"loosesim/internal/serve"
 	"loosesim/internal/serve/servetest"
+	"loosesim/internal/trace"
 )
 
 // TestRunSampledMatchesLocal is the fleet-sampling acceptance case: a
@@ -52,6 +54,42 @@ func TestRunSampledMatchesLocal(t *testing.T) {
 	}
 	if m := c.Metrics(); m.CacheHits == 0 {
 		t.Fatalf("repeat sampled run produced no cache hits: %+v", m)
+	}
+}
+
+// TestRunSampledShardKeysMatchBackend: the key a window job is sharded by
+// is the key the backend files its result under, so a repeat run of a
+// window lands on the node whose cache holds it.
+func TestRunSampledShardKeysMatchBackend(t *testing.T) {
+	b := servetest.StartBackend(serve.Options{Workers: 2})
+	defer b.Close()
+	var sink trace.Collector
+	c, err := New(Options{Backends: []string{b.URL}, Tracer: trace.New(trace.Options{Seed: 1, Sink: &sink})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	cfg := testCfg(t, "swim", 2)
+	cfg.WarmupInstructions = 1_000
+	cfg.MeasureInstructions = 3_000
+	opt := sample.Options{Windows: 3, WindowInstructions: 500, DetailedWarmup: 200}
+	if _, err := c.RunSampled(context.Background(), cfg, opt); err != nil {
+		t.Fatal(err)
+	}
+	var shard, filed []string
+	for _, s := range sink.Spans() {
+		if s.Name == "job" {
+			shard = append(shard, s.Key)
+		}
+	}
+	for _, st := range b.Server.Jobs() {
+		filed = append(filed, st.Key)
+	}
+	slices.Sort(shard)
+	slices.Sort(filed)
+	if len(shard) != opt.Windows || !slices.Equal(shard, filed) {
+		t.Fatalf("window shard keys %q, backend job keys %q", shard, filed)
 	}
 }
 

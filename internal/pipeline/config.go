@@ -10,6 +10,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"loosesim/internal/core"
 	"loosesim/internal/isa"
@@ -48,6 +49,14 @@ func (p LoadRecovery) String() string {
 	return fmt.Sprintf("loadrecovery(%d)", int(p))
 }
 
+// ParseLoadRecovery returns the policy that String names name.
+func ParseLoadRecovery(name string) (LoadRecovery, error) {
+	if i := slices.Index(loadRecoveryNames[:], name); i >= 0 {
+		return LoadRecovery(i), nil
+	}
+	return 0, fmt.Errorf("pipeline: unknown load recovery policy %q", name)
+}
+
 // MemDepPolicy selects how the machine manages the memory dependence loop
 // (Figure 2's load/store reorder trap loop): may a load issue past older
 // stores whose addresses are still unknown?
@@ -76,6 +85,14 @@ func (p MemDepPolicy) String() string {
 	return fmt.Sprintf("memdep(%d)", int(p))
 }
 
+// ParseMemDep returns the policy that String names name.
+func ParseMemDep(name string) (MemDepPolicy, error) {
+	if i := slices.Index(memDepNames[:], name); i >= 0 {
+		return MemDepPolicy(i), nil
+	}
+	return 0, fmt.Errorf("pipeline: unknown memory dependence policy %q", name)
+}
+
 // PredictorKind selects the branch direction predictor.
 type PredictorKind string
 
@@ -88,13 +105,28 @@ const (
 	PredPerceptron PredictorKind = "perceptron"
 )
 
-// Config fully describes one simulation.
+// Config fully describes one simulation. It is five embedded parts and no
+// field of its own, and every key naming a run is a union of whole parts:
+// ConfigDigest covers Stream, Timing and Functional (a checkpoint's
+// machine), serve.ConfigKey adds Run (a completed Result), none covers Host.
 type Config struct {
+	Stream
+	Timing
+	Functional
+	Run
+	Host
+}
+
+// Stream is the instruction stream: the programs and the seed.
+type Stream struct {
 	// Workload supplies one profile per hardware thread.
 	Workload workload.Workload
 	// Seed makes the run deterministic.
 	Seed int64 // simlint:novalidate every seed is a valid run
+}
 
+// Timing is the timing machine the paper's figures sweep.
+type Timing struct {
 	// Machine widths.
 	FetchWidth  int // instructions fetched per cycle (8)
 	RenameWidth int // instructions renamed/inserted per cycle (8)
@@ -141,7 +173,11 @@ type Config struct {
 	StoreWaitSize   int   // predictor entries (power of two)
 	StoreWaitClear  int64 // cycles between predictor resets
 	StoreForwardLat int   // load-to-use latency when forwarding from a store (>= 1)
+}
 
+// Functional is the state functional warming trains: the memory
+// hierarchy, TLB and branch predictors, and what their misses cost.
+type Functional struct {
 	// Memory system.
 	Mem mem.HierConfig
 	// TLBRefill is the extra latency added to a load that misses the TLB
@@ -157,11 +193,20 @@ type Config struct {
 	// BTBMissBubble is the fetch-stall, in cycles, for a predicted-taken
 	// branch whose target is not in the BTB.
 	BTBMissBubble int
+}
 
-	// Run lengths, in retired correct-path instructions (all threads).
+// Run is the run's length in retired correct-path instructions (all
+// threads). A checkpoint restores under any Run (the sampler's windows).
+type Run struct {
 	WarmupInstructions  uint64
 	MeasureInstructions uint64
+}
 
+// Host is how the host bounds and watches a run: a cycle budget, a tracer
+// and the observability probes (internal/obs). None of it changes a
+// completed run's Result, so no key covers it: the probes are strictly
+// passive, and both sinks nil makes the layer free.
+type Host struct {
 	// CycleBudget, when positive, bounds the run in simulated cycles:
 	// RunContext aborts with ErrCycleBudget once the machine passes it
 	// without finishing its measurement window. Zero means unbounded. The
@@ -173,10 +218,6 @@ type Config struct {
 	// Tracer, when non-nil, receives one record per retired instruction
 	// (a pipeline-viewer stream). Tracing does not perturb timing.
 	Tracer *Tracer // simlint:novalidate nil and non-nil are both legal
-
-	// Observability (internal/obs). The probes are strictly passive:
-	// enabling them must not change any simulation outcome, and both
-	// sinks nil makes the layer free.
 
 	// SampleInterval is the interval probe's period in simulated cycles;
 	// 0 selects DefaultSampleInterval when Intervals is set.
@@ -198,9 +239,7 @@ const DefaultSampleInterval = 10_000
 // IQ-EX = 5 with a 3-cycle register file read, 9-cycle forwarding buffer,
 // and load-hit speculation with reissue recovery.
 func DefaultConfig(wl workload.Workload) Config {
-	return Config{
-		Workload:    wl,
-		Seed:        1,
+	return Config{Stream: Stream{Workload: wl, Seed: 1}, Timing: Timing{
 		FetchWidth:  8,
 		RenameWidth: 8,
 		RetireWidth: 8,
@@ -229,17 +268,17 @@ func DefaultConfig(wl workload.Workload) Config {
 		StoreWaitSize:   4096,
 		StoreWaitClear:  131_072,
 		StoreForwardLat: 3,
-
+	}, Functional: Functional{
 		Mem:       mem.DefaultHierConfig(),
 		TLBRefill: 30,
 
 		Predictor:     PredTournament,
 		BTBEntries:    1024,
 		BTBMissBubble: 2,
-
+	}, Run: Run{
 		WarmupInstructions:  150_000,
 		MeasureInstructions: 300_000,
-	}
+	}}
 }
 
 // BaseConfigRF returns the base (non-DRA) machine for a given register file

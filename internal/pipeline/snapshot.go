@@ -72,19 +72,13 @@ const (
 	maxSnapReplay = 1 << 20
 )
 
-// ConfigDigest returns the hex sha256 identifying the run-invariant part
-// of cfg: run lengths and observability hooks are zeroed first, so a
-// checkpoint taken under one warmup/measure split restores under another
-// (the sampler's measurement windows), while any structural difference —
-// widths, latencies, workload, seed — is rejected.
+// ConfigDigest returns the hex sha256 identifying the machine a checkpoint
+// belongs to: the JSON of a Config holding only cfg's Stream, Timing and
+// Functional parts. A checkpoint taken under one Run restores under another
+// (the sampler's measurement windows), while any difference in workload,
+// seed, width, latency or memory geometry is rejected.
 func ConfigDigest(cfg Config) (string, error) {
-	cfg.WarmupInstructions = 0
-	cfg.MeasureInstructions = 0
-	cfg.CycleBudget = 0
-	cfg.SampleInterval = 0
-	cfg.Tracer = nil
-	cfg.Events = nil
-	cfg.Intervals = nil
+	cfg = Config{Stream: cfg.Stream, Timing: cfg.Timing, Functional: cfg.Functional}
 	b, err := json.Marshal(cfg)
 	if err != nil {
 		return "", fmt.Errorf("pipeline: config digest: %w", err)

@@ -65,16 +65,14 @@ func (o Options) Validate() error {
 }
 
 // WindowConfig derives the per-window detailed configuration from the
-// full-run configuration: same machine, short run, no observability
-// sinks. Its ConfigDigest equals the full config's, so checkpoints taken
+// full-run configuration: the same Stream, Timing and Functional parts, a
+// short Run, and a Host with no observability sinks that keeps the cycle
+// budget. Its ConfigDigest equals the full config's, so checkpoints taken
 // on the warming chain restore under it.
 func WindowConfig(cfg pipeline.Config, o Options) pipeline.Config {
 	w := cfg
-	w.WarmupInstructions = o.DetailedWarmup
-	w.MeasureInstructions = o.WindowInstructions
-	w.Tracer = nil
-	w.Events = nil
-	w.Intervals = nil
+	w.Run = pipeline.Run{WarmupInstructions: o.DetailedWarmup, MeasureInstructions: o.WindowInstructions}
+	w.Host = pipeline.Host{CycleBudget: cfg.CycleBudget}
 	return w
 }
 

@@ -17,22 +17,16 @@ import (
 )
 
 // ConfigKey returns the content address of a simulation: a sha256 over the
-// canonical JSON encoding of cfg with the observability hooks (Tracer,
-// Events, Intervals, SampleInterval) and the CycleBudget guard rail
-// zeroed. Those fields are excluded because they cannot change a completed
-// run's Result — probes are passive by contract, and a budget only decides
-// whether a run finishes, never what it computes. Everything else — the
-// workload profiles, every width, latency and size, the policies, the
-// seed, the run lengths — is part of the key. Canonicality comes from
-// encoding/json itself: struct fields encode in declaration order with no
-// map in the Config tree, so equal Configs produce byte-equal JSON, and
-// two Configs hash equal exactly when Run would produce identical Results.
+// JSON of a Config holding cfg's Stream, Timing, Functional and Run parts
+// (ConfigDigest's parts plus the run lengths). The Host part is left out
+// because it cannot change a completed run's Result: probes are passive by
+// contract, and a budget only decides whether a run finishes, never what
+// it computes. Canonicality comes from encoding/json itself: struct fields
+// encode in declaration order with no map in the Config tree, so equal
+// parts produce byte-equal JSON, and two Configs hash equal exactly when
+// they would produce identical Results.
 func ConfigKey(cfg pipeline.Config) (string, error) {
-	cfg.Tracer = nil
-	cfg.Events = nil
-	cfg.Intervals = nil
-	cfg.SampleInterval = 0
-	cfg.CycleBudget = 0
+	cfg = pipeline.Config{Stream: cfg.Stream, Timing: cfg.Timing, Functional: cfg.Functional, Run: cfg.Run}
 	b, err := json.Marshal(cfg)
 	if err != nil {
 		return "", fmt.Errorf("serve: hashing config: %w", err)

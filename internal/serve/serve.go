@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -99,8 +100,8 @@ type JobSpec struct {
 	// Raw-config jobs: a complete pipeline.Config, the wire format the
 	// sweep coordinator (internal/dispatch) uses to ship arbitrary sweep
 	// points without squeezing them through the named-bench defaulting
-	// above. The server zeroes the config's observability hooks — probes
-	// are not expressible over the wire — and runs it as-is.
+	// above. The server keeps only the Host part's cycle budget — probes
+	// are not expressible over the wire — and runs the rest as-is.
 	Config *pipeline.Config `json:"config,omitempty"`
 
 	// Checkpoint, when set, restores the machine from this sealed
@@ -126,12 +127,9 @@ type JobSpec struct {
 func (s JobSpec) config() (pipeline.Config, error) {
 	if s.Config != nil {
 		cfg := *s.Config
-		// The sink interfaces decode to nil anyway, and a decoded Tracer
-		// would have nowhere to write; drop every hook so a wire config
-		// is always a pure simulation (and hashes like one).
-		cfg.Tracer = nil
-		cfg.Events = nil
-		cfg.Intervals = nil
+		// Probes are not expressible over the wire: a wire config's Host
+		// keeps only its cycle budget, so it is a pure simulation.
+		cfg.Host = pipeline.Host{CycleBudget: cfg.CycleBudget}
 		if s.CycleBudget > 0 {
 			cfg.CycleBudget = s.CycleBudget
 		}
@@ -141,10 +139,7 @@ func (s JobSpec) config() (pipeline.Config, error) {
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	regRead := s.RegRead
-	if regRead == 0 {
-		regRead = 3
-	}
+	regRead := cmp.Or(s.RegRead, 3)
 	var cfg pipeline.Config
 	if s.DRA {
 		cfg = pipeline.DRAConfigRF(wl, regRead)
@@ -157,35 +152,17 @@ func (s JobSpec) config() (pipeline.Config, error) {
 	if s.IQEx > 0 {
 		cfg.IQExLat = s.IQEx
 	}
-	switch s.Load {
-	case "", "reissue":
-		cfg.LoadPolicy = pipeline.LoadReissue
-	case "refetch":
-		cfg.LoadPolicy = pipeline.LoadRefetch
-	case "stall":
-		cfg.LoadPolicy = pipeline.LoadStall
-	default:
-		return pipeline.Config{}, fmt.Errorf("serve: unknown load policy %q", s.Load)
+	if cfg.LoadPolicy, err = pipeline.ParseLoadRecovery(cmp.Or(s.Load, cfg.LoadPolicy.String())); err != nil {
+		return pipeline.Config{}, err
 	}
-	switch s.MemDep {
-	case "", "storewait":
-		cfg.MemDep = pipeline.MemDepStoreWait
-	case "blind":
-		cfg.MemDep = pipeline.MemDepBlind
-	case "conservative":
-		cfg.MemDep = pipeline.MemDepConservative
-	default:
-		return pipeline.Config{}, fmt.Errorf("serve: unknown memdep policy %q", s.MemDep)
+	if cfg.MemDep, err = pipeline.ParseMemDep(cmp.Or(s.MemDep, cfg.MemDep.String())); err != nil {
+		return pipeline.Config{}, err
 	}
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
+	cfg.Seed = cmp.Or(s.Seed, cfg.Seed)
 	if s.Warmup != nil {
 		cfg.WarmupInstructions = *s.Warmup
 	}
-	if s.Inst != 0 {
-		cfg.MeasureInstructions = s.Inst
-	}
+	cfg.MeasureInstructions = cmp.Or(s.Inst, cfg.MeasureInstructions)
 	cfg.CycleBudget = s.CycleBudget
 	return cfg, nil
 }
@@ -511,11 +488,18 @@ func (s JobSpec) key() (string, error) {
 		return "", err
 	}
 	if s.Checkpoint != nil {
-		// Prefix with the checkpoint's content address: same config,
-		// different starting state, different result.
-		key = snap.Digest(s.Checkpoint)[:16] + key
+		key = CheckpointKey(s.Checkpoint, key)
 	}
 	return key, nil
+}
+
+// CheckpointKey returns the content address of a checkpoint job whose
+// config has key configKey: the checkpoint's content address as a prefix,
+// because the same config from a different starting state is a different
+// result. A coordinator shards window jobs by it, so repeat runs of a
+// window reach the node whose cache holds it.
+func CheckpointKey(ckpt []byte, configKey string) string {
+	return snap.Digest(ckpt)[:16] + configKey
 }
 
 // serveSpan opens a job's serve span. It continues the coordinator's trace

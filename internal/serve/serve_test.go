@@ -28,42 +28,6 @@ func simCfg(t testing.TB, bench string, seed int64) pipeline.Config {
 	return cfg
 }
 
-func TestConfigKeyCanonical(t *testing.T) {
-	a := simCfg(t, "gcc", 1)
-	b := simCfg(t, "gcc", 1)
-	ka, err := ConfigKey(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := ConfigKey(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Fatal("equal configs must hash equal")
-	}
-
-	// Observability hooks and the budget guard rail cannot change a
-	// completed result, so they must not change the key.
-	b.Events = &jobEventSink{}
-	b.Intervals = loosesim.IntervalFunc(func(loosesim.Interval) {})
-	b.SampleInterval = 777
-	b.CycleBudget = 123456
-	if kb, _ = ConfigKey(b); ka != kb {
-		t.Fatal("observability and budget fields must be excluded from the key")
-	}
-
-	// Anything that feeds the simulation must change it.
-	b.Seed = 2
-	if kb, _ = ConfigKey(b); ka == kb {
-		t.Fatal("different seeds must hash differently")
-	}
-	c := simCfg(t, "swim", 1)
-	if kc, _ := ConfigKey(c); ka == kc {
-		t.Fatal("different workloads must hash differently")
-	}
-}
-
 func runForStore(t *testing.T) *pipeline.Result {
 	t.Helper()
 	res, err := loosesim.Run(simCfg(t, "turb3d", 1))
