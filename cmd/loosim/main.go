@@ -155,30 +155,27 @@ func runSampled(cfg pipeline.Config, o sample.Options, asJSON bool) {
 
 // runValidate runs sampled-vs-full convergence over the paper's figure
 // grid — every single-threaded benchmark plus the m88-comp SMT pair, base
-// and DRA machines at the given register-read latency — and exits nonzero
-// if any metric leaves its declared error bound. Run lengths follow the
-// -inst/-warmup flags, so a reduced validation (as in CI) is just shorter
-// flags.
-func runValidate(tmpl pipeline.Config, regRead int, o sample.Options) {
+// and DRA machines at tmpl's register-read latency and seed — and exits
+// nonzero if any metric leaves its declared error bound. Run lengths
+// follow the -inst/-warmup flags, so a reduced validation (as in CI) is
+// just shorter flags.
+func runValidate(tmpl pipeline.Named, o sample.Options) {
 	benches := append(workload.SingleThreaded(), "m88-comp")
 	var labels []string
 	var cfgs []pipeline.Config
 	for _, b := range benches {
-		wl, err := workload.ByName(b)
-		if err != nil {
-			log.Fatal(err)
-		}
 		for _, dra := range []bool{false, true} {
-			var cfg pipeline.Config
+			cfg, err := pipeline.Named{
+				Bench: b, DRA: dra, RegRead: tmpl.RegRead,
+				Seed: tmpl.Seed, Warmup: tmpl.Warmup, Inst: tmpl.Inst,
+			}.Config()
+			if err != nil {
+				log.Fatal(err)
+			}
 			kind := "base"
 			if dra {
-				cfg = pipeline.DRAConfigRF(wl, regRead)
 				kind = "dra"
-			} else {
-				cfg = pipeline.BaseConfigRF(wl, regRead)
 			}
-			cfg.Seed = tmpl.Seed
-			cfg.Run = tmpl.Run
 			labels = append(labels, b+"/"+kind)
 			cfgs = append(cfgs, cfg)
 		}
@@ -198,25 +195,60 @@ func runValidate(tmpl pipeline.Config, regRead int, o sample.Options) {
 	}
 }
 
+// machineFlags are the flags that pick the simulated machine: the named
+// machine, which a served job's bench fields select through the same
+// pipeline.Named, and loosim's own geometry overrides.
+type machineFlags struct {
+	named                      pipeline.Named
+	warmup                     uint64
+	iqSize, inflight, clusters int
+}
+
+// register defines the machine flags on fs.
+func (f *machineFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.named.Bench, "bench", "gcc", "benchmark name (see -list)")
+	fs.BoolVar(&f.named.DRA, "dra", false, "enable the distributed register algorithm")
+	fs.IntVar(&f.named.RegRead, "regread", 3, "register file access latency (3, 5 or 7 in the paper)")
+	fs.IntVar(&f.named.DecIQ, "deciq", 0, "override DEC-IQ latency (0 = derive from -regread/-dra)")
+	fs.IntVar(&f.named.IQEx, "iqex", 0, "override IQ-EX latency (0 = derive from -regread/-dra)")
+	fs.StringVar(&f.named.Load, "load", "reissue", "load resolution policy: reissue, refetch, stall")
+	fs.StringVar(&f.named.MemDep, "memdep", "storewait", "memory dependence policy: storewait, blind, conservative")
+	fs.Uint64Var(&f.named.Inst, "inst", 300_000, "instructions to measure")
+	fs.Uint64Var(&f.warmup, "warmup", 150_000, "instructions to warm up")
+	fs.Int64Var(&f.named.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&f.iqSize, "iq", 0, "override IQ entries (0 = default 128)")
+	fs.IntVar(&f.inflight, "inflight", 0, "override max in-flight (0 = default 256)")
+	fs.IntVar(&f.clusters, "clusters", 0, "override cluster count (0 = default 8)")
+	f.named.Warmup = &f.warmup
+}
+
+// config builds the configuration the parsed flags select.
+func (f *machineFlags) config() (pipeline.Config, error) {
+	cfg, err := f.named.Config()
+	if err != nil {
+		return pipeline.Config{}, err
+	}
+	if f.iqSize > 0 {
+		cfg.IQEntries = f.iqSize
+	}
+	if f.inflight > 0 {
+		cfg.MaxInFlight = f.inflight
+	}
+	if f.clusters > 0 {
+		cfg.Clusters = f.clusters
+		cfg.DRA.Clusters = f.clusters
+	}
+	return cfg, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loosim: ")
 
+	var mf machineFlags
+	mf.register(flag.CommandLine)
 	var (
-		bench    = flag.String("bench", "gcc", "benchmark name (see -list)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
-		dra      = flag.Bool("dra", false, "enable the distributed register algorithm")
-		regRead  = flag.Int("regread", 3, "register file access latency (3, 5 or 7 in the paper)")
-		decIQ    = flag.Int("deciq", 0, "override DEC-IQ latency (0 = derive from -regread/-dra)")
-		iqEx     = flag.Int("iqex", 0, "override IQ-EX latency (0 = derive from -regread/-dra)")
-		loadPol  = flag.String("load", "reissue", "load resolution policy: reissue, refetch, stall")
-		memDep   = flag.String("memdep", "storewait", "memory dependence policy: storewait, blind, conservative")
-		inst     = flag.Uint64("inst", 300_000, "instructions to measure")
-		warm     = flag.Uint64("warmup", 150_000, "instructions to warm up")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		iqSize   = flag.Int("iq", 0, "override IQ entries (0 = default 128)")
-		inflight = flag.Int("inflight", 0, "override max in-flight (0 = default 256)")
-		clusters = flag.Int("clusters", 0, "override cluster count (0 = default 8)")
 		verbose  = flag.Bool("v", false, "print extended statistics")
 		asJSON   = flag.Bool("json", false, "emit the result as JSON")
 		trace    = flag.Uint64("trace", 0, "trace the first N retired instructions to stderr")
@@ -238,39 +270,9 @@ func main() {
 		return
 	}
 
-	wl, err := workload.ByName(*bench)
+	cfg, err := mf.config()
 	if err != nil {
 		log.Fatal(err)
-	}
-	var cfg pipeline.Config
-	if *dra {
-		cfg = pipeline.DRAConfigRF(wl, *regRead)
-	} else {
-		cfg = pipeline.BaseConfigRF(wl, *regRead)
-	}
-	if *decIQ > 0 {
-		cfg.DecIQLat = *decIQ
-	}
-	if *iqEx > 0 {
-		cfg.IQExLat = *iqEx
-	}
-	if cfg.LoadPolicy, err = pipeline.ParseLoadRecovery(*loadPol); err != nil {
-		log.Fatal(err)
-	}
-	if cfg.MemDep, err = pipeline.ParseMemDep(*memDep); err != nil {
-		log.Fatal(err)
-	}
-	cfg.Seed = *seed
-	cfg.Run = pipeline.Run{WarmupInstructions: *warm, MeasureInstructions: *inst}
-	if *iqSize > 0 {
-		cfg.IQEntries = *iqSize
-	}
-	if *inflight > 0 {
-		cfg.MaxInFlight = *inflight
-	}
-	if *clusters > 0 {
-		cfg.Clusters = *clusters
-		cfg.DRA.Clusters = *clusters
 	}
 
 	sopt := sample.DefaultOptions()
@@ -285,7 +287,7 @@ func main() {
 	}
 
 	if *validate {
-		runValidate(cfg, *regRead, sopt)
+		runValidate(mf.named, sopt)
 		return
 	}
 	if *sampleN > 0 {

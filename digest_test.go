@@ -16,6 +16,7 @@ import (
 	"loosesim/internal/experiments"
 	"loosesim/internal/pipeline"
 	"loosesim/internal/sample"
+	"loosesim/internal/workload"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/result_digests.json from this tree's results")
@@ -53,7 +54,8 @@ func digestMachine(t *testing.T, bench string, dra bool, regRead int, tweak func
 // resultDigests runs the digest grid and returns each output's digest by
 // name: single runs across every policy the machine has, the SMT pairs, a
 // small clustered IQ, two sampled runs and every checkpoint they restore
-// from, and one short Figure 4/5/8/9 table each.
+// from, a mid-run checkpoint of each snapshot variant, and one short
+// Figure 4/5/8/9 table each.
 func resultDigests(t *testing.T) map[string]string {
 	t.Helper()
 	blind := func(c *pipeline.Config) { c.MemDep = pipeline.MemDepBlind }
@@ -118,6 +120,49 @@ func resultDigests(t *testing.T) map[string]string {
 			sum := sha256.Sum256(c)
 			out[fmt.Sprintf("%s/checkpoint-%02d", s.name, i)] = hex.EncodeToString(sum[:])
 		}
+	}
+
+	// Mid-run machine checkpoints: the snapshot variants of
+	// internal/pipeline's snapshotConfigs (every predictor family, DRA,
+	// SMT), stopped with uops in flight and events pending. A codec that
+	// round-trips its own output cannot catch a format change; these can.
+	for _, s := range []struct {
+		name, bench string
+		mutate      func(*pipeline.Config)
+	}{
+		{"base", "gcc", nil},
+		{"gshare", "m88", func(c *pipeline.Config) { c.Predictor = pipeline.PredGShare }},
+		{"bimodal", "swim", func(c *pipeline.Config) { c.Predictor = pipeline.PredBimodal }},
+		{"static", "comp", func(c *pipeline.Config) { c.Predictor = pipeline.PredStatic }},
+		{"smt", "m88-comp", nil},
+		{"dra", "gcc", func(c *pipeline.Config) {
+			c.UseDRA = true
+			c.Predictor = pipeline.PredPerceptron
+		}},
+	} {
+		wl, err := workload.ByName(s.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := pipeline.DefaultConfig(wl)
+		cfg.WarmupInstructions = 5_000
+		cfg.MeasureInstructions = 12_000
+		if s.mutate != nil {
+			s.mutate(&cfg)
+		}
+		m, err := pipeline.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunUntilRetired(context.Background(), 7_001); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(ckpt)
+		out["snapshot-mid/"+s.name] = hex.EncodeToString(sum[:])
 	}
 
 	opt := experiments.Options{Measure: 10_000, Warmup: 10_000, Seed: 1}

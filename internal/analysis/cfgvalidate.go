@@ -6,42 +6,57 @@ import (
 	"strings"
 )
 
-// CfgValidate returns the cfgvalidate analyzer: for every struct type that
-// declares a `Validate() error` method, each exported field — including
-// those promoted from embedded structs declared in the same package — must
-// either be referenced inside that method or carry a `// simlint:novalidate`
-// comment.
+// CfgValidate returns the cfgvalidate analyzer. It enforces two "every
+// field is referenced in the method or marked" rules:
 //
-// The rationale is config hygiene: the simulator's behaviour is a function
-// of its Config structs, and a knob that Validate never looks at is a knob
-// that can ship with a nonsense value (a zero latency, an impossible
-// geometry) and silently skew every reported IPC. Forcing each new field
-// through Validate — or through an explicit opt-out comment stating why no
-// constraint exists — makes unvalidated knobs unrepresentable.
+//   - For every struct type that declares a `Validate() error` method, each
+//     exported field — including those promoted from embedded structs
+//     declared in the same package — must either be referenced inside that
+//     method or carry a `// simlint:novalidate` comment. The simulator's
+//     behaviour is a function of its Config structs, and a knob that
+//     Validate never looks at can ship with a nonsense value (a zero
+//     latency, an impossible geometry) and silently skew every reported
+//     IPC.
+//   - For every struct type that declares a `Sync(*snap.Codec)` method, each
+//     field, exported or not, must either be referenced inside that method
+//     or carry a `// simlint:nosync` comment. Sync is the type's one
+//     checkpoint field list, so a field it never touches is state that a
+//     restored machine silently loses; geometry, configuration and derived
+//     indexes say so with the marker.
 func CfgValidate() *Analyzer {
 	a := &Analyzer{
 		Name:      "cfgvalidate",
-		Doc:       "requires every exported field of a Validate()-bearing struct to be validated or marked simlint:novalidate",
+		Doc:       "requires every exported field of a Validate()-bearing struct to be validated or marked simlint:novalidate, and every field of a Sync(*snap.Codec)-bearing struct to be synced or marked simlint:nosync",
 		AppliesTo: internalOnly,
 	}
 	a.Run = func(pass *Pass) {
-		// The package's Validate() error methods in source order, and its
-		// struct types by name.
-		type validator struct {
+		// The package's Validate() error and Sync(*Codec) methods in source
+		// order, and its struct types by name.
+		type method struct {
 			recv *types.TypeName
 			fn   *ast.FuncDecl
+			rule fieldRule
 		}
-		var validators []validator
+		var methods []method
 		structs := make(map[*types.TypeName]structDecl)
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					if d.Name.Name != "Validate" || d.Recv == nil || d.Body == nil || !returnsErrorOnly(pass, d) {
+					if d.Recv == nil || d.Body == nil {
+						continue
+					}
+					var rule fieldRule
+					switch {
+					case d.Name.Name == "Validate" && returnsErrorOnly(pass, d):
+						rule = validateRule
+					case d.Name.Name == "Sync" && takesCodecOnly(pass, d):
+						rule = syncRule
+					default:
 						continue
 					}
 					if tn := receiverTypeName(pass, d); tn != nil {
-						validators = append(validators, validator{tn, d})
+						methods = append(methods, method{tn, d, rule})
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
@@ -58,11 +73,44 @@ func CfgValidate() *Analyzer {
 				}
 			}
 		}
-		for _, v := range validators {
-			checkStructValidated(pass, structs, v.recv, v.recv.Name(), fieldsReferenced(pass, v.fn))
+		for _, m := range methods {
+			checkStructCovered(pass, structs, m.recv, m.recv.Name(), fieldsReferenced(pass, m.fn), m.rule)
 		}
 	}
 	return a
+}
+
+// fieldRule is one "every field is referenced in the method or marked"
+// requirement.
+type fieldRule struct {
+	method   string // the method whose body must reference the fields
+	marker   string // the opt-out comment marker
+	exported bool   // only exported fields are covered
+	verb     string // what covering a field means, for the message
+}
+
+var (
+	validateRule = fieldRule{method: "Validate", marker: "simlint:novalidate", exported: true, verb: "validate"}
+	syncRule     = fieldRule{method: "Sync", marker: "simlint:nosync", verb: "sync"}
+)
+
+// takesCodecOnly reports whether fn's signature is func(*Codec) with no
+// results, Codec being the snapshot codec type (internal/snap).
+func takesCodecOnly(pass *Pass, fn *ast.FuncDecl) bool {
+	obj, ok := pass.Info.Defs[fn.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := obj.Type().(*types.Signature)
+	if sig.Params().Len() != 1 || sig.Results().Len() != 0 {
+		return false
+	}
+	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Codec"
 }
 
 // structDecl is a struct type declared in the package under analysis.
@@ -106,12 +154,12 @@ func receiverTypeName(pass *Pass, fn *ast.FuncDecl) *types.TypeName {
 	return named.Obj()
 }
 
-// checkStructValidated reports exported fields of the struct tn that
-// owner's Validate body never references and that carry no novalidate
+// checkStructCovered reports the fields of the struct tn that rule covers,
+// that owner's method body never references, and that carry no opt-out
 // marker. It descends into embedded structs declared in the same package,
-// whose promoted fields owner's Validate must cover as if they were its
+// whose promoted fields owner's method must cover as if they were its
 // own.
-func checkStructValidated(pass *Pass, structs map[*types.TypeName]structDecl, tn *types.TypeName, owner string, referenced map[*types.Var]bool) {
+func checkStructCovered(pass *Pass, structs map[*types.TypeName]structDecl, tn *types.TypeName, owner string, referenced map[*types.Var]bool, rule fieldRule) {
 	sd, ok := structs[tn]
 	if !ok {
 		return
@@ -119,24 +167,28 @@ func checkStructValidated(pass *Pass, structs map[*types.TypeName]structDecl, tn
 	for _, field := range sd.st.Fields.List {
 		if len(field.Names) == 0 {
 			if named, ok := pass.Info.Types[field.Type].Type.(*types.Named); ok {
-				checkStructValidated(pass, structs, named.Obj(), owner, referenced)
+				checkStructCovered(pass, structs, named.Obj(), owner, referenced, rule)
 			}
 			continue
 		}
 		for _, name := range field.Names {
-			if !name.IsExported() {
+			if rule.exported && !name.IsExported() {
 				continue
 			}
 			obj, ok := pass.Info.Defs[name].(*types.Var)
 			if !ok || referenced[obj] {
 				continue
 			}
-			if fieldHasNoValidate(pass, sd.file, field, name) {
+			if fieldHasMarker(pass, sd.file, field, name, rule.marker) {
 				continue
 			}
+			kind := "field"
+			if rule.exported {
+				kind = "exported field"
+			}
 			pass.Reportf(name.Pos(),
-				"exported field %s.%s is never referenced in (%s).Validate; validate it or mark it `// simlint:novalidate <why>`",
-				tn.Name(), name.Name, owner)
+				"%s %s.%s is never referenced in (%s).%s; %s it or mark it `// %s <why>`",
+				kind, tn.Name(), name.Name, owner, rule.method, rule.verb, rule.marker)
 		}
 	}
 }
@@ -160,11 +212,10 @@ func fieldsReferenced(pass *Pass, fn *ast.FuncDecl) map[*types.Var]bool {
 	return out
 }
 
-// fieldHasNoValidate reports whether the field declaration carries a
-// simlint:novalidate marker: in its doc comment, its line comment, or a
-// comment on its own or the preceding line.
-func fieldHasNoValidate(pass *Pass, file *ast.File, field *ast.Field, name *ast.Ident) bool {
-	const marker = "simlint:novalidate"
+// fieldHasMarker reports whether the field declaration carries marker:
+// in its doc comment, its line comment, or a comment on its own or the
+// preceding line.
+func fieldHasMarker(pass *Pass, file *ast.File, field *ast.Field, name *ast.Ident, marker string) bool {
 	if field.Doc != nil && strings.Contains(field.Doc.Text(), marker) {
 		return true
 	}

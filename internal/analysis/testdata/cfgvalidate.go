@@ -68,3 +68,34 @@ func (o *Outer) Validate() error {
 
 var _ = Config{}.hidden
 var _ = Loose{}
+
+// Codec stands in for snap.Codec: the sync rule keys on a Sync method
+// whose one parameter is a *Codec.
+type Codec struct{}
+
+// U64 is a codec field method.
+func (c *Codec) U64(p *uint64) { _ = p }
+
+// Counter has a Sync method, so every field, exported or not, must be
+// referenced in it or carry a nosync marker.
+type Counter struct {
+	hits   uint64
+	misses uint64 // want "field Counter.misses is never referenced in (Counter).Sync"
+	Total  uint64 // want "Counter.Total"
+
+	mask uint64 // simlint:nosync geometry
+}
+
+// Sync lists hits but forgets misses and Total.
+func (k *Counter) Sync(c *Codec) { c.U64(&k.hits) }
+
+// Shaped has a Sync of another signature, so no field requirements apply.
+type Shaped struct {
+	state uint64
+}
+
+// Sync takes no codec.
+func (s *Shaped) Sync() {}
+
+var _ = Counter{}.mask
+var _ = Shaped{}.state

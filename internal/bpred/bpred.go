@@ -6,7 +6,11 @@
 // Alpha 21264-style tournament predictor combining local and global history.
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+
+	"loosesim/internal/snap"
+)
 
 // Predictor predicts conditional branch directions. Implementations are
 // deterministic state machines updated in program order at branch
@@ -19,6 +23,10 @@ type Predictor interface {
 	Update(pc uint64, taken bool)
 	// Name identifies the predictor for reports.
 	Name() string
+	// Sync encodes or decodes the predictor's mutable state for a machine
+	// checkpoint. Decoding requires a predictor built with the snapshot's
+	// geometry.
+	Sync(c *snap.Codec)
 }
 
 // counter2 is a 2-bit saturating counter; values 0..3, taken when >= 2.
@@ -42,7 +50,7 @@ func (c counter2) update(taken bool) counter2 {
 // Bimodal is a PC-indexed table of 2-bit saturating counters.
 type Bimodal struct {
 	table []counter2
-	mask  uint64
+	mask  uint64 // simlint:nosync geometry
 }
 
 // NewBimodal returns a bimodal predictor with the given number of entries,
@@ -73,7 +81,7 @@ func (b *Bimodal) Name() string { return fmt.Sprintf("bimodal-%d", len(b.table))
 // GShare XORs global branch history into the PC index of a counter table.
 type GShare struct {
 	table   []counter2
-	mask    uint64
+	mask    uint64 // simlint:nosync geometry
 	history uint64
 	histLen uint
 }
@@ -123,9 +131,9 @@ type Tournament struct {
 	choice     []counter2
 	history    uint64
 
-	lhMask   uint64
-	lpMask   uint64
-	gMask    uint64
+	lhMask   uint64 // simlint:nosync geometry
+	lpMask   uint64 // simlint:nosync geometry
+	gMask    uint64 // simlint:nosync geometry
 	histBits uint
 	lhBits   uint
 }
@@ -250,7 +258,7 @@ type BTB struct {
 	tags    []uint64
 	targets []uint64
 	valid   []bool
-	mask    uint64
+	mask    uint64 // simlint:nosync geometry
 
 	hits, misses uint64
 }

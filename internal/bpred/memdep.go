@@ -7,8 +7,8 @@ package bpred
 // so stale training does not serialise loads forever.
 type StoreWait struct {
 	bits     []bool
-	mask     uint64
-	interval int64
+	mask     uint64 // simlint:nosync geometry
+	interval int64  // simlint:nosync configuration
 	nextClr  int64
 
 	trains, clears uint64

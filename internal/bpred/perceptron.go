@@ -9,8 +9,8 @@ package bpred
 type Perceptron struct {
 	weights [][]int16
 	history []int8 // +1 taken, -1 not taken
-	mask    uint64
-	theta   int32
+	mask    uint64 // simlint:nosync geometry
+	theta   int32  // simlint:nosync derived from the history length
 }
 
 // NewPerceptron returns a perceptron predictor with the given table size

@@ -169,9 +169,9 @@ type crcEntry struct {
 // absent.
 type CRC struct {
 	entries []crcEntry
-	slot    []int32
-	policy  ReplacementPolicy
-	timeout int64 // 0 = no timeout
+	slot    []int32           // simlint:nosync derived from entries when decoded
+	policy  ReplacementPolicy // simlint:nosync configuration
+	timeout int64             // simlint:nosync configuration; 0 = no timeout
 
 	hits, misses, inserts, invalidates, expirations uint64
 }
@@ -295,7 +295,7 @@ func (c *CRC) Expirations() uint64 { return c.expirations }
 // miss for the extras — one of the paper's two documented miss sources.
 type InsertionTable struct {
 	counts []uint8
-	max    uint8
+	max    uint8 // simlint:nosync configuration
 
 	saturations uint64
 }
@@ -349,7 +349,7 @@ func (t *InsertionTable) Saturations() uint64 { return t.saturations }
 // DRA composes the RPFT, insertion tables and CRCs and exposes the event
 // interface the pipeline drives. All methods are per-event and O(small).
 type DRA struct {
-	cfg    Config
+	cfg    Config // simlint:nosync configuration
 	rpft   *RPFT
 	tables []*InsertionTable
 	crcs   []*CRC

@@ -107,12 +107,12 @@ func TestDRAIndexMatchesLinearProbe(t *testing.T) {
 					return false
 				}
 			}
-			var w snap.Writer
-			d.Snapshot(&w)
+			var enc snap.Codec
+			d.Sync(&enc)
 			back := New(cfg, numPhys)
-			r := snap.NewReader(w.Bytes())
-			back.Restore(r)
-			if r.Expect() != nil {
+			dec := snap.NewDecoder(enc.Bytes())
+			back.Sync(dec)
+			if dec.Expect() != nil {
 				return false
 			}
 			for i, c := range back.crcs {
@@ -135,11 +135,11 @@ func TestCRCRestoreRejectsDuplicateRegister(t *testing.T) {
 	src := NewCRC(4, 16)
 	src.Insert(3, 1)
 	src.Insert(5, 2)
-	var good snap.Writer
-	src.Snapshot(&good)
-	r := snap.NewReader(good.Bytes())
-	NewCRC(4, 16).Restore(r)
-	if err := r.Expect(); err != nil {
+	var good snap.Codec
+	src.Sync(&good)
+	dec := snap.NewDecoder(good.Bytes())
+	NewCRC(4, 16).Sync(dec)
+	if err := dec.Expect(); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
 
@@ -154,14 +154,14 @@ func TestCRCRestoreRejectsDuplicateRegister(t *testing.T) {
 		bad.Insert(3, 1)
 		bad.Insert(5, 2)
 		tc.corrupt(bad)
-		var w snap.Writer
-		bad.Snapshot(&w)
-		if bytes.Equal(w.Bytes(), good.Bytes()) {
+		var enc snap.Codec
+		bad.Sync(&enc)
+		if bytes.Equal(enc.Bytes(), good.Bytes()) {
 			t.Fatalf("%s: corruption did not change the encoding", tc.name)
 		}
-		r := snap.NewReader(w.Bytes())
-		NewCRC(4, 16).Restore(r)
-		if r.Err() == nil {
+		dec := snap.NewDecoder(enc.Bytes())
+		NewCRC(4, 16).Sync(dec)
+		if dec.Err() == nil {
 			t.Errorf("%s: restore accepted a register index it cannot represent", tc.name)
 		}
 	}

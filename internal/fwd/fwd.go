@@ -16,8 +16,8 @@ const never int64 = -(1 << 60)
 // computed, and answers whether a consumer executing at a given cycle can
 // obtain the value from forwarding.
 type Buffer struct {
-	depth     int64
-	wbDelay   int64
+	depth     int64   // simlint:nosync configuration, rebuilt by New
+	wbDelay   int64   // simlint:nosync configuration, rebuilt by New
 	completed []int64 // [PReg] -> completion cycle, or never
 
 	hits, misses uint64

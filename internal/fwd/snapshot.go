@@ -2,24 +2,12 @@ package fwd
 
 import "loosesim/internal/snap"
 
-// Snapshot encodes the forwarding buffer's mutable state: per-register
-// completion cycles and the hit/miss statistics. depth and wbDelay are
-// configuration, rebuilt by New.
-func (b *Buffer) Snapshot(w *snap.Writer) {
-	w.I64s(b.completed)
-	w.U64(b.hits)
-	w.U64(b.misses)
-}
-
-// Restore overwrites b's mutable state with state encoded by Snapshot.
-// b must have been constructed by New with the same register count.
-func (b *Buffer) Restore(r *snap.Reader) {
-	completed := r.I64s(len(b.completed))
-	if len(completed) != len(b.completed) {
-		r.Failf("fwd: %d completion entries, want %d", len(completed), len(b.completed))
-		return
-	}
-	copy(b.completed, completed)
-	b.hits = r.U64()
-	b.misses = r.U64()
+// Sync encodes or decodes the forwarding buffer's mutable state:
+// per-register completion cycles and the hit/miss statistics. depth and
+// wbDelay are configuration, rebuilt by New; b must have been constructed
+// by New with the snapshot's register count.
+func (b *Buffer) Sync(c *snap.Codec) {
+	c.I64s(b.completed)
+	c.U64(&b.hits)
+	c.U64(&b.misses)
 }

@@ -2,16 +2,25 @@ package isa
 
 import "loosesim/internal/snap"
 
-// Snapshot encodes the static instruction into w (byte-stable; part of
-// the machine checkpoint format).
-func (in *Inst) Snapshot(w *snap.Writer) {
-	w.U64(in.PC)
-	w.U8(uint8(in.Op))
-	w.U16(uint16(in.Dest))
-	w.U16(uint16(in.Src[0]))
-	w.U16(uint16(in.Src[1]))
-	w.U64(in.Addr)
-	w.Bool(in.Taken)
+// Sync encodes or decodes the static instruction (byte-stable; part of
+// the machine checkpoint format). Decoding rejects out-of-range
+// operation classes and register names.
+func (in *Inst) Sync(c *snap.Codec) {
+	c.U64(&in.PC)
+	c.U8((*uint8)(&in.Op))
+	c.U16((*uint16)(&in.Dest))
+	c.U16((*uint16)(&in.Src[0]))
+	c.U16((*uint16)(&in.Src[1]))
+	c.U64(&in.Addr)
+	c.Bool(&in.Taken)
+	if c.Decoding() {
+		if int(in.Op) >= NumOpClasses {
+			c.Failf("inst op class %d out of range", in.Op)
+		}
+		if !validReg(in.Dest) || !validReg(in.Src[0]) || !validReg(in.Src[1]) {
+			c.Failf("inst register out of range: d=%d s=[%d %d]", in.Dest, in.Src[0], in.Src[1])
+		}
+	}
 }
 
 // validReg accepts a register that is either a real architectural
@@ -19,21 +28,3 @@ func (in *Inst) Snapshot(w *snap.Writer) {
 // corrupt (the generator never emits it, and the rename table would
 // index out of range on it).
 func validReg(r Reg) bool { return r.Valid() || r == RegInvalid }
-
-// Restore overwrites in with state encoded by Snapshot, rejecting
-// out-of-range operation classes and register names.
-func (in *Inst) Restore(r *snap.Reader) {
-	in.PC = r.U64()
-	in.Op = OpClass(r.U8())
-	in.Dest = Reg(r.U16())
-	in.Src[0] = Reg(r.U16())
-	in.Src[1] = Reg(r.U16())
-	in.Addr = r.U64()
-	in.Taken = r.Bool()
-	if int(in.Op) >= NumOpClasses {
-		r.Failf("inst op class %d out of range", in.Op)
-	}
-	if !validReg(in.Dest) || !validReg(in.Src[0]) || !validReg(in.Src[1]) {
-		r.Failf("inst register out of range: d=%d s=[%d %d]", in.Dest, in.Src[0], in.Src[1])
-	}
-}

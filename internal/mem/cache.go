@@ -70,10 +70,10 @@ type line struct {
 // Cache is a set-associative cache with true LRU replacement. It tracks
 // hits and misses; data contents are not modelled (timing-only simulator).
 type Cache struct {
-	cfg     CacheConfig // simlint:noreset immutable geometry, fixed at construction
+	cfg     CacheConfig // simlint:noreset simlint:nosync immutable geometry, fixed at construction
 	sets    [][]line
-	setMask uint64 // simlint:noreset derived from cfg at construction
-	lnShift uint   // simlint:noreset derived from cfg at construction
+	setMask uint64 // simlint:noreset simlint:nosync derived from cfg at construction
+	lnShift uint   // simlint:noreset simlint:nosync derived from cfg at construction
 	clock   uint64
 
 	hits, misses uint64

@@ -77,7 +77,7 @@ func (r AccessResult) Hit() bool { return r.L1Hit && !r.BankConflict }
 // Hierarchy ties the cache levels, banks, and TLB together and produces the
 // per-load AccessResult the pipeline consumes.
 type Hierarchy struct {
-	cfg HierConfig
+	cfg HierConfig // simlint:nosync configuration, rebuilt by NewHierarchy
 	l1  *Cache
 	l2  *Cache
 	tlb TLB

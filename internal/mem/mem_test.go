@@ -296,9 +296,9 @@ func TestHierarchySnapshotSize(t *testing.T) {
 		for i := uint64(0); i < 5000; i++ {
 			h.Load(i*4099, int64(i))
 		}
-		var w snap.Writer
-		h.Snapshot(&w)
-		if got, want := h.SnapshotSize(), len(w.Bytes()); got != want {
+		var c snap.Codec
+		h.Sync(&c)
+		if got, want := h.SnapshotSize(), len(c.Bytes()); got != want {
 			t.Errorf("SnapshotSize = %d, encoding is %d bytes", got, want)
 		}
 	}

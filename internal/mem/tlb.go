@@ -22,7 +22,7 @@ import (
 // tail, since its new stamp is the largest.
 type TLB struct {
 	entries  []line
-	pgShift  uint // simlint:noreset derived from the page size at construction
+	pgShift  uint // simlint:noreset simlint:nosync derived from the page size at construction
 	clock    uint64
 	hits     uint64
 	missesCt uint64
@@ -30,11 +30,11 @@ type TLB struct {
 	// slots is the page index, linear probing at most half full: each
 	// slot holds an entry number plus one, or 0 when empty. Only valid
 	// entries are indexed.
-	slots []int32
+	slots []int32 // simlint:nosync derived from entries by relink
 	// prev and next link the replacement list. Node len(entries) is the
 	// sentinel: next[sentinel] is the victim, prev[sentinel] the entry
 	// used last.
-	prev, next []int32
+	prev, next []int32 // simlint:nosync derived from entries by relink
 }
 
 // NewTLB returns a TLB with the given entry count and page size (power of

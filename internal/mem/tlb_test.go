@@ -69,34 +69,34 @@ func sameTLB(t *testing.T, step int, ref *linearTLB, got *TLB) {
 	}
 }
 
-// roundTrip snapshots t and restores the bytes into a fresh TLB of the
+// roundTrip encodes t and decodes the bytes into a fresh TLB of the
 // same geometry.
 func roundTrip(t *testing.T, tlb *TLB) *TLB {
 	t.Helper()
-	var w snap.Writer
-	tlb.Snapshot(&w)
+	var enc snap.Codec
+	tlb.Sync(&enc)
 	fresh := NewTLB(len(tlb.entries), 1<<tlb.pgShift)
-	r := snap.NewReader(w.Bytes())
-	fresh.Restore(r)
-	if err := r.Expect(); err != nil {
+	c := snap.NewDecoder(enc.Bytes())
+	fresh.Sync(c)
+	if err := c.Expect(); err != nil {
 		t.Fatalf("restore of a snapshot: %v", err)
 	}
 	return fresh
 }
 
-// restoreState encodes a hand-built state the way Snapshot does and
-// restores it into a fresh TLB, returning the reader's error.
+// restoreState encodes a hand-built state the way Sync does and decodes
+// it into a fresh TLB, returning the decoder's error.
 func restoreState(entries []line, clock, hits, misses uint64) (*TLB, error) {
-	var w snap.Writer
-	w.Len(len(entries))
-	snapshotLines(&w, entries)
-	w.U64(clock)
-	w.U64(hits)
-	w.U64(misses)
+	var enc snap.Codec
+	enc.Fixed(len(entries))
+	syncLines(&enc, entries)
+	enc.U64(&clock)
+	enc.U64(&hits)
+	enc.U64(&misses)
 	tlb := NewTLB(len(entries), 1<<testPageShift)
-	r := snap.NewReader(w.Bytes())
-	tlb.Restore(r)
-	return tlb, r.Expect()
+	c := snap.NewDecoder(enc.Bytes())
+	tlb.Sync(c)
+	return tlb, c.Expect()
 }
 
 // pageStream draws n accesses over span pages: mostly a walk with short

@@ -9,6 +9,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -306,6 +307,56 @@ func DRAConfigRF(wl workload.Workload, regReadLat int) Config {
 		cfg.DecIQLat = 5 // 3 -> 5_3, 5 -> 7_3, 7 -> 9_3
 	}
 	return cfg
+}
+
+// Named picks one of the paper's machines by benchmark name, with the
+// knobs its figures vary. It is the one mapping onto BaseConfigRF and
+// DRAConfigRF that loosim's flags and a served job's bench fields share.
+// Zero values select the machine's defaults.
+type Named struct {
+	Bench   string
+	DRA     bool
+	RegRead int     // register file read latency; 0 = 3
+	DecIQ   int     // 0 = derive from machine kind
+	IQEx    int     // 0 = derive from machine kind
+	Load    string  // reissue|refetch|stall; "" = the machine's
+	MemDep  string  // storewait|blind|conservative; "" = the machine's
+	Seed    int64   // 0 = the machine's
+	Warmup  *uint64 // nil = the machine's
+	Inst    uint64  // measured instructions; 0 = the machine's
+}
+
+// Config builds the named machine's configuration.
+func (n Named) Config() (Config, error) {
+	wl, err := workload.ByName(n.Bench)
+	if err != nil {
+		return Config{}, err
+	}
+	regRead := cmp.Or(n.RegRead, 3)
+	var cfg Config
+	if n.DRA {
+		cfg = DRAConfigRF(wl, regRead)
+	} else {
+		cfg = BaseConfigRF(wl, regRead)
+	}
+	if n.DecIQ > 0 {
+		cfg.DecIQLat = n.DecIQ
+	}
+	if n.IQEx > 0 {
+		cfg.IQExLat = n.IQEx
+	}
+	if cfg.LoadPolicy, err = ParseLoadRecovery(cmp.Or(n.Load, cfg.LoadPolicy.String())); err != nil {
+		return Config{}, err
+	}
+	if cfg.MemDep, err = ParseMemDep(cmp.Or(n.MemDep, cfg.MemDep.String())); err != nil {
+		return Config{}, err
+	}
+	cfg.Seed = cmp.Or(n.Seed, cfg.Seed)
+	if n.Warmup != nil {
+		cfg.WarmupInstructions = *n.Warmup
+	}
+	cfg.MeasureInstructions = cmp.Or(n.Inst, cfg.MeasureInstructions)
+	return cfg, nil
 }
 
 // Validate reports configuration errors.

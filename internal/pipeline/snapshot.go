@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
-	"loosesim/internal/bpred"
 	"loosesim/internal/isa"
 	"loosesim/internal/regfile"
 	"loosesim/internal/snap"
@@ -95,9 +95,9 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := snap.Begin(snapMagic, snapVersion, []byte(digest), m.snapshotCap())
-	m.encodePayload(&w)
-	return w.Seal(), nil
+	c := snap.Begin(snapMagic, snapVersion, []byte(digest), m.snapshotCap())
+	m.sync(&c)
+	return c.Seal(), nil
 }
 
 // snapshotCap is the payload size Snapshot allocates for. The memory
@@ -147,9 +147,9 @@ func Restore(cfg Config, data []byte) (*Machine, error) {
 		return nil, fmt.Errorf("pipeline: checkpoint was taken under config %.12s…, restoring under %.12s…: %w",
 			meta, digest, snap.ErrCorrupt)
 	}
-	r := snap.NewReader(payload)
-	m.restorePayload(r)
-	if err := r.Expect(); err != nil {
+	c := snap.NewDecoder(payload)
+	m.sync(c)
+	if err := c.Expect(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -285,190 +285,265 @@ func (m *Machine) Warmed() uint64 {
 // ---------------------------------------------------------------------------
 // Payload encoding.
 
-// snapCounters writes every Counters field in declaration order.
-func snapCounters(w *snap.Writer, c Counters) {
-	w.I64(c.Cycles)
-	w.U64(c.Retired)
-	w.U64(c.Fetched)
-	w.U64(c.WrongPathFetch)
-	w.U64(c.BTBBubbles)
-	w.U64(c.RenameStallIQ)
-	w.U64(c.FrontStalls)
-	w.U64(c.Branches)
-	w.U64(c.Mispredicts)
-	w.U64(c.SquashedTotal)
-	w.U64(c.SquashedIssued)
-	w.U64(c.BranchResLatSum)
-	w.U64(c.Loads)
-	w.U64(c.L1Misses)
-	w.U64(c.L2Misses)
-	w.U64(c.BankConflicts)
-	w.U64(c.LoadMisspecs)
-	w.U64(c.DataReissues)
-	w.U64(c.LoadRefetches)
-	w.U64(c.TLBMissTraps)
-	w.U64(c.MemOrderTraps)
-	w.U64(c.StoreForwards)
-	w.U64(c.IssuedTotal)
-	w.U64(c.ExecutedUseful)
-	w.U64(c.OperandsRead)
-	w.U64(c.OperandPreRead)
-	w.U64(c.OperandForwarded)
-	w.U64(c.OperandCRC)
-	w.U64(c.OperandMisses)
-	w.U64(c.OperandReissues)
+// Sync encodes or decodes every Counters field in declaration order.
+func (c *Counters) Sync(cd *snap.Codec) {
+	cd.I64(&c.Cycles)
+	cd.U64(&c.Retired)
+	cd.U64(&c.Fetched)
+	cd.U64(&c.WrongPathFetch)
+	cd.U64(&c.BTBBubbles)
+	cd.U64(&c.RenameStallIQ)
+	cd.U64(&c.FrontStalls)
+	cd.U64(&c.Branches)
+	cd.U64(&c.Mispredicts)
+	cd.U64(&c.SquashedTotal)
+	cd.U64(&c.SquashedIssued)
+	cd.U64(&c.BranchResLatSum)
+	cd.U64(&c.Loads)
+	cd.U64(&c.L1Misses)
+	cd.U64(&c.L2Misses)
+	cd.U64(&c.BankConflicts)
+	cd.U64(&c.LoadMisspecs)
+	cd.U64(&c.DataReissues)
+	cd.U64(&c.LoadRefetches)
+	cd.U64(&c.TLBMissTraps)
+	cd.U64(&c.MemOrderTraps)
+	cd.U64(&c.StoreForwards)
+	cd.U64(&c.IssuedTotal)
+	cd.U64(&c.ExecutedUseful)
+	cd.U64(&c.OperandsRead)
+	cd.U64(&c.OperandPreRead)
+	cd.U64(&c.OperandForwarded)
+	cd.U64(&c.OperandCRC)
+	cd.U64(&c.OperandMisses)
+	cd.U64(&c.OperandReissues)
 }
 
-func restoreCounters(r *snap.Reader) Counters {
-	var c Counters
-	c.Cycles = r.I64()
-	c.Retired = r.U64()
-	c.Fetched = r.U64()
-	c.WrongPathFetch = r.U64()
-	c.BTBBubbles = r.U64()
-	c.RenameStallIQ = r.U64()
-	c.FrontStalls = r.U64()
-	c.Branches = r.U64()
-	c.Mispredicts = r.U64()
-	c.SquashedTotal = r.U64()
-	c.SquashedIssued = r.U64()
-	c.BranchResLatSum = r.U64()
-	c.Loads = r.U64()
-	c.L1Misses = r.U64()
-	c.L2Misses = r.U64()
-	c.BankConflicts = r.U64()
-	c.LoadMisspecs = r.U64()
-	c.DataReissues = r.U64()
-	c.LoadRefetches = r.U64()
-	c.TLBMissTraps = r.U64()
-	c.MemOrderTraps = r.U64()
-	c.StoreForwards = r.U64()
-	c.IssuedTotal = r.U64()
-	c.ExecutedUseful = r.U64()
-	c.OperandsRead = r.U64()
-	c.OperandPreRead = r.U64()
-	c.OperandForwarded = r.U64()
-	c.OperandCRC = r.U64()
-	c.OperandMisses = r.U64()
-	c.OperandReissues = r.U64()
-	return c
+// Sync encodes or decodes every CycleStack bucket in declaration order.
+func (s *CycleStack) Sync(c *snap.Codec) {
+	c.I64(&s.Retiring)
+	c.I64(&s.FrontEnd)
+	c.I64(&s.Decode)
+	c.I64(&s.IQWait)
+	c.I64(&s.MemExec)
+	c.I64(&s.Exec)
 }
 
-func snapStack(w *snap.Writer, s CycleStack) {
-	w.I64(s.Retiring)
-	w.I64(s.FrontEnd)
-	w.I64(s.Decode)
-	w.I64(s.IQWait)
-	w.I64(s.MemExec)
-	w.I64(s.Exec)
+// uopTable numbers a checkpoint's live uops: uops maps an id to its
+// record and ids maps a record back to its id, in both directions.
+// Encoding builds it from the machine; decoding builds it from the
+// payload, and seen tracks window/dead membership.
+type uopTable struct {
+	uops []*uop.UOp
+	ids  map[*uop.UOp]uint32
+	seen []bool
 }
 
-func restoreStack(r *snap.Reader) CycleStack {
-	var s CycleStack
-	s.Retiring = r.I64()
-	s.FrontEnd = r.I64()
-	s.Decode = r.I64()
-	s.IQWait = r.I64()
-	s.MemExec = r.I64()
-	s.Exec = r.I64()
-	return s
+func (tab *uopTable) add(u *uop.UOp) {
+	if _, dup := tab.ids[u]; dup {
+		panic(fmt.Sprintf("pipeline: snapshot: %v appears twice in the live set", u))
+	}
+	tab.ids[u] = uint32(len(tab.uops))
+	tab.uops = append(tab.uops, u)
 }
 
-// encodePayload writes the machine's state. The live-uop table comes
-// first; every later uop reference is a u32 index into it.
-func (m *Machine) encodePayload(w *snap.Writer) {
-	w.I64(m.cycle)
-	w.U64(m.seq)
+// ref encodes or decodes one uop reference as a u32 id. Only a nilOK
+// reference may be nil (encoded as noUop); decoding any other id outside
+// the table latches snap.ErrCorrupt and yields nil.
+func (tab *uopTable) ref(c *snap.Codec, u **uop.UOp, context string, nilOK bool) {
+	v := noUop
+	if !c.Decoding() && *u != nil {
+		id, ok := tab.ids[*u]
+		if !ok {
+			panic(fmt.Sprintf("pipeline: snapshot: reference to %v outside the live set", *u))
+		}
+		v = id
+	}
+	c.U32(&v)
+	if !c.Decoding() {
+		return
+	}
+	*u = nil
+	switch {
+	case c.Err() != nil, v == noUop && nilOK:
+	case v >= uint32(len(tab.uops)):
+		c.Failf("%s: uop id %d of %d", context, v, len(tab.uops))
+	default:
+		*u = tab.uops[v]
+	}
+}
+
+// list encodes or decodes a length-prefixed list of uop references;
+// decoding replaces *us.
+func (tab *uopTable) list(c *snap.Codec, us *[]*uop.UOp, context string) {
+	n := c.Len(len(*us), len(tab.uops))
+	if c.Decoding() {
+		*us = slices.Grow((*us)[:0], n)[:n]
+	}
+	for i := range *us {
+		tab.ref(c, &(*us)[i], context, false)
+	}
+}
+
+// queue encodes or decodes a window or decode pipe, oldest first.
+// Decoding pushes the members onto the fresh deque d, claiming each one
+// when member is set.
+func (tab *uopTable) queue(c *snap.Codec, d *deque, context string, member bool) {
+	var items []*uop.UOp
+	if !c.Decoding() {
+		items = d.items()
+	}
+	tab.list(c, &items, context)
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	for _, u := range items {
+		if member {
+			tab.claim(c, u)
+		}
+		d.push(u)
+	}
+}
+
+// claim records, when decoding, that u sits in a window or the dead
+// queue: each live uop must sit in exactly one.
+func (tab *uopTable) claim(c *snap.Codec, u *uop.UOp) {
+	id := tab.ids[u]
+	if tab.seen[id] {
+		c.Failf("uop %d in two containers", id)
+	}
+	tab.seen[id] = true
+}
+
+// sync encodes or decodes the machine's state; m is freshly built by New
+// when decoding. The live-uop table comes first; every later uop
+// reference is a u32 index into it. Decoding bounds-checks every index,
+// enum, and count against the machine's geometry; any violation latches
+// snap.ErrCorrupt and the caller discards the machine.
+func (m *Machine) sync(c *snap.Codec) {
+	dec := c.Decoding()
+	c.I64(&m.cycle)
+	c.U64(&m.seq)
 
 	// Live-uop table: thread windows front-to-back, then the dead queue.
-	ids := make(map[*uop.UOp]uint32)
-	var table []*uop.UOp
-	add := func(u *uop.UOp) {
-		if _, dup := ids[u]; dup {
-			panic(fmt.Sprintf("pipeline: snapshot: %v appears twice in the live set", u))
+	// Decoding draws records from the pool exactly as fetch would, and
+	// checks each against the geometry before any index can touch a
+	// slice.
+	tab := uopTable{ids: make(map[*uop.UOp]uint32)}
+	if !dec {
+		for _, t := range m.threads {
+			for _, u := range t.window.items() {
+				tab.add(u)
+			}
 		}
-		ids[u] = uint32(len(table))
-		table = append(table, u)
-	}
-	for _, t := range m.threads {
-		for i := 0; i < t.window.len(); i++ {
-			add(t.window.at(i))
-		}
-	}
-	for _, rec := range m.dead[m.deadHead:] {
-		add(rec.u)
-	}
-	id := func(u *uop.UOp) uint32 {
-		if u == nil {
-			return noUop
-		}
-		i, ok := ids[u]
-		if !ok {
-			panic(fmt.Sprintf("pipeline: snapshot: reference to %v outside the live set", u))
-		}
-		return i
-	}
-	idList := func(us []*uop.UOp) {
-		w.Len(len(us))
-		for _, u := range us {
-			w.U32(id(u))
+		for _, rec := range m.dead[m.deadHead:] {
+			tab.add(rec.u)
 		}
 	}
-	w.Len(len(table))
-	for _, u := range table {
-		u.Snapshot(w)
+	n := c.Len(len(tab.uops), maxSnapUops)
+	for i := 0; i < n; i++ {
+		if dec {
+			tab.add(m.pool.Get(isa.Inst{}, 0, 0, 0))
+		}
+		tab.uops[i].Sync(c)
+		if dec && !m.checkUop(c, i, tab.uops[i]) {
+			return
+		}
+	}
+	if dec {
+		tab.seen = make([]bool, n)
 	}
 
 	// Per-thread front-end and window state, starting with the full state
 	// of both workload generators.
 	for _, t := range m.threads {
-		t.gen.Snapshot(w)
-		t.wp.Snapshot(w)
-		w.Len(t.window.len())
-		for i := 0; i < t.window.len(); i++ {
-			w.U32(id(t.window.at(i)))
+		t.gen.Sync(c)
+		t.wp.Sync(c)
+		tab.queue(c, &t.window, "window", true)
+		tab.queue(c, &t.decode, "decode", false)
+		c.Bool(&t.wrongPath)
+		tab.ref(c, &t.wpBranch, "wpBranch", true)
+		rn := c.Len(len(t.replay)-t.replayHead, maxSnapReplay)
+		if dec {
+			t.replay, t.replayHead = t.replay[:0], 0
 		}
-		w.Len(t.decode.len())
-		for i := 0; i < t.decode.len(); i++ {
-			w.U32(id(t.decode.at(i)))
+		for i := 0; i < rn; i++ {
+			if dec {
+				t.replay = append(t.replay, isa.Inst{})
+			}
+			t.replay[t.replayHead+i].Sync(c)
+			if c.Err() != nil {
+				return
+			}
 		}
-		w.Bool(t.wrongPath)
-		w.U32(id(t.wpBranch))
-		w.Len(len(t.replay) - t.replayHead)
-		for _, in := range t.replay[t.replayHead:] {
-			in.Snapshot(w)
+		tab.list(c, &t.memStores, "memStores")
+		tab.list(c, &t.memLoads, "memLoads")
+		c.U64(&t.minUnexecStore)
+		c.I64(&t.fetchBlockedUntil)
+		c.U64(&t.retired)
+		c.U64(&t.warmRetired)
+		if c.Err() != nil {
+			return
 		}
-		idList(t.memStores)
-		idList(t.memLoads)
-		w.U64(t.minUnexecStore)
-		w.I64(t.fetchBlockedUntil)
-		w.U64(t.retired)
-		w.U64(t.warmRetired)
 	}
 
 	// Wakeup state, ahead of the IQ entry lists so that restore's inserts
 	// park against the restored wakeup times.
-	w.I64s(m.q.ReadyTimes())
-	w.I64s(m.actualAt)
-	w.Len(len(m.regGen))
-	for _, g := range m.regGen {
-		w.U32(g)
+	var readyAt []int64
+	if dec {
+		readyAt = make([]int64, m.cfg.NumPhysRegs)
+	} else {
+		readyAt = m.q.ReadyTimes()
+	}
+	c.I64s(readyAt)
+	c.I64s(m.actualAt)
+	c.Fixed(len(m.regGen))
+	for i := range m.regGen {
+		c.U32(&m.regGen[i])
+	}
+	if c.Err() != nil {
+		return
+	}
+	if dec {
+		for p, at := range readyAt {
+			m.q.SetReady(regfile.PReg(p), at)
+		}
 	}
 
-	// IQ entry lists (rebuilt through Insert on restore).
-	for c := 0; c < m.cfg.Clusters; c++ {
-		idList(m.q.ClusterEntries(c))
+	// IQ entry lists, rebuilt through Insert on restore.
+	var inIQ []bool
+	if dec {
+		inIQ = make([]bool, n)
+	}
+	for cl := 0; cl < m.cfg.Clusters; cl++ {
+		var entries []*uop.UOp
+		if !dec {
+			entries = m.q.ClusterEntries(cl)
+		}
+		tab.list(c, &entries, "iq")
+		if dec && !m.reinsert(c, &tab, inIQ, cl, entries) {
+			return
+		}
+	}
+	for i, in := range inIQ {
+		if tab.uops[i].InIQ != in {
+			c.Failf("uop %d marked InIQ but in no cluster list", i)
+			return
+		}
 	}
 
 	// Subsystems.
-	m.rf.Snapshot(w)
-	m.fb.Snapshot(w)
-	m.memh.Snapshot(w)
-	bpred.SnapshotPredictor(w, m.pred)
-	m.btb.Snapshot(w)
-	m.swPred.Snapshot(w)
+	m.rf.Sync(c)
+	m.fb.Sync(c)
+	m.memh.Sync(c)
+	m.pred.Sync(c)
+	m.btb.Sync(c)
+	m.swPred.Sync(c)
 	if m.dra != nil {
-		m.dra.Snapshot(w)
+		m.dra.Sync(c)
+	}
+	if c.Err() != nil {
+		return
 	}
 
 	// Event rings: per kind, the non-empty future slots in cycle order.
@@ -476,327 +551,157 @@ func (m *Machine) encodePayload(w *snap.Writer) {
 	// (m.cycle, m.cycle+ringCycles), so (kind, offset) identifies a slot.
 	// Offsets are relative, so the encoding does not depend on the ring
 	// length.
-	for kind := 0; kind < numEvKinds; kind++ {
-		nonEmpty := 0
-		for off := int64(1); off < m.ringCycles; off++ {
-			if len(*m.rings[kind].slot(m.cycle + off)) > 0 {
-				nonEmpty++
+	for kind := range m.rings {
+		ring := &m.rings[kind]
+		var offs []uint16
+		if !dec {
+			for off := int64(1); off < m.ringCycles; off++ {
+				if len(*ring.slot(m.cycle + off)) > 0 {
+					offs = append(offs, uint16(off))
+				}
 			}
 		}
-		w.Len(nonEmpty)
-		for off := int64(1); off < m.ringCycles; off++ {
-			slot := *m.rings[kind].slot(m.cycle + off)
-			if len(slot) == 0 {
-				continue
+		slots := c.Len(len(offs), int(m.ringCycles)-1)
+		prev := uint16(0)
+		for s := 0; s < slots; s++ {
+			var off uint16
+			if !dec {
+				off = offs[s]
 			}
-			w.U16(uint16(off))
-			w.Len(len(slot))
-			for _, e := range slot {
-				w.U32(id(e.u))
-				w.I32(e.tag)
-				w.U32(e.gen)
+			c.U16(&off)
+			if dec && (off <= prev || int64(off) >= m.ringCycles) {
+				c.Failf("ring %d: slot offset %d after %d", kind, off, prev)
+				return
+			}
+			prev = off
+			var evs []event
+			if !dec {
+				evs = *ring.slot(m.cycle + int64(off))
+			}
+			cnt := c.Len(len(evs), n)
+			for i := 0; i < cnt; i++ {
+				var e event
+				if !dec {
+					e = evs[i]
+				}
+				tab.ref(c, &e.u, "event", false)
+				c.I32(&e.tag)
+				c.U32(&e.gen)
+				if dec {
+					if c.Err() != nil {
+						return
+					}
+					ring.schedule(m.cycle+int64(off), e)
+				}
 			}
 		}
 	}
 
 	// Measurement and observability state.
-	snapCounters(w, m.ctr)
-	snapCounters(w, m.warmSnap)
-	w.Bool(m.measuring)
-	m.opGap.Snapshot(w)
-	w.U64(m.occSum)
-	w.U64(m.retainSum)
-	w.U64(m.samples)
-	snapStack(w, m.stack)
-	snapStack(w, m.warmStack)
-	snapCounters(w, m.ivSnap)
-	w.I64(m.ivStart)
-	w.Int(m.ivIndex)
-	w.U64(m.ivOcc)
+	m.ctr.Sync(c)
+	m.warmSnap.Sync(c)
+	c.Bool(&m.measuring)
+	m.opGap.Sync(c)
+	c.U64(&m.occSum)
+	c.U64(&m.retainSum)
+	c.U64(&m.samples)
+	m.stack.Sync(c)
+	m.warmStack.Sync(c)
+	m.ivSnap.Sync(c)
+	c.I64(&m.ivStart)
+	c.Int(&m.ivIndex)
+	c.U64(&m.ivOcc)
 
-	w.I64(m.frontStallUntil)
-	w.I64(m.lastRetireCycle)
-	w.Int(m.rrRename)
-	w.Int(m.rrRetire)
-	w.Int(m.rrFetch)
+	c.I64(&m.frontStallUntil)
+	c.I64(&m.lastRetireCycle)
+	c.Int(&m.rrRename)
+	c.Int(&m.rrRetire)
+	c.Int(&m.rrFetch)
 
 	// Dead queue (head-normalized: restore starts at deadHead = 0).
-	w.Len(len(m.dead) - m.deadHead)
-	for _, rec := range m.dead[m.deadHead:] {
-		w.U32(id(rec.u))
-		w.I64(rec.at)
+	dn := c.Len(len(m.dead)-m.deadHead, n)
+	if dec {
+		m.dead, m.deadHead = slices.Grow(m.dead[:0], dn)[:dn], 0
 	}
-}
-
-// restorePayload overwrites m (freshly built by New) with the encoded
-// state. Every index, enum, and count is bounds-checked against the
-// machine's geometry; any violation latches snap.ErrCorrupt on r and the
-// caller discards the machine.
-func (m *Machine) restorePayload(r *snap.Reader) {
-	m.cycle = r.I64()
-	m.seq = r.U64()
-
-	// Live-uop table. Records come from the pool exactly as fetch would
-	// draw them; the member check runs per uop so corrupt indices fail
-	// before they can touch a slice.
-	n := r.Len(maxSnapUops)
-	if r.Err() != nil {
-		return
-	}
-	uops := make([]*uop.UOp, n)
-	for i := range uops {
-		u := m.pool.Get(isa.Inst{}, 0, 0, 0)
-		u.Restore(r)
-		if r.Err() != nil {
-			return
-		}
-		if u.Thread >= len(m.threads) {
-			r.Failf("uop %d: thread %d of %d", i, u.Thread, len(m.threads))
-			return
-		}
-		if u.Cluster >= m.cfg.Clusters {
-			r.Failf("uop %d: cluster %d of %d", i, u.Cluster, m.cfg.Clusters)
-			return
-		}
-		for _, p := range []int32{int32(u.Dest), int32(u.OldPhy), int32(u.Src[0]), int32(u.Src[1])} {
-			if p < -1 || int(p) >= m.cfg.NumPhysRegs {
-				r.Failf("uop %d: preg %d of %d", i, p, m.cfg.NumPhysRegs)
+	for i := range m.dead[m.deadHead:] {
+		rec := &m.dead[m.deadHead+i]
+		tab.ref(c, &rec.u, "dead", false)
+		c.I64(&rec.at)
+		if dec {
+			if c.Err() != nil {
 				return
 			}
-		}
-		// A source the uop reads must name a register: the IQ files a
-		// waiting entry under its sources' wakeup times.
-		for k := 0; k < u.NumSrc; k++ {
-			if u.Src[k] == regfile.PRegInvalid {
-				r.Failf("uop %d: source %d of %d names no register", i, k, u.NumSrc)
-				return
-			}
-		}
-		uops[i] = u
-	}
-	seen := make([]bool, n) // window/dead membership: each uop exactly once
-	byID := func(context string) (int, bool) {
-		v := r.U32()
-		if r.Err() != nil {
-			return 0, false
-		}
-		if v >= uint32(n) {
-			r.Failf("%s: uop id %d of %d", context, v, n)
-			return 0, false
-		}
-		return int(v), true
-	}
-	idList := func(context string, dst []*uop.UOp) []*uop.UOp {
-		cnt := r.Len(n)
-		for i := 0; i < cnt; i++ {
-			idx, ok := byID(context)
-			if !ok {
-				return dst
-			}
-			dst = append(dst, uops[idx])
-		}
-		return dst
-	}
-
-	// Threads.
-	for _, t := range m.threads {
-		t.gen.Restore(r)
-		t.wp.Restore(r)
-		if r.Err() != nil {
-			return
-		}
-		wn := r.Len(n)
-		for i := 0; i < wn; i++ {
-			idx, ok := byID("window")
-			if !ok {
-				return
-			}
-			if seen[idx] {
-				r.Failf("uop %d in two containers", idx)
-				return
-			}
-			seen[idx] = true
-			t.window.push(uops[idx])
-		}
-		dn := r.Len(n)
-		for i := 0; i < dn; i++ {
-			idx, ok := byID("decode")
-			if !ok {
-				return
-			}
-			t.decode.push(uops[idx])
-		}
-		t.wrongPath = r.Bool()
-		if v := r.U32(); v != noUop {
-			if v >= uint32(n) {
-				r.Failf("wpBranch: uop id %d of %d", v, n)
-				return
-			}
-			t.wpBranch = uops[v]
-		}
-		rn := r.Len(maxSnapReplay)
-		if r.Err() != nil {
-			return
-		}
-		t.replay = t.replay[:0]
-		t.replayHead = 0
-		for i := 0; i < rn; i++ {
-			var in isa.Inst
-			in.Restore(r)
-			if r.Err() != nil {
-				return
-			}
-			t.replay = append(t.replay, in)
-		}
-		t.memStores = idList("memStores", t.memStores)
-		t.memLoads = idList("memLoads", t.memLoads)
-		t.minUnexecStore = r.U64()
-		t.fetchBlockedUntil = r.I64()
-		t.retired = r.U64()
-		t.warmRetired = r.U64()
-		if r.Err() != nil {
-			return
+			tab.claim(c, rec.u)
 		}
 	}
-
-	// Wakeup state.
-	readyAt := r.I64s(m.cfg.NumPhysRegs)
-	actualAt := r.I64s(m.cfg.NumPhysRegs)
-	if len(readyAt) != m.cfg.NumPhysRegs || len(actualAt) != m.cfg.NumPhysRegs {
-		r.Failf("wakeup state: %d/%d entries, want %d", len(readyAt), len(actualAt), m.cfg.NumPhysRegs)
-		return
-	}
-	for p, at := range readyAt {
-		m.q.SetReady(regfile.PReg(p), at)
-	}
-	copy(m.actualAt, actualAt)
-	gn := r.Len(m.cfg.NumPhysRegs)
-	if gn != m.cfg.NumPhysRegs {
-		r.Failf("regGen: %d entries, want %d", gn, m.cfg.NumPhysRegs)
-		return
-	}
-	for i := 0; i < gn; i++ {
-		m.regGen[i] = r.U32()
-	}
-
-	// IQ: rebuild the entry lists through Insert, which re-checks
-	// capacity and files every waiting entry — parked or armed against
-	// the wakeup times just restored — and rebuilds the retained count
-	// from the entries' states.
-	inIQ := make([]bool, n)
-	for c := 0; c < m.cfg.Clusters; c++ {
-		cnt := r.Len(n)
-		for i := 0; i < cnt; i++ {
-			idx, ok := byID("iq")
-			if !ok {
-				return
-			}
-			u := uops[idx]
-			if inIQ[idx] || !u.InIQ || u.Cluster != c {
-				r.Failf("iq cluster %d entry %d: inconsistent membership for uop %d", c, i, idx)
-				return
-			}
-			if u.State == uop.StateDecode || u.State == uop.StateSquashed {
-				r.Failf("iq cluster %d entry %d: uop %d in state %v cannot hold an entry", c, i, idx, u.State)
-				return
-			}
-			inIQ[idx] = true
-			u.InIQ = false
-			if !m.q.Insert(u) {
-				r.Failf("iq cluster %d: overfull", c)
-				return
-			}
-		}
-	}
-	for i, u := range uops {
-		if u.InIQ != inIQ[i] {
-			r.Failf("uop %d marked InIQ but in no cluster list", i)
-			return
-		}
-	}
-
-	// Subsystems.
-	m.rf.Restore(r)
-	m.fb.Restore(r)
-	m.memh.Restore(r)
-	bpred.RestorePredictor(r, m.pred)
-	m.btb.Restore(r)
-	m.swPred.Restore(r)
-	if m.dra != nil {
-		m.dra.Restore(r)
-	}
-	if r.Err() != nil {
-		return
-	}
-
-	// Event rings.
-	for kind := 0; kind < numEvKinds; kind++ {
-		slots := r.Len(int(m.ringCycles) - 1)
-		prevOff := 0
-		for s := 0; s < slots; s++ {
-			off := int(r.U16())
-			if off <= prevOff || off >= int(m.ringCycles) {
-				r.Failf("ring %d: slot offset %d after %d", kind, off, prevOff)
-				return
-			}
-			prevOff = off
-			cnt := r.Len(n)
-			for i := 0; i < cnt; i++ {
-				idx, ok := byID("event")
-				if !ok {
-					return
-				}
-				tag := r.I32()
-				gen := r.U32()
-				m.rings[kind].schedule(m.cycle+int64(off), event{u: uops[idx], tag: tag, gen: gen})
-			}
-		}
-	}
-
-	// Measurement and observability state.
-	m.ctr = restoreCounters(r)
-	m.warmSnap = restoreCounters(r)
-	m.measuring = r.Bool()
-	m.opGap.Restore(r)
-	m.occSum = r.U64()
-	m.retainSum = r.U64()
-	m.samples = r.U64()
-	m.stack = restoreStack(r)
-	m.warmStack = restoreStack(r)
-	m.ivSnap = restoreCounters(r)
-	m.ivStart = r.I64()
-	m.ivIndex = r.Int()
-	m.ivOcc = r.U64()
-
-	m.frontStallUntil = r.I64()
-	m.lastRetireCycle = r.I64()
-	m.rrRename = r.Int()
-	m.rrRetire = r.Int()
-	m.rrFetch = r.Int()
-
-	// Dead queue.
-	dn := r.Len(n)
-	for i := 0; i < dn; i++ {
-		idx, ok := byID("dead")
-		if !ok {
-			return
-		}
-		if seen[idx] {
-			r.Failf("uop %d in two containers", idx)
-			return
-		}
-		seen[idx] = true
-		at := r.I64()
-		m.dead = append(m.dead, deadRecord{u: uops[idx], at: at})
-	}
-	m.deadHead = 0
 
 	// Every table entry must live in exactly one container, or the pool
 	// recycling discipline breaks on the restored machine.
-	for i, s := range seen {
-		if !s {
-			r.Failf("uop %d in no window and not dead", i)
-			return
+	if dec {
+		for i, s := range tab.seen {
+			if !s {
+				c.Failf("uop %d in no window and not dead", i)
+				return
+			}
 		}
 	}
+}
+
+// checkUop bounds a decoded uop against the machine's geometry.
+func (m *Machine) checkUop(c *snap.Codec, i int, u *uop.UOp) bool {
+	if c.Err() != nil {
+		return false
+	}
+	if u.Thread >= len(m.threads) {
+		c.Failf("uop %d: thread %d of %d", i, u.Thread, len(m.threads))
+		return false
+	}
+	if u.Cluster >= m.cfg.Clusters {
+		c.Failf("uop %d: cluster %d of %d", i, u.Cluster, m.cfg.Clusters)
+		return false
+	}
+	for _, p := range []regfile.PReg{u.Dest, u.OldPhy, u.Src[0], u.Src[1]} {
+		if p < -1 || int(p) >= m.cfg.NumPhysRegs {
+			c.Failf("uop %d: preg %d of %d", i, p, m.cfg.NumPhysRegs)
+			return false
+		}
+	}
+	// A source the uop reads must name a register: the IQ files a
+	// waiting entry under its sources' wakeup times.
+	for k := 0; k < u.NumSrc; k++ {
+		if u.Src[k] == regfile.PRegInvalid {
+			c.Failf("uop %d: source %d of %d names no register", i, k, u.NumSrc)
+			return false
+		}
+	}
+	return true
+}
+
+// reinsert rebuilds cluster cl's IQ entries through Insert, which
+// re-checks capacity and files every waiting entry — parked or armed
+// against the wakeup times just restored — and rebuilds the retained
+// count from the entries' states. inIQ marks, by id, the uops already
+// inserted.
+func (m *Machine) reinsert(c *snap.Codec, tab *uopTable, inIQ []bool, cl int, entries []*uop.UOp) bool {
+	if c.Err() != nil {
+		return false
+	}
+	for i, u := range entries {
+		id := tab.ids[u]
+		if inIQ[id] || !u.InIQ || u.Cluster != cl {
+			c.Failf("iq cluster %d entry %d: inconsistent membership for uop %d", cl, i, id)
+			return false
+		}
+		if u.State == uop.StateDecode || u.State == uop.StateSquashed {
+			c.Failf("iq cluster %d entry %d: uop %d in state %v cannot hold an entry", cl, i, id, u.State)
+			return false
+		}
+		inIQ[id] = true
+		u.InIQ = false
+		if !m.q.Insert(u) {
+			c.Failf("iq cluster %d: overfull", cl)
+			return false
+		}
+	}
+	return true
 }

@@ -23,6 +23,9 @@ func (d *deque) push(u *uop.UOp) {
 
 func (d *deque) len() int { return len(d.buf) - d.head }
 
+// items returns the elements, oldest first. The slice aliases the deque.
+func (d *deque) items() []*uop.UOp { return d.buf[d.head:] }
+
 // at returns the i-th element from the front (0 = oldest).
 func (d *deque) at(i int) *uop.UOp { return d.buf[d.head+i] }
 

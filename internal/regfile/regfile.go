@@ -27,7 +27,7 @@ const PRegInvalid PReg = -1
 // register file.
 type File struct {
 	numPhys int
-	threads int
+	threads int // simlint:nosync geometry, rebuilt by NewFile
 
 	rename [][]PReg // [thread][archReg] -> PReg
 	free   []PReg   // stack of free physical registers

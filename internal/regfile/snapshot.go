@@ -2,74 +2,48 @@ package regfile
 
 import "loosesim/internal/snap"
 
-// Snapshot encodes the rename subsystem's mutable state: the per-thread
-// rename maps, the free stack (order matters — allocation order feeds
-// determinism), the valid bits, and the debug refcounts. Geometry
-// (numPhys, threads) is derived from the machine config and not encoded.
-func (f *File) Snapshot(w *snap.Writer) {
+// Sync encodes or decodes the rename subsystem's mutable state: the
+// per-thread rename maps, the free stack (order matters — allocation
+// order feeds determinism), the valid bits, and the debug refcounts.
+// Geometry (numPhys, threads) is derived from the machine config and not
+// encoded: f must have been constructed by NewFile with the snapshot's
+// geometry. Decoding rejects any other geometry and any register name
+// outside the file.
+func (f *File) Sync(c *snap.Codec) {
 	for _, m := range f.rename {
-		w.Len(len(m))
-		for _, p := range m {
-			w.I32(int32(p))
+		c.Fixed(len(m))
+		for a := range m {
+			c.I32((*int32)(&m[a]))
 		}
 	}
-	w.Len(len(f.free))
-	for _, p := range f.free {
-		w.I32(int32(p))
+	n := c.Len(len(f.free), f.numPhys)
+	if c.Decoding() {
+		f.free = f.free[:n] // NewFile gives the stack room for every register
 	}
-	w.Bools(f.valid)
-	w.Len(len(f.refCnt))
-	for _, c := range f.refCnt {
-		w.I32(c)
+	for i := range f.free {
+		c.I32((*int32)(&f.free[i]))
 	}
-}
-
-// Restore overwrites f's mutable state with state encoded by Snapshot.
-// f must have been constructed by NewFile with the same geometry; a
-// snapshot taken under a different geometry is rejected as corrupt, as
-// is any register name outside the file.
-func (f *File) Restore(r *snap.Reader) {
+	c.Bools(f.valid)
+	c.Fixed(len(f.refCnt))
+	for i := range f.refCnt {
+		c.I32(&f.refCnt[i])
+	}
+	if !c.Decoding() {
+		return
+	}
 	inFile := func(p PReg) bool { return p >= 0 && int(p) < f.numPhys }
-	for t := range f.rename {
-		n := r.Len(f.numPhys)
-		if n != len(f.rename[t]) {
-			r.Failf("rename map thread %d: %d entries, want %d", t, n, len(f.rename[t]))
-			return
-		}
-		for a := 0; a < n; a++ {
-			p := PReg(r.I32())
+	for t, m := range f.rename {
+		for a, p := range m {
 			if !inFile(p) {
-				r.Failf("rename map thread %d arch %d: preg %d out of range", t, a, p)
+				c.Failf("rename map thread %d arch %d: preg %d out of range", t, a, p)
 				return
 			}
-			f.rename[t][a] = p
 		}
 	}
-	nFree := r.Len(f.numPhys)
-	if r.Err() != nil {
-		return
-	}
-	f.free = f.free[:0]
-	for i := 0; i < nFree; i++ {
-		p := PReg(r.I32())
+	for i, p := range f.free {
 		if !inFile(p) {
-			r.Failf("free list entry %d: preg %d out of range", i, p)
+			c.Failf("free list entry %d: preg %d out of range", i, p)
 			return
 		}
-		f.free = append(f.free, p)
-	}
-	valid := r.Bools(f.numPhys)
-	if len(valid) != f.numPhys {
-		r.Failf("valid bits: %d, want %d", len(valid), f.numPhys)
-		return
-	}
-	copy(f.valid, valid)
-	nRef := r.Len(f.numPhys)
-	if nRef != f.numPhys {
-		r.Failf("refcounts: %d, want %d", nRef, f.numPhys)
-		return
-	}
-	for i := 0; i < nRef; i++ {
-		f.refCnt[i] = r.I32()
 	}
 }

@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -29,7 +28,6 @@ import (
 	"loosesim/internal/snap"
 	"loosesim/internal/stats"
 	"loosesim/internal/trace"
-	"loosesim/internal/workload"
 )
 
 // Options configure a Server.
@@ -84,8 +82,8 @@ var (
 // configuration) must be set. A figure is a sweep of such jobs, which
 // cmd/loosweep posts one point at a time.
 type JobSpec struct {
-	// Named-bench jobs. Zero values select the paper's base machine
-	// defaults, mirroring cmd/loosim's flags.
+	// Named-bench jobs, built by pipeline.Named as cmd/loosim's flags
+	// are. Zero values select the paper's base machine defaults.
 	Bench   string  `json:"bench,omitempty"`
 	DRA     bool    `json:"dra,omitempty"`
 	RegRead int     `json:"regread,omitempty"` // register file read latency; 0 = 3
@@ -135,34 +133,13 @@ func (s JobSpec) config() (pipeline.Config, error) {
 		}
 		return cfg, nil
 	}
-	wl, err := workload.ByName(s.Bench)
+	cfg, err := pipeline.Named{
+		Bench: s.Bench, DRA: s.DRA, RegRead: s.RegRead, DecIQ: s.DecIQ, IQEx: s.IQEx,
+		Load: s.Load, MemDep: s.MemDep, Seed: s.Seed, Warmup: s.Warmup, Inst: s.Inst,
+	}.Config()
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	regRead := cmp.Or(s.RegRead, 3)
-	var cfg pipeline.Config
-	if s.DRA {
-		cfg = pipeline.DRAConfigRF(wl, regRead)
-	} else {
-		cfg = pipeline.BaseConfigRF(wl, regRead)
-	}
-	if s.DecIQ > 0 {
-		cfg.DecIQLat = s.DecIQ
-	}
-	if s.IQEx > 0 {
-		cfg.IQExLat = s.IQEx
-	}
-	if cfg.LoadPolicy, err = pipeline.ParseLoadRecovery(cmp.Or(s.Load, cfg.LoadPolicy.String())); err != nil {
-		return pipeline.Config{}, err
-	}
-	if cfg.MemDep, err = pipeline.ParseMemDep(cmp.Or(s.MemDep, cfg.MemDep.String())); err != nil {
-		return pipeline.Config{}, err
-	}
-	cfg.Seed = cmp.Or(s.Seed, cfg.Seed)
-	if s.Warmup != nil {
-		cfg.WarmupInstructions = *s.Warmup
-	}
-	cfg.MeasureInstructions = cmp.Or(s.Inst, cfg.MeasureInstructions)
 	cfg.CycleBudget = s.CycleBudget
 	return cfg, nil
 }

@@ -6,13 +6,16 @@
 //     every variable-length field is length-prefixed, so equal state
 //     encodes to equal bytes — the property the resume byte-identity
 //     and content-addressing tests rely on.
-//   - Hostility tolerance. Reader latches the first error and returns
-//     zero values from then on; every count passes through Len with an
-//     explicit bound. Corrupt or truncated bytes produce an error from
-//     DecodeState, never a panic or a multi-gigabyte allocation.
+//   - One field list. A Codec walks the encoding in either direction, so
+//     each checkpointed type lists its fields once, in its Sync method,
+//     and the encode and decode orders cannot drift apart.
+//   - Hostility tolerance. A decoding Codec latches the first error and
+//     yields zero values from then on; every count passes through Len
+//     with an explicit bound. Corrupt or truncated bytes produce an
+//     error, never a panic or a multi-gigabyte allocation.
 //   - Tamper evidence. Seal stamps the container with a sha256 over
 //     everything preceding it; Open rejects a flipped bit anywhere in
-//     the payload before a decoder sees it. Begin and Writer.Seal build
+//     the payload before a decoder sees it. Begin and Codec.Seal build
 //     the container in the payload's own buffer, so sealing copies
 //     nothing.
 //
@@ -41,270 +44,280 @@ import (
 // identifies "the bytes are bad" as a class.
 var ErrCorrupt = errors.New("snap: corrupt data")
 
-// Writer accumulates a byte-stable encoding. The zero value is ready to
-// use. Writers never fail: encoding in-memory state is infallible.
-type Writer struct {
-	buf []byte
-	// lenAt is the offset of the payload length field of a container
-	// started by Begin, or 0 for a plain writer.
-	lenAt int
-}
-
-// Bytes returns the accumulated encoding. The slice aliases the writer's
-// buffer; the caller must not keep writing afterwards.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// Bool appends a bool as one byte (0 or 1).
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// I64 appends an int64 as its two's-complement uint64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// I32 appends an int32 as its two's-complement uint32.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
-
-// Int appends an int as int64. The decoder side re-checks range, so
-// platform width differences cannot corrupt a snapshot silently.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Len appends a slice/collection length as u32.
-func (w *Writer) Len(n int) { w.U32(uint32(n)) }
-
-// Blob appends a length-prefixed byte slice.
-func (w *Writer) Blob(b []byte) {
-	w.Len(len(b))
-	w.buf = append(w.buf, b...)
-}
-
-// U64s appends a length-prefixed []uint64.
-func (w *Writer) U64s(s []uint64) {
-	w.Len(len(s))
-	for _, v := range s {
-		w.U64(v)
-	}
-}
-
-// I64s appends a length-prefixed []int64.
-func (w *Writer) I64s(s []int64) {
-	w.Len(len(s))
-	for _, v := range s {
-		w.I64(v)
-	}
-}
-
-// Bools appends a length-prefixed []bool.
-func (w *Writer) Bools(s []bool) {
-	w.Len(len(s))
-	for _, v := range s {
-		w.Bool(v)
-	}
-}
-
-// Reader decodes a Writer's output. The first failure latches: every
-// subsequent call returns the zero value, and Err reports the cause.
-// This keeps decoders linear — one error check at the end (or at each
-// structural boundary) instead of one per field.
-type Reader struct {
+// Codec walks a byte-stable encoding in either direction. Each
+// checkpointed type lists its fields once, in a Sync(c *Codec) method,
+// passing a pointer to each: encoding, a method appends the value;
+// decoding, it overwrites the value with the next one read. The zero
+// Codec encodes; NewDecoder returns one that decodes.
+//
+// Decoding latches the first failure: every later read yields the zero
+// value, and Err reports the cause. This keeps Sync methods linear — one
+// error check at the end (or at each structural boundary) instead of one
+// per field. Encoding never fails: encoding in-memory state is
+// infallible, and decode-side validation sits in `if c.Decoding()`
+// blocks.
+type Codec struct {
 	buf []byte
 	off int
 	err error
+	dec bool
+	// lenAt is the offset of the payload length field of a container
+	// started by Begin, or 0 for a plain encoder.
+	lenAt int
 }
 
-// NewReader wraps b for decoding.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+// NewDecoder returns a Codec that decodes b.
+func NewDecoder(b []byte) *Codec { return &Codec{buf: b, dec: true} }
 
-// Err returns the latched error, if any.
-func (r *Reader) Err() error { return r.err }
+// Decoding reports whether c decodes (overwrites the values it is
+// handed) rather than encodes.
+func (c *Codec) Decoding() bool { return c.dec }
 
-// Rest returns the number of unread bytes (0 once an error latches).
-func (r *Reader) Rest() int {
-	if r.err != nil {
-		return 0
+// Bytes returns the accumulated encoding. The slice aliases the codec's
+// buffer; the caller must not keep encoding afterwards.
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Err returns the latched decode error, if any.
+func (c *Codec) Err() error { return c.err }
+
+func (c *Codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
-	return len(r.buf) - r.off
 }
 
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-	}
-}
+// Failf latches a caller-raised validation failure. Sync methods use it
+// to reject semantically invalid decoded values — an index out of range,
+// an enum past its last variant — with the same ErrCorrupt class as
+// structural failures.
+func (c *Codec) Failf(format string, args ...any) { c.fail(format, args...) }
 
-// Failf latches a caller-raised validation failure. Restore code uses it
-// to reject semantically invalid values — an index out of range, an enum
-// past its last variant — with the same ErrCorrupt class as structural
-// failures, so decoders keep their single-error-check shape.
-func (r *Reader) Failf(format string, args ...any) { r.fail(format, args...) }
-
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+// take consumes n bytes of input, or latches a truncation error and
+// returns nil.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if len(r.buf)-r.off < n {
-		r.fail("truncated: need %d bytes at offset %d, have %d", n, r.off, len(r.buf)-r.off)
+	if len(c.buf)-c.off < n {
+		c.fail("truncated: need %d bytes at offset %d, have %d", n, c.off, len(c.buf)-c.off)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// The decode-side readers yield 0 once an error latches.
+
+func (c *Codec) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	return b[0]
+	return 0
 }
 
-// Bool reads one byte and requires it to be exactly 0 or 1, so a bool
-// round-trips to the same byte it was encoded from.
-func (r *Reader) Bool() bool {
-	v := r.U8()
+func (c *Codec) u16() uint16 {
+	if b := c.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (c *Codec) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *Codec) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// U8 is one byte.
+func (c *Codec) U8(p *uint8) {
+	if c.dec {
+		*p = c.u8()
+		return
+	}
+	c.buf = append(c.buf, *p)
+}
+
+// I8 is an int8 as its two's-complement byte.
+func (c *Codec) I8(p *int8) {
+	if c.dec {
+		*p = int8(c.u8())
+		return
+	}
+	c.buf = append(c.buf, uint8(*p))
+}
+
+// Bool is one byte, 0 or 1. Decoding rejects any other byte, so a bool
+// round-trips to the byte it was encoded from.
+func (c *Codec) Bool(p *bool) {
+	if !c.dec {
+		v := uint8(0)
+		if *p {
+			v = 1
+		}
+		c.buf = append(c.buf, v)
+		return
+	}
+	v := c.u8()
 	if v > 1 {
-		r.fail("bool byte %d at offset %d", v, r.off-1)
-		return false
+		c.fail("bool byte %d at offset %d", v, c.off-1)
+		v = 0
 	}
-	return v == 1
+	*p = v == 1
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+// U16 is a little-endian uint16.
+func (c *Codec) U16(p *uint16) {
+	if c.dec {
+		*p = c.u16()
+		return
 	}
-	return binary.LittleEndian.Uint16(b)
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, *p)
 }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+// I16 is an int16 as its two's-complement uint16.
+func (c *Codec) I16(p *int16) {
+	if c.dec {
+		*p = int16(c.u16())
+		return
 	}
-	return binary.LittleEndian.Uint32(b)
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(*p))
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+// U32 is a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if c.dec {
+		*p = c.u32()
+		return
 	}
-	return binary.LittleEndian.Uint64(b)
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
 }
 
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// I32 is an int32 as its two's-complement uint32.
+func (c *Codec) I32(p *int32) {
+	if c.dec {
+		*p = int32(c.u32())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*p))
+}
 
-// I32 reads an int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
+// U64 is a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if c.dec {
+		*p = c.u64()
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+}
 
-// Int reads an int encoded by Writer.Int, rejecting values outside the
-// platform int range (only reachable on 32-bit builds or corrupt data).
-func (r *Reader) Int() int {
-	v := r.I64()
+// I64 is an int64 as its two's-complement uint64.
+func (c *Codec) I64(p *int64) {
+	if c.dec {
+		*p = int64(c.u64())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*p))
+}
+
+// Int is an int as int64. Decoding rejects values outside the platform
+// int range (only reachable on 32-bit builds or corrupt data), so width
+// differences cannot corrupt a snapshot silently.
+func (c *Codec) Int(p *int) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(int64(*p)))
+		return
+	}
+	v := int64(c.u64())
 	if int64(int(v)) != v {
-		r.fail("int %d overflows platform int", v)
-		return 0
+		c.fail("int %d overflows platform int", v)
+		v = 0
 	}
-	return int(v)
+	*p = int(v)
 }
 
-// Len reads a count and bounds it by max. Every collection length in a
-// snapshot goes through this, so corrupt bytes can never drive a huge
+// Len is a collection length as u32. Encoding writes n and returns it;
+// decoding returns the length read, bounded by max. Every decoded count
+// passes through here, so corrupt bytes can never drive a huge
 // allocation or an index out of range.
-func (r *Reader) Len(max int) int {
-	v := r.U32()
+func (c *Codec) Len(n, max int) int {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(n))
+		return n
+	}
+	v := c.u32()
 	if int64(v) > int64(max) {
-		r.fail("length %d exceeds bound %d at offset %d", v, max, r.off-4)
+		c.fail("length %d exceeds bound %d at offset %d", v, max, c.off-4)
 		return 0
 	}
 	return int(v)
 }
 
-// Blob reads a length-prefixed byte slice of at most max bytes. The
-// result is a copy: it stays valid after the reader's buffer is reused.
-func (r *Reader) Blob(max int) []byte {
-	n := r.Len(max)
-	b := r.take(n)
-	if b == nil {
-		return nil
+// Fixed is the length of a collection whose size the geometry fixes:
+// encoding writes n, decoding requires exactly n.
+func (c *Codec) Fixed(n int) {
+	if got := c.Len(n, n); got != n && c.err == nil {
+		c.fail("length %d, want %d at offset %d", got, n, c.off-4)
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }
 
-// U64s reads a length-prefixed []uint64 of at most max elements.
-func (r *Reader) U64s(max int) []uint64 {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
+// Blob is a length-prefixed byte slice of at most max bytes. The decoded
+// slice is a copy: it stays valid after the input buffer is reused.
+func (c *Codec) Blob(p *[]byte, max int) {
+	n := c.Len(len(*p), max)
+	if !c.dec {
+		c.buf = append(c.buf, *p...)
+		return
 	}
-	s := make([]uint64, n)
+	*p = nil
+	if b := c.take(n); b != nil {
+		*p = append(make([]byte, 0, n), b...)
+	}
+}
+
+// U64s is a fixed-length []uint64: its length, then each element,
+// decoded in place.
+func (c *Codec) U64s(s []uint64) {
+	c.Fixed(len(s))
 	for i := range s {
-		s[i] = r.U64()
+		c.U64(&s[i])
 	}
-	return s
 }
 
-// I64s reads a length-prefixed []int64 of at most max elements.
-func (r *Reader) I64s(max int) []int64 {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
-	}
-	s := make([]int64, n)
+// I64s is a fixed-length []int64, decoded in place.
+func (c *Codec) I64s(s []int64) {
+	c.Fixed(len(s))
 	for i := range s {
-		s[i] = r.I64()
+		c.I64(&s[i])
 	}
-	return s
 }
 
-// Bools reads a length-prefixed []bool of at most max elements.
-func (r *Reader) Bools(max int) []bool {
-	n := r.Len(max)
-	if r.err != nil {
-		return nil
-	}
-	s := make([]bool, n)
+// Bools is a fixed-length []bool, decoded in place.
+func (c *Codec) Bools(s []bool) {
+	c.Fixed(len(s))
 	for i := range s {
-		s[i] = r.Bool()
+		c.Bool(&s[i])
 	}
-	return s
 }
 
-// Expect requires the remaining input to be fully consumed; decoders
-// call it after the last field so trailing garbage is an error.
-func (r *Reader) Expect() error {
-	if r.err != nil {
-		return r.err
+// Expect requires the input to be fully decoded; decoders call it after
+// the last field so trailing garbage is an error.
+func (c *Codec) Expect() error {
+	if c.err != nil {
+		return c.err
 	}
-	if r.off != len(r.buf) {
-		r.fail("%d trailing bytes", len(r.buf)-r.off)
+	if c.off != len(c.buf) {
+		c.fail("%d trailing bytes", len(c.buf)-c.off)
 	}
-	return r.err
+	return c.err
 }
 
 // Container framing -----------------------------------------------------
@@ -324,43 +337,43 @@ const (
 // buffer is allocated once with room for it and the sum, and grows only
 // if the payload outruns it. Seal finishes the container in place. magic
 // must be at most 8 ASCII bytes; it is padded with NULs.
-func Begin(magic string, version uint32, meta []byte, payloadCap int) Writer {
+func Begin(magic string, version uint32, meta []byte, payloadCap int) Codec {
 	if len(magic) > magicLen {
 		panic("snap: magic longer than 8 bytes")
 	}
 	if len(meta) > maxMeta {
 		panic("snap: meta blob too large")
 	}
-	w := Writer{buf: make([]byte, 0, headerLen+len(meta)+8+payloadCap+sumLen)}
+	c := Codec{buf: make([]byte, 0, headerLen+len(meta)+8+payloadCap+sumLen)}
 	var m [magicLen]byte
 	copy(m[:], magic)
-	w.buf = append(w.buf, m[:]...)
-	w.U32(version)
-	w.Blob(meta)
-	w.lenAt = len(w.buf)
-	w.U64(0) // the payload length, patched by Seal
-	return w
+	c.buf = append(c.buf, m[:]...)
+	c.U32(&version)
+	c.Blob(&meta, maxMeta)
+	c.lenAt = len(c.buf)
+	c.buf = append(c.buf, make([]byte, 8)...) // the payload length, patched by Seal
+	return c
 }
 
 // Seal finishes a container started by Begin: it fills in the payload
 // length, appends the sha256 of everything before the sum, and returns
-// the container. The writer must not be used afterwards.
-func (w *Writer) Seal() []byte {
-	if w.lenAt == 0 {
-		panic("snap: Seal on a writer not started by Begin")
+// the container. The codec must not be used afterwards.
+func (c *Codec) Seal() []byte {
+	if c.lenAt == 0 {
+		panic("snap: Seal on a codec not started by Begin")
 	}
-	binary.LittleEndian.PutUint64(w.buf[w.lenAt:], uint64(len(w.buf)-w.lenAt-8))
-	sum := sha256.Sum256(w.buf)
-	w.buf = append(w.buf, sum[:]...)
-	return w.buf
+	binary.LittleEndian.PutUint64(c.buf[c.lenAt:], uint64(len(c.buf)-c.lenAt-8))
+	sum := sha256.Sum256(c.buf)
+	c.buf = append(c.buf, sum[:]...)
+	return c.buf
 }
 
 // Seal wraps payload in the versioned, sha256-stamped container; it is
-// Begin, the payload, then Writer.Seal.
+// Begin, the payload, then Codec.Seal.
 func Seal(magic string, version uint32, meta, payload []byte) []byte {
-	w := Begin(magic, version, meta, len(payload))
-	w.buf = append(w.buf, payload...)
-	return w.Seal()
+	c := Begin(magic, version, meta, len(payload))
+	c.buf = append(c.buf, payload...)
+	return c.Seal()
 }
 
 // Open verifies the container framing and digest and returns the meta
@@ -381,18 +394,20 @@ func Open(data []byte, magic string, version uint32) (meta, payload []byte, err 
 	if got != [sumLen]byte(sum) {
 		return nil, nil, fmt.Errorf("%w: sha256 mismatch", ErrCorrupt)
 	}
-	r := NewReader(body[magicLen:])
-	v := r.U32()
-	if r.err == nil && v != version {
+	c := NewDecoder(body[magicLen:])
+	var v uint32
+	c.U32(&v)
+	if c.err == nil && v != version {
 		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, version)
 	}
-	meta = r.Blob(maxMeta)
-	payLen := r.U64()
-	if r.err == nil && payLen != uint64(r.Rest()) {
-		r.fail("payload length %d, have %d bytes", payLen, r.Rest())
+	c.Blob(&meta, maxMeta)
+	var payLen uint64
+	c.U64(&payLen)
+	if rest := len(c.buf) - c.off; c.err == nil && payLen != uint64(rest) {
+		c.fail("payload length %d, have %d bytes", payLen, rest)
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if c.err != nil {
+		return nil, nil, c.err
 	}
 	payload = body[len(body)-int(payLen):]
 	return meta, payload, nil

@@ -6,130 +6,188 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
+// fields holds one of every field kind the codec has.
+type fields struct {
+	u8    uint8
+	i8    int8
+	t, f  bool
+	u16   uint16
+	i16   int16
+	u32   uint32
+	u64   uint64
+	i64   int64
+	i32   int32
+	n     int
+	blob  []byte
+	u64s  []uint64
+	i64s  []int64
+	bools []bool
+}
+
+// sync lists every field once; the fixed-length slices must be sized
+// before decoding.
+func (f *fields) sync(c *Codec) {
+	c.U8(&f.u8)
+	c.I8(&f.i8)
+	c.Bool(&f.t)
+	c.Bool(&f.f)
+	c.U16(&f.u16)
+	c.I16(&f.i16)
+	c.U32(&f.u32)
+	c.U64(&f.u64)
+	c.I64(&f.i64)
+	c.I32(&f.i32)
+	c.Int(&f.n)
+	c.Blob(&f.blob, 64)
+	c.U64s(f.u64s)
+	c.I64s(f.i64s)
+	c.Bools(f.bools)
+}
+
 // TestRoundTrip encodes one of every field kind and decodes it back.
 func TestRoundTrip(t *testing.T) {
-	var w Writer
-	w.U8(0xab)
-	w.Bool(true)
-	w.Bool(false)
-	w.U16(0xbeef)
-	w.U32(0xdeadbeef)
-	w.U64(1<<62 + 12345)
-	w.I64(-42)
-	w.I32(-7)
-	w.Int(123456789)
-	w.Blob([]byte("payload"))
-	w.U64s([]uint64{1, 2, 3})
-	w.I64s([]int64{-1, 0, 1})
-	w.Bools([]bool{true, false, true})
+	in := fields{
+		u8: 0xab, i8: -3, t: true, u16: 0xbeef, i16: -300, u32: 0xdeadbeef,
+		u64: 1<<62 + 12345, i64: -42, i32: -7, n: 123456789,
+		blob: []byte("payload"), u64s: []uint64{1, 2, 3},
+		i64s: []int64{-1, 0, 1}, bools: []bool{true, false, true},
+	}
+	var enc Codec
+	in.sync(&enc)
 
-	r := NewReader(w.Bytes())
-	if got := r.U8(); got != 0xab {
-		t.Errorf("U8 = %#x", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round-trip failed")
-	}
-	if got := r.U16(); got != 0xbeef {
-		t.Errorf("U16 = %#x", got)
-	}
-	if got := r.U32(); got != 0xdeadbeef {
-		t.Errorf("U32 = %#x", got)
-	}
-	if got := r.U64(); got != 1<<62+12345 {
-		t.Errorf("U64 = %d", got)
-	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.I32(); got != -7 {
-		t.Errorf("I32 = %d", got)
-	}
-	if got := r.Int(); got != 123456789 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := r.Blob(64); !bytes.Equal(got, []byte("payload")) {
-		t.Errorf("Blob = %q", got)
-	}
-	if got := r.U64s(8); len(got) != 3 || got[2] != 3 {
-		t.Errorf("U64s = %v", got)
-	}
-	if got := r.I64s(8); len(got) != 3 || got[0] != -1 {
-		t.Errorf("I64s = %v", got)
-	}
-	if got := r.Bools(8); len(got) != 3 || !got[2] {
-		t.Errorf("Bools = %v", got)
-	}
-	if err := r.Expect(); err != nil {
+	got := fields{u64s: make([]uint64, 3), i64s: make([]int64, 3), bools: make([]bool, 3)}
+	dec := NewDecoder(enc.Bytes())
+	got.sync(dec)
+	if err := dec.Expect(); err != nil {
 		t.Fatalf("Expect: %v", err)
 	}
+	if !reflect.DeepEqual(got, in) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, in)
+	}
+
+	// The encoding is the fixed-width little-endian layout, field by field.
+	var want []byte
+	want = append(want, 0xab, 0xfd, 1, 0)
+	want = binary.LittleEndian.AppendUint16(want, 0xbeef)
+	want = binary.LittleEndian.AppendUint16(want, 0xfed4)
+	want = binary.LittleEndian.AppendUint32(want, 0xdeadbeef)
+	want = binary.LittleEndian.AppendUint64(want, 1<<62+12345)
+	want = binary.LittleEndian.AppendUint64(want, 0xffffffffffffffd6)
+	want = binary.LittleEndian.AppendUint32(want, 0xfffffff9)
+	want = binary.LittleEndian.AppendUint64(want, 123456789)
+	want = binary.LittleEndian.AppendUint32(want, 7)
+	want = append(want, "payload"...)
+	want = binary.LittleEndian.AppendUint32(want, 3)
+	for _, v := range in.u64s {
+		want = binary.LittleEndian.AppendUint64(want, v)
+	}
+	want = binary.LittleEndian.AppendUint32(want, 3)
+	for _, v := range in.i64s {
+		want = binary.LittleEndian.AppendUint64(want, uint64(v))
+	}
+	want = binary.LittleEndian.AppendUint32(want, 3)
+	want = append(want, 1, 0, 1)
+	if !bytes.Equal(enc.Bytes(), want) {
+		t.Fatalf("encoding % x\nwant     % x", enc.Bytes(), want)
+	}
 }
 
-// TestDeterminism: the same writes produce the same bytes.
+// TestEncodeLeavesValues: encoding reads the fields it is handed and
+// never writes them, so snapshotting a machine cannot race its readers.
+func TestEncodeLeavesValues(t *testing.T) {
+	in := fields{t: true, n: -9, blob: []byte{}, u64s: []uint64{4}}
+	before := in
+	var c Codec
+	in.sync(&c)
+	if c.Decoding() || !reflect.DeepEqual(in, before) {
+		t.Fatalf("encoding changed its input: %+v, was %+v", in, before)
+	}
+}
+
+// TestDeterminism: the same fields produce the same bytes.
 func TestDeterminism(t *testing.T) {
 	enc := func() []byte {
-		var w Writer
-		w.U64(99)
-		w.Blob([]byte{1, 2, 3})
-		w.Bools([]bool{true})
-		return w.Bytes()
+		f := fields{u64: 99, blob: []byte{1, 2, 3}, bools: []bool{true}}
+		var c Codec
+		f.sync(&c)
+		return c.Bytes()
 	}
 	if !bytes.Equal(enc(), enc()) {
-		t.Fatal("identical writes produced different bytes")
+		t.Fatal("identical fields produced different bytes")
 	}
 }
 
-// TestReaderLatchesErrors: after a failure every read returns zero and
+// TestReaderLatchesErrors: after a failure every read yields zero and
 // Err keeps the first cause.
 func TestReaderLatchesErrors(t *testing.T) {
-	r := NewReader([]byte{1, 2})
-	_ = r.U64() // truncated
-	first := r.Err()
+	c := NewDecoder([]byte{1, 2})
+	v64 := uint64(7)
+	c.U64(&v64) // truncated
+	first := c.Err()
 	if first == nil {
 		t.Fatal("expected truncation error")
 	}
 	if !errors.Is(first, ErrCorrupt) {
 		t.Fatalf("error %v is not ErrCorrupt", first)
 	}
-	if got := r.U32(); got != 0 {
-		t.Errorf("post-error U32 = %d, want 0", got)
+	if v64 != 0 {
+		t.Errorf("truncated U64 = %d, want 0", v64)
 	}
-	if r.Err() != first { //nolint:errorlint // identity check on purpose
+	v32 := uint32(7)
+	if c.U32(&v32); v32 != 0 {
+		t.Errorf("post-error U32 = %d, want 0", v32)
+	}
+	if c.Err() != first { //nolint:errorlint // identity check on purpose
 		t.Error("latched error was replaced")
 	}
 }
 
 // TestLenBounds: a hostile count must error, not allocate.
 func TestLenBounds(t *testing.T) {
-	var w Writer
-	w.U32(1 << 30) // claims a billion elements
-	r := NewReader(w.Bytes())
-	if got := r.Len(1024); got != 0 {
+	var enc Codec
+	enc.Len(1<<30, 1<<30) // claims a billion elements
+	c := NewDecoder(enc.Bytes())
+	if got := c.Len(0, 1024); got != 0 {
 		t.Errorf("Len = %d, want 0", got)
 	}
-	if r.Err() == nil {
+	if c.Err() == nil {
 		t.Fatal("oversized length did not error")
+	}
+
+	// A fixed-length collection rejects any other length, shorter too.
+	var short Codec
+	short.U64s([]uint64{1, 2})
+	c = NewDecoder(short.Bytes())
+	c.U64s(make([]uint64, 3))
+	if !errors.Is(c.Err(), ErrCorrupt) {
+		t.Fatalf("short fixed-length slice: err %v", c.Err())
 	}
 }
 
 // TestBoolStrict: bool bytes other than 0/1 are corrupt (they would
 // break re-encode byte-identity).
 func TestBoolStrict(t *testing.T) {
-	r := NewReader([]byte{2})
-	r.Bool()
-	if r.Err() == nil {
+	c := NewDecoder([]byte{2})
+	v := true
+	c.Bool(&v)
+	if c.Err() == nil {
 		t.Fatal("bool byte 2 accepted")
+	}
+	if v {
+		t.Error("rejected bool decoded as true")
 	}
 }
 
 // TestExpectTrailing: leftover bytes after the last field are an error.
 func TestExpectTrailing(t *testing.T) {
-	r := NewReader([]byte{1, 2, 3})
-	r.U8()
-	if err := r.Expect(); err == nil {
+	c := NewDecoder([]byte{1, 2, 3})
+	var v uint8
+	c.U8(&v)
+	if err := c.Expect(); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -187,7 +245,7 @@ func TestDigestStable(t *testing.T) {
 }
 
 // TestSealInPlaceMatchesLayout builds containers the in-place way —
-// Begin, payload written through the Writer, Seal — for random payloads,
+// Begin, payload written through the Codec, Seal — for random payloads,
 // with the capacity hint too small, exact and too large, and checks each
 // against the layout assembled by hand: magic | version | meta | length |
 // payload | sha256. Seal over the same payload must give the same bytes.
@@ -213,11 +271,11 @@ func TestSealInPlaceMatchesLayout(t *testing.T) {
 		want = append(want, sum[:]...)
 
 		for _, hint := range []int{0, len(payload), 2*len(payload) + 1} {
-			w := Begin(magic, version, meta, hint)
+			c := Begin(magic, version, meta, hint)
 			for _, b := range payload {
-				w.U8(b)
+				c.U8(&b)
 			}
-			if got := w.Seal(); !bytes.Equal(got, want) {
+			if got := c.Seal(); !bytes.Equal(got, want) {
 				t.Fatalf("trial %d, hint %d: in-place container differs from the hand-built layout", trial, hint)
 			}
 		}
@@ -234,10 +292,11 @@ func TestSealInPlaceMatchesLayout(t *testing.T) {
 func TestSealWithoutBeginPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Seal on a plain Writer did not panic")
+			t.Error("Seal on a plain Codec did not panic")
 		}
 	}()
-	var w Writer
-	w.U8(1)
-	w.Seal()
+	var c Codec
+	b := uint8(1)
+	c.U8(&b)
+	c.Seal()
 }

@@ -20,10 +20,10 @@ func fill(bound int, samples []int) *Histogram {
 // equalHist compares two histograms through their byte-stable encoding —
 // exactly the equality the checkpoint layer relies on.
 func equalHist(a, b *Histogram) bool {
-	var wa, wb snap.Writer
-	a.Snapshot(&wa)
-	b.Snapshot(&wb)
-	return bytes.Equal(wa.Bytes(), wb.Bytes())
+	var ca, cb snap.Codec
+	a.Sync(&ca)
+	b.Sync(&cb)
+	return bytes.Equal(ca.Bytes(), cb.Bytes())
 }
 
 // TestMergeMatchesDirect: merging window histograms must equal one
@@ -180,13 +180,13 @@ func TestMergeRandomizedAgainstDirect(t *testing.T) {
 // byte-stable, and corrupt bytes error instead of panicking.
 func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	h := fill(6, []int{0, 1, 1, 5, 9, 42})
-	var w snap.Writer
-	h.Snapshot(&w)
+	var enc snap.Codec
+	h.Sync(&enc)
 
 	var got Histogram
-	r := snap.NewReader(w.Bytes())
-	got.Restore(r)
-	if err := r.Expect(); err != nil {
+	c := snap.NewDecoder(enc.Bytes())
+	got.Sync(c)
+	if err := c.Expect(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if !equalHist(h, &got) {
@@ -194,26 +194,23 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Truncations must error cleanly.
-	for cut := 0; cut < len(w.Bytes()); cut += 3 {
+	for cut := 0; cut < len(enc.Bytes()); cut += 3 {
 		var bad Histogram
-		r := snap.NewReader(w.Bytes()[:cut])
-		bad.Restore(r)
-		if r.Err() == nil {
+		c := snap.NewDecoder(enc.Bytes()[:cut])
+		bad.Sync(c)
+		if c.Err() == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
 
 	// A negative max is semantically invalid.
-	var wneg snap.Writer
-	wneg.U64s([]uint64{1})
-	wneg.U64(0)
-	wneg.U64(1)
-	wneg.U64(0)
-	wneg.Int(-3)
+	neg := &Histogram{buckets: []uint64{1}, count: 1, max: -3}
+	var encNeg snap.Codec
+	neg.Sync(&encNeg)
 	var bad Histogram
-	rneg := snap.NewReader(wneg.Bytes())
-	bad.Restore(rneg)
-	if rneg.Err() == nil {
+	cneg := snap.NewDecoder(encNeg.Bytes())
+	bad.Sync(cneg)
+	if cneg.Err() == nil {
 		t.Fatal("negative max accepted")
 	}
 }

@@ -177,35 +177,36 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Snapshot encodes the full histogram state into w (byte-stable; part of
-// the machine checkpoint format).
-func (h *Histogram) Snapshot(w *snap.Writer) {
-	w.U64s(h.buckets)
-	w.U64(h.overflow)
-	w.U64(h.count)
-	w.U64(h.sum)
-	w.Int(h.max)
-}
-
 // maxSnapBuckets bounds a decoded histogram's bucket count; the simulator
 // never configures more than a few thousand unit-width buckets.
 const maxSnapBuckets = 1 << 20
 
-// Restore overwrites h with state encoded by Snapshot.
-func (h *Histogram) Restore(r *snap.Reader) {
-	h.buckets = r.U64s(maxSnapBuckets)
-	h.overflow = r.U64()
-	h.count = r.U64()
-	h.sum = r.U64()
-	h.max = r.Int()
+// Sync encodes or decodes the full histogram state (byte-stable; part of
+// the machine checkpoint format). Decoding replaces the bucket range with
+// the encoded one.
+func (h *Histogram) Sync(c *snap.Codec) {
+	n := c.Len(len(h.buckets), maxSnapBuckets)
+	if c.Decoding() {
+		h.buckets = make([]uint64, n)
+	}
+	for i := range h.buckets {
+		c.U64(&h.buckets[i])
+	}
+	c.U64(&h.overflow)
+	c.U64(&h.count)
+	c.U64(&h.sum)
+	c.Int(&h.max)
+	if !c.Decoding() {
+		return
+	}
 	// Add never records a negative max, and NewHistogram never builds an
 	// empty bucket range; either means the bytes are corrupt.
 	if h.max < 0 {
-		r.Failf("histogram max %d negative", h.max)
+		c.Failf("histogram max %d negative", h.max)
 		h.max = 0
 	}
 	if len(h.buckets) == 0 {
-		r.Failf("histogram with no buckets")
+		c.Failf("histogram with no buckets")
 		h.buckets = make([]uint64, 1)
 	}
 }

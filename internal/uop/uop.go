@@ -111,10 +111,10 @@ type UOp struct {
 	InIQ bool
 	// IQStamp is the queue's insertion stamp: it orders a cluster's
 	// waiting entries. IQSlot is the queue slot the entry occupies. Neither
-	// is encoded by Snapshot — a restore re-inserts the entries in order,
+	// is encoded by Sync — a restore re-inserts the entries in order,
 	// which stamps them afresh in the same relative order.
-	IQStamp uint64
-	IQSlot  int32
+	IQStamp uint64 // simlint:nosync restamped by the restore's IQ re-insert
+	IQSlot  int32  // simlint:nosync reassigned by the restore's IQ re-insert
 
 	// MemTracked marks a load already recorded in the memory-ordering
 	// tracking list (set on first successful execution).

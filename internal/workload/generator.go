@@ -36,7 +36,7 @@ type Generator struct {
 
 	// mix is the profile's instruction mix in pickOp's draw order, built
 	// once by NewGenerator.
-	mix [7]mixEntry
+	mix [7]mixEntry // simlint:nosync derived from prof
 
 	// Destination bookkeeping: ring of the most recent register-writing
 	// instructions' destinations, newest at index head-1.
@@ -60,7 +60,7 @@ type Generator struct {
 	chainAge int
 
 	// Memory address state.
-	memBase  uint64
+	memBase  uint64 // simlint:nosync construction parameter
 	streams  []uint64
 	pageWalk uint64
 
@@ -71,12 +71,12 @@ type Generator struct {
 
 	// Branch site state.
 	patternCount [numPatternSites]uint32
-	patternPer   [numPatternSites]uint32
+	patternPer   [numPatternSites]uint32 // simlint:nosync seed-derived, fixed for the generator's lifetime
 
 	// Geometric-draw tables for the dependency-distance and hot-site
 	// skew parameters, fixed for the generator's lifetime.
-	depGeo  geoTable
-	siteGeo geoTable
+	depGeo  geoTable // simlint:nosync fixed for the generator's lifetime
+	siteGeo geoTable // simlint:nosync fixed for the generator's lifetime
 
 	generated uint64
 	slot      uint64 // generated % CodeFootprint, kept without dividing

@@ -10,18 +10,18 @@ import (
 )
 
 func encodeGen(g *Generator) []byte {
-	var w snap.Writer
-	g.Snapshot(&w)
-	return w.Bytes()
+	var c snap.Codec
+	g.Sync(&c)
+	return c.Bytes()
 }
 
 // restoreGen decodes data into a fresh generator for prof and returns the
 // latched error, including trailing bytes.
 func restoreGen(prof Profile, data []byte) (*Generator, error) {
 	g := NewGenerator(prof, 99, 1<<33)
-	r := snap.NewReader(data)
-	g.Restore(r)
-	return g, r.Expect()
+	c := snap.NewDecoder(data)
+	g.Sync(c)
+	return g, c.Expect()
 }
 
 // TestGeneratorSnapshotResume: a generator restored from a mid-stream
