@@ -55,7 +55,7 @@ func digestMachine(t *testing.T, bench string, dra bool, regRead int, tweak func
 // name: single runs across every policy the machine has, the SMT pairs, a
 // small clustered IQ, two sampled runs and every checkpoint they restore
 // from, a mid-run checkpoint of each snapshot variant, and one short
-// Figure 4/5/8/9 table each.
+// table of Figures 4, 5, 6, 8 and 9 and of every ablation.
 func resultDigests(t *testing.T) map[string]string {
 	t.Helper()
 	blind := func(c *pipeline.Config) { c.MemDep = pipeline.MemDepBlind }
@@ -172,8 +172,17 @@ func resultDigests(t *testing.T) map[string]string {
 	}{
 		{"fig4", experiments.Fig4},
 		{"fig5", experiments.Fig5},
+		{"fig6", experiments.Fig6},
 		{"fig8", experiments.Fig8},
 		{"fig9", experiments.Fig9},
+		{"ablation/recovery", experiments.AblationLoadRecovery},
+		{"ablation/crc", experiments.AblationCRC},
+		{"ablation/fwd", experiments.AblationForwardDepth},
+		{"ablation/crcpolicy", experiments.AblationCRCPolicy},
+		{"ablation/monolithic", experiments.AblationMonolithic},
+		{"ablation/memdep", experiments.AblationMemDep},
+		{"ablation/iqpressure", experiments.AblationIQPressure},
+		{"ablation/predictor", experiments.AblationPredictor},
 	} {
 		tab, err := f.gen(opt)
 		if err != nil {

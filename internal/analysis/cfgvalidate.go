@@ -38,7 +38,7 @@ func CfgValidate() *Analyzer {
 			rule fieldRule
 		}
 		var methods []method
-		structs := make(map[*types.TypeName]structDecl)
+		structs := make(map[*types.TypeName]*ast.StructType)
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
@@ -67,7 +67,7 @@ func CfgValidate() *Analyzer {
 						st, isStruct := ts.Type.(*ast.StructType)
 						tn, isName := pass.Info.Defs[ts.Name].(*types.TypeName)
 						if isStruct && isName {
-							structs[tn] = structDecl{file, st}
+							structs[tn] = st
 						}
 					}
 				}
@@ -113,12 +113,6 @@ func takesCodecOnly(pass *Pass, fn *ast.FuncDecl) bool {
 	return ok && named.Obj().Name() == "Codec"
 }
 
-// structDecl is a struct type declared in the package under analysis.
-type structDecl struct {
-	file *ast.File
-	st   *ast.StructType
-}
-
 // returnsErrorOnly reports whether fn's signature is func(...) error.
 func returnsErrorOnly(pass *Pass, fn *ast.FuncDecl) bool {
 	obj, ok := pass.Info.Defs[fn.Name].(*types.Func)
@@ -159,12 +153,12 @@ func receiverTypeName(pass *Pass, fn *ast.FuncDecl) *types.TypeName {
 // marker. It descends into embedded structs declared in the same package,
 // whose promoted fields owner's method must cover as if they were its
 // own.
-func checkStructCovered(pass *Pass, structs map[*types.TypeName]structDecl, tn *types.TypeName, owner string, referenced map[*types.Var]bool, rule fieldRule) {
-	sd, ok := structs[tn]
+func checkStructCovered(pass *Pass, structs map[*types.TypeName]*ast.StructType, tn *types.TypeName, owner string, referenced map[*types.Var]bool, rule fieldRule) {
+	st, ok := structs[tn]
 	if !ok {
 		return
 	}
-	for _, field := range sd.st.Fields.List {
+	for _, field := range st.Fields.List {
 		if len(field.Names) == 0 {
 			if named, ok := pass.Info.Types[field.Type].Type.(*types.Named); ok {
 				checkStructCovered(pass, structs, named.Obj(), owner, referenced, rule)
@@ -179,7 +173,7 @@ func checkStructCovered(pass *Pass, structs map[*types.TypeName]structDecl, tn *
 			if !ok || referenced[obj] {
 				continue
 			}
-			if fieldHasMarker(pass, sd.file, field, name, rule.marker) {
+			if fieldHasMarker(field, rule.marker) {
 				continue
 			}
 			kind := "field"
@@ -212,15 +206,10 @@ func fieldsReferenced(pass *Pass, fn *ast.FuncDecl) map[*types.Var]bool {
 	return out
 }
 
-// fieldHasMarker reports whether the field declaration carries marker:
-// in its doc comment, its line comment, or a comment on its own or the
-// preceding line.
-func fieldHasMarker(pass *Pass, file *ast.File, field *ast.Field, name *ast.Ident, marker string) bool {
-	if field.Doc != nil && strings.Contains(field.Doc.Text(), marker) {
-		return true
-	}
-	if field.Comment != nil && strings.Contains(field.Comment.Text(), marker) {
-		return true
-	}
-	return hasMarker(pass.Fset, file, pass.Fset.Position(name.Pos()).Line, marker)
+// fieldHasMarker reports whether the field declaration carries marker in
+// its own doc or line comment. A comment on a neighbouring field never
+// counts, so a trailing marker exempts exactly the field it trails.
+func fieldHasMarker(field *ast.Field, marker string) bool {
+	return field.Doc != nil && strings.Contains(field.Doc.Text(), marker) ||
+		field.Comment != nil && strings.Contains(field.Comment.Text(), marker)
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // FieldReset returns the fieldreset analyzer: a method named Reset (or
@@ -148,7 +147,8 @@ func receiverField(pass *Pass, recvObj types.Object, e ast.Expr) string {
 }
 
 // resetFieldExempt reports whether the field's declaration (in this
-// package's syntax) carries a simlint:noreset marker.
+// package's syntax) carries a simlint:noreset marker in its own doc or
+// line comment.
 func resetFieldExempt(pass *Pass, f *types.Var) bool {
 	const marker = "simlint:noreset"
 	for _, fl := range pass.Files {
@@ -159,16 +159,7 @@ func resetFieldExempt(pass *Pass, f *types.Var) bool {
 				return !found
 			}
 			for _, name := range fieldDecl.Names {
-				if pass.Info.Defs[name] != f {
-					continue
-				}
-				if fieldDecl.Doc != nil && strings.Contains(fieldDecl.Doc.Text(), marker) {
-					found = true
-				}
-				if fieldDecl.Comment != nil && strings.Contains(fieldDecl.Comment.Text(), marker) {
-					found = true
-				}
-				if hasMarker(pass.Fset, fl, pass.Fset.Position(name.Pos()).Line, marker) {
+				if pass.Info.Defs[name] == f && fieldHasMarker(fieldDecl, marker) {
 					found = true
 				}
 			}

@@ -99,3 +99,25 @@ func (s *Shaped) Sync() {}
 
 var _ = Counter{}.mask
 var _ = Shaped{}.state
+
+// Trailing has a Validate; a trailing marker exempts its own field only,
+// never the field declared on the next line.
+type Trailing struct {
+	Free  int // simlint:novalidate any value is legal
+	Below int // want "Trailing.Below"
+}
+
+// Validate checks nothing.
+func (t Trailing) Validate() error { return nil }
+
+// Shifted has a Sync; a trailing marker exempts its own field only.
+type Shifted struct {
+	geom  uint64 // simlint:nosync geometry
+	state uint64 // want "Shifted.state"
+}
+
+// Sync forgets state.
+func (s *Shifted) Sync(c *Codec) {}
+
+var _ = Shifted{}.geom
+var _ = Shifted{}.state

@@ -80,3 +80,13 @@ func (g *ignored) Reset() {
 func (p *probe) Restore() {
 	p.hits = 0
 }
+
+// pinned: a trailing marker exempts its own field only, never the field
+// declared on the next line.
+type pinned struct {
+	size  int // simlint:noreset geometry
+	count int
+}
+
+func (p *pinned) Reset() { // want "leaves field count unassigned"
+}

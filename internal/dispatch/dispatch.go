@@ -40,7 +40,6 @@ import (
 
 	"loosesim"
 	"loosesim/internal/pipeline"
-	"loosesim/internal/sample"
 	"loosesim/internal/serve"
 	"loosesim/internal/trace"
 )
@@ -85,10 +84,10 @@ type Options struct {
 	// NoCache asks the backends to bypass their result caches.
 	NoCache bool
 	// Local, when non-nil, replaces loosesim.RunAllContext as the local
-	// engine: it runs every batch of an empty fleet, and every job
-	// without a checkpoint that the fleet did not serve, as a batch of
-	// one. It must honour the same contract: results in input order, the
-	// first error aborts and is wrapped as "config i: %w".
+	// engine: it runs every batch of an empty fleet, and every job the
+	// fleet did not serve as a batch of one. It must honour the same
+	// contract: results in input order, the first error aborts and is
+	// wrapped as "config i: %w".
 	Local func(context.Context, []pipeline.Config) ([]*pipeline.Result, error)
 }
 
@@ -262,7 +261,7 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []pipeline.Config) ([]*pi
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.runJob(ctx, keys[i], point{cfg: cfgs[i]})
+			res, err := c.runJob(ctx, keys[i], cfgs[i])
 			if err != nil {
 				errs[i] = fmt.Errorf("config %d: %w", i, err)
 				return
@@ -279,69 +278,12 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []pipeline.Config) ([]*pi
 	return results, nil
 }
 
-// RunSampled runs one configuration as a SMARTS-style sampled simulation
-// over the fleet: the functional-warming chain runs coordinator-side (one
-// cheap pass), each measurement window is dispatched as a checkpoint job
-// sharded by the checkpoint's content address as soon as the chain has
-// taken its checkpoint, and the per-window results merge back into a
-// whole-run estimate in window order. Window jobs ride the same
-// retry/fallback path as sweep points, so a sampled run
-// survives the same fleet failures a batch does, with bit-identical
-// results by the determinism contract. Every window job started has
-// finished when RunSampled returns, a chain error included.
-func (c *Coordinator) RunSampled(ctx context.Context, cfg pipeline.Config, o sample.Options) (*sample.Estimate, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	wcfg := sample.WindowConfig(cfg, o)
-	wkey, err := serve.ConfigKey(wcfg)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*pipeline.Result, o.Windows)
-	errs := make([]error, o.Windows)
-	var wg sync.WaitGroup
-	err = sample.EachCheckpoint(cfg, o, func(i int, ckpt []byte) error {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := c.runJob(ctx, serve.CheckpointKey(ckpt, wkey), point{cfg: wcfg, ckpt: ckpt})
-			if err != nil {
-				errs[i] = fmt.Errorf("window %d: %w", i, err)
-				return
-			}
-			results[i] = res
-		}()
-		return nil
-	})
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sample.Merge(results, o, cfg.MeasureInstructions)
-}
-
 // Runner adapts the coordinator to experiments.Options.Runner, so a
 // figure regenerates through the fleet.
 func (c *Coordinator) Runner(ctx context.Context) func([]pipeline.Config) ([]*pipeline.Result, error) {
 	return func(cfgs []pipeline.Config) ([]*pipeline.Result, error) {
 		return c.RunAll(ctx, cfgs)
 	}
-}
-
-// point is one unit of dispatched work: a configuration, optionally
-// started from a sealed machine checkpoint (a sampled-simulation window).
-type point struct {
-	cfg  pipeline.Config
-	ckpt []byte
 }
 
 // simError is a job failure reported by a healthy backend: the simulation
@@ -373,12 +315,12 @@ func (e *backpressureError) Error() string {
 // attempt, backoff wait, local fallback — is a child, so a slow sweep
 // decomposes into stage delays exactly like an IPC loss decomposes into
 // loop delays.
-func (c *Coordinator) runJob(ctx context.Context, key string, pt point) (*pipeline.Result, error) {
+func (c *Coordinator) runJob(ctx context.Context, key string, cfg pipeline.Config) (*pipeline.Result, error) {
 	root := c.tracer.Root(key, "job")
 	defer root.End() // idempotent safety net: no path may leak the root
-	// A point that cannot be encoded cannot go to any backend: it skips
-	// the fleet and runs locally.
-	body, encErr := json.Marshal(serve.JobSpec{Config: &pt.cfg, Checkpoint: pt.ckpt, NoCache: c.opts.NoCache})
+	// A configuration that cannot be encoded cannot go to any backend: it
+	// skips the fleet and runs locally.
+	body, encErr := json.Marshal(serve.JobSpec{Config: &cfg, NoCache: c.opts.NoCache})
 	for attempt := 0; encErr == nil && attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			root.SetStatus("cancelled")
@@ -426,13 +368,13 @@ func (c *Coordinator) runJob(ctx context.Context, key string, pt point) (*pipeli
 			bsp.End()
 		}
 	}
-	// Every attempt failed (or there is no fleet): run the point locally.
+	// Every attempt failed (or there is no fleet): run the job locally.
 	// The result is bit-identical to a fleet run by the determinism
 	// contract, so the sweep's output does not depend on which path
 	// served it.
 	c.emit(EvLocalFallback)
 	lsp := root.Child("local")
-	res, err := c.runLocal(ctx, pt)
+	res, err := c.runLocal(ctx, cfg)
 	lsp.SetError(err)
 	if err == nil {
 		lsp.SetWinner()
@@ -442,25 +384,18 @@ func (c *Coordinator) runJob(ctx context.Context, key string, pt point) (*pipeli
 	return res, err
 }
 
-// runLocal simulates one configuration on this host, bounded so a fleet
-// outage cannot construct more live machines than GOMAXPROCS. A plain
-// point runs through Options.Local, so it reaches the same result cache
-// as a local batch; a checkpoint window restores its machine directly.
-func (c *Coordinator) runLocal(ctx context.Context, pt point) (*pipeline.Result, error) {
+// runLocal simulates one configuration on this host through
+// Options.Local, so it reaches the same result cache as a local batch,
+// bounded so a fleet outage cannot construct more live machines than
+// GOMAXPROCS.
+func (c *Coordinator) runLocal(ctx context.Context, cfg pipeline.Config) (*pipeline.Result, error) {
 	select {
 	case c.localSem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	defer func() { <-c.localSem }()
-	if pt.ckpt != nil {
-		m, err := pipeline.Restore(pt.cfg, pt.ckpt)
-		if err != nil {
-			return nil, err
-		}
-		return m.RunContext(ctx)
-	}
-	res, err := c.local(ctx, []pipeline.Config{pt.cfg})
+	res, err := c.local(ctx, []pipeline.Config{cfg})
 	if err != nil {
 		// Local names the failing entry of its batch of one ("config 0:
 		// ..."); RunAll names the job's own index, so report the cause.

@@ -15,13 +15,12 @@ import (
 func AblationLoadRecovery(opt Options) (*Table, error) {
 	benches := []string{"comp", "gcc", "swim", "turb3d"}
 	policies := []pipeline.LoadRecovery{loosesim.LoadReissue, loosesim.LoadRefetch, loosesim.LoadStall}
-	ipcs, err := runGrid(opt, benches, len(policies), func(b string, v int) (pipeline.Config, error) {
+	grid, err := runGrid(opt, benches, len(policies), func(b string, v int) (pipeline.Config, error) {
 		cfg, err := loosesim.DefaultMachine(b)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.LoadPolicy = policies[v]
-		opt.apply(&cfg)
 		return cfg, nil
 	})
 	if err != nil {
@@ -33,11 +32,7 @@ func AblationLoadRecovery(opt Options) (*Table, error) {
 		Notes:  "Section 2.2.2: speculate+reissue beats speculate+refetch beats no speculation",
 	}
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range policies {
-			row.Values = append(row.Values, ipcs[i][v]/ipcs[i][0])
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: speedups(grid[i], 0)})
 	}
 	return t, nil
 }
@@ -51,14 +46,13 @@ func AblationCRC(opt Options) (*Table, error) {
 		entries, bits int
 	}
 	geoms := []geom{{4, 2}, {8, 2}, {16, 2}, {32, 2}, {16, 1}, {16, 3}}
-	ipcs, err := runGrid(opt, benches, len(geoms), func(b string, v int) (pipeline.Config, error) {
+	grid, err := runGrid(opt, benches, len(geoms), func(b string, v int) (pipeline.Config, error) {
 		cfg, err := loosesim.DRAMachine(b, 5)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.DRA.CRCEntries = geoms[v].entries
 		cfg.DRA.CounterBits = geoms[v].bits
-		opt.apply(&cfg)
 		return cfg, nil
 	})
 	if err != nil {
@@ -70,11 +64,7 @@ func AblationCRC(opt Options) (*Table, error) {
 		Notes:  "entries per cluster / insertion-counter bits",
 	}
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range geoms {
-			row.Values = append(row.Values, ipcs[i][v]/ipcs[i][2])
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: speedups(grid[i], 2)})
 	}
 	return t, nil
 }
@@ -86,49 +76,28 @@ func AblationCRC(opt Options) (*Table, error) {
 func AblationForwardDepth(opt Options) (*Table, error) {
 	benches := []string{"turb3d", "swim", "gcc"}
 	depths := []int{3, 6, 9, 15}
-	type cell struct {
-		ipc, fwdShare float64
-	}
-	var cfgs []pipeline.Config
-	for _, b := range benches {
-		for _, d := range depths {
-			cfg, err := loosesim.DRAMachine(b, 5)
-			if err != nil {
-				return nil, err
-			}
-			cfg.FwdDepth = d
-			opt.apply(&cfg)
-			cfgs = append(cfgs, cfg)
+	grid, err := runGrid(opt, benches, len(depths), func(b string, v int) (pipeline.Config, error) {
+		cfg, err := loosesim.DRAMachine(b, 5)
+		if err != nil {
+			return cfg, err
 		}
-	}
-	results, err := opt.runBatch(cfgs)
+		cfg.FwdDepth = depths[v]
+		return cfg, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	cells := make([][]cell, len(benches))
-	k := 0
-	for i := range benches {
-		cells[i] = make([]cell, len(depths))
-		for v := range depths {
-			_, fw, _, _ := results[k].OperandShare()
-			cells[i][v] = cell{ipc: results[k].IPC(), fwdShare: fw}
-			k++
-		}
 	}
 	t := &Table{
 		Title:  "Ablation: forwarding buffer depth under the 7_3 DRA (speedup vs depth 9 | fwd share)",
 		Header: []string{"d3", "d6", "d9", "d15", "fw3", "fw6", "fw9", "fw15"},
 		Notes:  "left half: relative performance; right half: fraction of operands from forwarding",
 	}
+	fwdShare := func(r *pipeline.Result) float64 {
+		_, fw, _, _ := r.OperandShare()
+		return fw
+	}
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range depths {
-			row.Values = append(row.Values, cells[i][v].ipc/cells[i][2].ipc)
-		}
-		for v := range depths {
-			row.Values = append(row.Values, cells[i][v].fwdShare)
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: append(speedups(grid[i], 2), each(grid[i], fwdShare)...)})
 	}
 	return t, nil
 }
@@ -140,24 +109,17 @@ func AblationForwardDepth(opt Options) (*Table, error) {
 func AblationCRCPolicy(opt Options) (*Table, error) {
 	benches := []string{"swim", "turb3d", "apsi"}
 	type variant struct {
-		label   string
 		policy  core.ReplacementPolicy
 		timeout int64
 	}
-	variants := []variant{
-		{"fifo", core.FIFO, 0},
-		{"lru", core.LRU, 0},
-		{"fifo+to100", core.FIFO, 100},
-		{"fifo+to400", core.FIFO, 400},
-	}
-	ipcs, err := runGrid(opt, benches, len(variants), func(b string, v int) (pipeline.Config, error) {
+	variants := []variant{{core.FIFO, 0}, {core.LRU, 0}, {core.FIFO, 100}, {core.FIFO, 400}}
+	grid, err := runGrid(opt, benches, len(variants), func(b string, v int) (pipeline.Config, error) {
 		cfg, err := loosesim.DRAMachine(b, 5)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.DRA.Policy = variants[v].policy
 		cfg.DRA.TimeoutCycles = variants[v].timeout
-		opt.apply(&cfg)
 		return cfg, nil
 	})
 	if err != nil {
@@ -169,11 +131,7 @@ func AblationCRCPolicy(opt Options) (*Table, error) {
 		Notes:  "Section 5.1/5.5: FIFO is adequate; smarter replacement buys little",
 	}
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range variants {
-			row.Values = append(row.Values, ipcs[i][v]/ipcs[i][0])
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: speedups(grid[i], 0)})
 	}
 	return t, nil
 }
@@ -185,59 +143,30 @@ func AblationCRCPolicy(opt Options) (*Table, error) {
 func AblationMonolithic(opt Options) (*Table, error) {
 	benches := []string{"swim", "turb3d", "apsi"}
 	type variant struct {
-		label   string
 		mono    bool
 		entries int
 	}
-	variants := []variant{
-		{"clustered8x16", false, 16},
-		{"mono16", true, 16},
-		{"mono32", true, 32},
-		{"mono128", true, 128},
-	}
-	type cell struct {
-		ipc, miss float64
-	}
-	var cfgs []pipeline.Config
-	for _, b := range benches {
-		for _, v := range variants {
-			cfg, err := loosesim.DRAMachine(b, 5)
-			if err != nil {
-				return nil, err
-			}
-			cfg.DRA.Monolithic = v.mono
-			cfg.DRA.CRCEntries = v.entries
-			opt.apply(&cfg)
-			cfgs = append(cfgs, cfg)
+	variants := []variant{{false, 16}, {true, 16}, {true, 32}, {true, 128}}
+	grid, err := runGrid(opt, benches, len(variants), func(b string, v int) (pipeline.Config, error) {
+		cfg, err := loosesim.DRAMachine(b, 5)
+		if err != nil {
+			return cfg, err
 		}
-	}
-	results, err := opt.runBatch(cfgs)
+		cfg.DRA.Monolithic = variants[v].mono
+		cfg.DRA.CRCEntries = variants[v].entries
+		return cfg, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	cells := make([][]cell, len(benches))
-	k := 0
-	for i := range benches {
-		cells[i] = make([]cell, len(variants))
-		for v := range variants {
-			cells[i][v] = cell{ipc: results[k].IPC(), miss: 100 * results[k].OperandMissRate()}
-			k++
-		}
 	}
 	t := &Table{
 		Title:  "Ablation: clustered vs monolithic register cache (speedup vs clustered | operand miss %)",
 		Header: []string{"clust", "mono16", "mono32", "mono128", "m%clust", "m%m16", "m%m32", "m%m128"},
 		Notes:  "a single small cache thrashes (Section 4); mono128 matches total capacity but could not be read in one cycle",
 	}
+	missPct := func(r *pipeline.Result) float64 { return 100 * r.OperandMissRate() }
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range variants {
-			row.Values = append(row.Values, cells[i][v].ipc/cells[i][0].ipc)
-		}
-		for v := range variants {
-			row.Values = append(row.Values, cells[i][v].miss)
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: append(speedups(grid[i], 0), each(grid[i], missPct)...)})
 	}
 	return t, nil
 }
@@ -250,49 +179,25 @@ func AblationMonolithic(opt Options) (*Table, error) {
 func AblationMemDep(opt Options) (*Table, error) {
 	benches := []string{"gcc", "m88", "swim", "apsi"}
 	policies := []pipeline.MemDepPolicy{pipeline.MemDepStoreWait, pipeline.MemDepBlind, pipeline.MemDepConservative}
-	type cell struct {
-		ipc   float64
-		traps uint64
-	}
-	var cfgs []pipeline.Config
-	for _, b := range benches {
-		for _, pol := range policies {
-			cfg, err := loosesim.DefaultMachine(b)
-			if err != nil {
-				return nil, err
-			}
-			cfg.MemDep = pol
-			opt.apply(&cfg)
-			cfgs = append(cfgs, cfg)
+	grid, err := runGrid(opt, benches, len(policies), func(b string, v int) (pipeline.Config, error) {
+		cfg, err := loosesim.DefaultMachine(b)
+		if err != nil {
+			return cfg, err
 		}
-	}
-	results, err := opt.runBatch(cfgs)
+		cfg.MemDep = policies[v]
+		return cfg, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	cells := make([][]cell, len(benches))
-	k := 0
-	for i := range benches {
-		cells[i] = make([]cell, len(policies))
-		for v := range policies {
-			cells[i][v] = cell{ipc: results[k].IPC(), traps: results[k].Counters.MemOrderTraps}
-			k++
-		}
 	}
 	t := &Table{
 		Title:  "Ablation: memory dependence loop management (speedup vs store-wait | order traps)",
 		Header: []string{"storewait", "blind", "conserv", "tSW", "tBlind", "tCons"},
 		Notes:  "the memory trap loop of Figure 2: initiation at issue, recovery at fetch",
 	}
+	traps := func(r *pipeline.Result) float64 { return float64(r.Counters.MemOrderTraps) }
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range policies {
-			row.Values = append(row.Values, cells[i][v].ipc/cells[i][0].ipc)
-		}
-		for v := range policies {
-			row.Values = append(row.Values, float64(cells[i][v].traps))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: append(speedups(grid[i], 0), each(grid[i], traps)...)})
 	}
 	return t, nil
 }
@@ -302,19 +207,14 @@ func AblationMemDep(opt Options) (*Table, error) {
 func AblationIQPressure(opt Options) (*Table, error) {
 	benches := []string{"gcc", "swim"}
 	iqex := []int{3, 5, 7, 9}
-	var cfgs []pipeline.Config
-	for _, b := range benches {
-		for _, x := range iqex {
-			cfg, err := loosesim.DefaultMachine(b)
-			if err != nil {
-				return nil, err
-			}
-			cfg.IQExLat = x
-			opt.apply(&cfg)
-			cfgs = append(cfgs, cfg)
+	grid, err := runGrid(opt, benches, len(iqex), func(b string, v int) (pipeline.Config, error) {
+		cfg, err := loosesim.DefaultMachine(b)
+		if err != nil {
+			return cfg, err
 		}
-	}
-	results, err := opt.runBatch(cfgs)
+		cfg.IQExLat = iqex[v]
+		return cfg, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -323,18 +223,10 @@ func AblationIQPressure(opt Options) (*Table, error) {
 		Header: []string{"occ3", "occ5", "occ7", "occ9", "ret3", "ret5", "ret7", "ret9"},
 		Notes:  "128-entry IQ; retained entries are issued instructions awaiting reissue confirmation",
 	}
-	k := 0
-	for _, b := range benches {
-		row := Row{Label: b}
-		var occ, ret []float64
-		for range iqex {
-			occ = append(occ, results[k].IQOccupancy)
-			ret = append(ret, results[k].IQRetained)
-			k++
-		}
-		row.Values = append(row.Values, occ...)
-		row.Values = append(row.Values, ret...)
-		t.Rows = append(t.Rows, row)
+	occupancy := func(r *pipeline.Result) float64 { return r.IQOccupancy }
+	retained := func(r *pipeline.Result) float64 { return r.IQRetained }
+	for i, b := range benches {
+		t.Rows = append(t.Rows, Row{Label: b, Values: append(each(grid[i], occupancy), each(grid[i], retained)...)})
 	}
 	return t, nil
 }
@@ -349,33 +241,16 @@ func AblationPredictor(opt Options) (*Table, error) {
 		pipeline.PredTournament, pipeline.PredPerceptron, pipeline.PredGShare,
 		pipeline.PredBimodal, pipeline.PredStatic,
 	}
-	type cell struct {
-		ipc, misp float64
-	}
-	var cfgs []pipeline.Config
-	for _, b := range benches {
-		for _, k := range kinds {
-			cfg, err := loosesim.DefaultMachine(b)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Predictor = k
-			opt.apply(&cfg)
-			cfgs = append(cfgs, cfg)
+	grid, err := runGrid(opt, benches, len(kinds), func(b string, v int) (pipeline.Config, error) {
+		cfg, err := loosesim.DefaultMachine(b)
+		if err != nil {
+			return cfg, err
 		}
-	}
-	results, err := opt.runBatch(cfgs)
+		cfg.Predictor = kinds[v]
+		return cfg, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	cells := make([][]cell, len(benches))
-	k := 0
-	for i := range benches {
-		cells[i] = make([]cell, len(kinds))
-		for v := range kinds {
-			cells[i][v] = cell{ipc: results[k].IPC(), misp: 100 * results[k].MispredictRate()}
-			k++
-		}
 	}
 	t := &Table{
 		Title:  "Ablation: branch predictor quality (speedup vs tournament | mispredict %)",
@@ -384,15 +259,9 @@ func AblationPredictor(opt Options) (*Table, error) {
 			"pure global-history gshare collapses on these streams because the synthetic sites\n" +
 			"interleave randomly — per-PC components (bias weights, local history) carry the signal",
 	}
+	mispredictPct := func(r *pipeline.Result) float64 { return 100 * r.MispredictRate() }
 	for i, b := range benches {
-		row := Row{Label: b}
-		for v := range kinds {
-			row.Values = append(row.Values, cells[i][v].ipc/cells[i][0].ipc)
-		}
-		for v := range kinds {
-			row.Values = append(row.Values, cells[i][v].misp)
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: append(speedups(grid[i], 0), each(grid[i], mispredictPct)...)})
 	}
 	return t, nil
 }

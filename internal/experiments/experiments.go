@@ -44,12 +44,6 @@ func QuickOptions() Options {
 	return Options{Measure: 60_000, Warmup: 60_000, Seed: 1}
 }
 
-func (o Options) apply(cfg *pipeline.Config) {
-	cfg.MeasureInstructions = o.Measure
-	cfg.WarmupInstructions = o.Warmup
-	cfg.Seed = o.Seed
-}
-
 // runBatch routes a batch of simulations through the configured engine.
 func (o Options) runBatch(cfgs []pipeline.Config) ([]*pipeline.Result, error) {
 	if o.Runner != nil {
@@ -120,16 +114,18 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// runGrid runs one simulation per (benchmark, variant) and returns IPCs
-// indexed [bench][variant].
-func runGrid(opt Options, benches []string, variants int, mk func(bench string, v int) (pipeline.Config, error)) ([][]float64, error) {
-	var cfgs []pipeline.Config
+// runGrid runs one simulation per (benchmark, variant), the
+// configuration mk builds with opt's run lengths and seed, and returns the
+// results indexed [bench][variant].
+func runGrid(opt Options, benches []string, variants int, mk func(bench string, v int) (pipeline.Config, error)) ([][]*pipeline.Result, error) {
+	cfgs := make([]pipeline.Config, 0, len(benches)*variants)
 	for _, b := range benches {
 		for v := 0; v < variants; v++ {
 			cfg, err := mk(b, v)
 			if err != nil {
 				return nil, err
 			}
+			cfg.MeasureInstructions, cfg.WarmupInstructions, cfg.Seed = opt.Measure, opt.Warmup, opt.Seed
 			cfgs = append(cfgs, cfg)
 		}
 	}
@@ -137,16 +133,25 @@ func runGrid(opt Options, benches []string, variants int, mk func(bench string, 
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, len(benches))
-	k := 0
-	for i := range benches {
-		out[i] = make([]float64, variants)
-		for v := 0; v < variants; v++ {
-			out[i][v] = results[k].IPC()
-			k++
-		}
+	grid := make([][]*pipeline.Result, len(benches))
+	for i := range grid {
+		grid[i] = results[i*variants : (i+1)*variants]
 	}
-	return out, nil
+	return grid, nil
+}
+
+// each maps f over one benchmark's row of results.
+func each(rs []*pipeline.Result, f func(*pipeline.Result) float64) []float64 {
+	out := make([]float64, len(rs))
+	for v, r := range rs {
+		out[v] = f(r)
+	}
+	return out
+}
+
+// speedups is each result's IPC relative to that of rs[base].
+func speedups(rs []*pipeline.Result, base int) []float64 {
+	return each(rs, func(r *pipeline.Result) float64 { return r.IPC() / rs[base].IPC() })
 }
 
 // Fig4 reproduces Figure 4: performance as the decode→execute portion of
@@ -154,14 +159,13 @@ func runGrid(opt Options, benches []string, variants int, mk func(bench string, 
 // relative to the 6-cycle machine, with a 128-entry IQ.
 func Fig4(opt Options) (*Table, error) {
 	lats := []int{3, 5, 7, 9} // per-half latencies: totals 6, 10, 14, 18
-	ipcs, err := runGrid(opt, workload.PaperOrder(), len(lats), func(b string, v int) (pipeline.Config, error) {
+	grid, err := runGrid(opt, workload.PaperOrder(), len(lats), func(b string, v int) (pipeline.Config, error) {
 		cfg, err := loosesim.DefaultMachine(b)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.DecIQLat = lats[v]
 		cfg.IQExLat = lats[v]
-		opt.apply(&cfg)
 		return cfg, nil
 	})
 	if err != nil {
@@ -173,11 +177,7 @@ func Fig4(opt Options) (*Table, error) {
 		Notes:  "values are relative performance; < 1.0 is a loss",
 	}
 	for i, b := range workload.PaperOrder() {
-		row := Row{Label: b}
-		for v := range lats {
-			row.Values = append(row.Values, ipcs[i][v]/ipcs[i][0])
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: speedups(grid[i], 0)})
 	}
 	return t, nil
 }
@@ -186,14 +186,13 @@ func Fig4(opt Options) (*Table, error) {
 // DEC-IQ_IQ-EX in {3_9, 5_7, 7_5, 9_3}, relative to 3_9.
 func Fig5(opt Options) (*Table, error) {
 	splits := [][2]int{{3, 9}, {5, 7}, {7, 5}, {9, 3}}
-	ipcs, err := runGrid(opt, workload.PaperOrder(), len(splits), func(b string, v int) (pipeline.Config, error) {
+	grid, err := runGrid(opt, workload.PaperOrder(), len(splits), func(b string, v int) (pipeline.Config, error) {
 		cfg, err := loosesim.DefaultMachine(b)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.DecIQLat = splits[v][0]
 		cfg.IQExLat = splits[v][1]
-		opt.apply(&cfg)
 		return cfg, nil
 	})
 	if err != nil {
@@ -205,11 +204,7 @@ func Fig5(opt Options) (*Table, error) {
 		Notes:  "DEC-IQ_IQ-EX; moving cycles out of IQ-EX helps load-loop-bound programs",
 	}
 	for i, b := range workload.PaperOrder() {
-		row := Row{Label: b}
-		for v := range splits {
-			row.Values = append(row.Values, ipcs[i][v]/ipcs[i][0])
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Row{Label: b, Values: speedups(grid[i], 0)})
 	}
 	return t, nil
 }
@@ -218,28 +213,23 @@ func Fig5(opt Options) (*Table, error) {
 // the availability of an instruction's first and second operand, on the
 // base machine, for turb3d.
 func Fig6(opt Options) (*Table, error) {
-	cfg, err := loosesim.DefaultMachine("turb3d")
+	grid, err := runGrid(opt, []string{"turb3d"}, 1, func(b string, _ int) (pipeline.Config, error) {
+		return loosesim.DefaultMachine(b)
+	})
 	if err != nil {
 		return nil, err
 	}
-	opt.apply(&cfg)
-	results, err := opt.runBatch([]pipeline.Config{cfg})
-	if err != nil {
-		return nil, err
-	}
-	res := results[0]
+	gap := grid[0][0].OperandGap
 	t := &Table{
 		Title:  "Figure 6: CDF of cycles between operand availability (turb3d)",
 		Header: []string{"cum_frac"},
 		Notes: fmt.Sprintf("median gap %d cycles; %.1f%% of instructions have gaps >= 25 cycles; forwarding depth 9 covers %.1f%%",
-			res.OperandGap.Percentile(0.5),
-			100*(1-res.OperandGap.Fraction(24)),
-			100*res.OperandGap.Fraction(9)),
+			gap.Percentile(0.5), 100*(1-gap.Fraction(24)), 100*gap.Fraction(9)),
 	}
 	for _, c := range []int{0, 1, 2, 4, 6, 9, 15, 25, 50, 75, 99} {
 		t.Rows = append(t.Rows, Row{
 			Label:  fmt.Sprintf("<=%d cycles", c),
-			Values: []float64{res.OperandGap.Fraction(c)},
+			Values: []float64{gap.Fraction(c)},
 		})
 	}
 	return t, nil
@@ -251,20 +241,11 @@ func Fig6(opt Options) (*Table, error) {
 func Fig8(opt Options) (*Table, error) {
 	rfs := []int{3, 5, 7}
 	// Variants: for each rf, base then DRA.
-	ipcs, err := runGrid(opt, workload.PaperOrder(), 2*len(rfs), func(b string, v int) (pipeline.Config, error) {
-		rf := rfs[v/2]
-		var cfg pipeline.Config
-		var err error
+	grid, err := runGrid(opt, workload.PaperOrder(), 2*len(rfs), func(b string, v int) (pipeline.Config, error) {
 		if v%2 == 0 {
-			cfg, err = loosesim.BaseMachine(b, rf)
-		} else {
-			cfg, err = loosesim.DRAMachine(b, rf)
+			return loosesim.BaseMachine(b, rfs[v/2])
 		}
-		if err != nil {
-			return cfg, err
-		}
-		opt.apply(&cfg)
-		return cfg, nil
+		return loosesim.DRAMachine(b, rfs[v/2])
 	})
 	if err != nil {
 		return nil, err
@@ -277,7 +258,7 @@ func Fig8(opt Options) (*Table, error) {
 	for i, b := range workload.PaperOrder() {
 		row := Row{Label: b}
 		for r := range rfs {
-			row.Values = append(row.Values, ipcs[i][2*r+1]/ipcs[i][2*r])
+			row.Values = append(row.Values, grid[i][2*r+1].IPC()/grid[i][2*r].IPC())
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -288,16 +269,9 @@ func Fig8(opt Options) (*Table, error) {
 // 5-cycle register file (the 7_3 configuration): register pre-read,
 // forwarding buffer, CRC, or operand miss.
 func Fig9(opt Options) (*Table, error) {
-	var cfgs []pipeline.Config
-	for _, b := range workload.PaperOrder() {
-		cfg, err := loosesim.DRAMachine(b, 5)
-		if err != nil {
-			return nil, err
-		}
-		opt.apply(&cfg)
-		cfgs = append(cfgs, cfg)
-	}
-	results, err := opt.runBatch(cfgs)
+	grid, err := runGrid(opt, workload.PaperOrder(), 1, func(b string, _ int) (pipeline.Config, error) {
+		return loosesim.DRAMachine(b, 5)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +281,7 @@ func Fig9(opt Options) (*Table, error) {
 		Notes:  "miss%% is in percent; everything else is a fraction of operands",
 	}
 	for i, b := range workload.PaperOrder() {
-		pr, fw, crc, miss := results[i].OperandShare()
+		pr, fw, crc, miss := grid[i][0].OperandShare()
 		t.Rows = append(t.Rows, Row{Label: b, Values: []float64{pr, fw, crc, 100 * miss}})
 	}
 	return t, nil

@@ -14,10 +14,6 @@
 // windows run at once (so at most GOMAXPROCS+1 checkpoints are alive),
 // and the results merge in window order, so the estimate does not depend
 // on GOMAXPROCS or on the order in which windows finish.
-//
-// Checkpoints are plain pipeline snapshots, so windows shard across
-// processes (internal/dispatch) or serve jobs: the checkpoint digest
-// content-addresses each window's work.
 package sample
 
 import (
@@ -42,8 +38,8 @@ type Options struct {
 	WindowInstructions uint64
 	// DetailedWarmup is the cycle-accurate warmup run before each window
 	// to refill the pipeline, IQ, and in-flight state that functional
-	// warming does not model.
-	DetailedWarmup uint64 // simlint:novalidate any depth is valid, none included
+	// warming does not model. Any depth is valid, zero included.
+	DetailedWarmup uint64
 }
 
 // DefaultOptions matches the SMARTS guidance of many small windows: the
@@ -53,8 +49,8 @@ func DefaultOptions() Options {
 	return Options{Windows: 20, WindowInstructions: 2_000, DetailedWarmup: 16_000}
 }
 
-// Validate rejects options that cannot produce an estimate.
-func (o Options) Validate() error {
+// validate rejects options that cannot produce an estimate.
+func (o Options) validate() error {
 	if o.Windows <= 0 {
 		return fmt.Errorf("sample: Windows %d, need > 0", o.Windows)
 	}
@@ -76,15 +72,15 @@ func WindowConfig(cfg pipeline.Config, o Options) pipeline.Config {
 	return w
 }
 
-// EachCheckpoint runs the functional-warming chain: one machine
+// eachCheckpoint runs the functional-warming chain: one machine
 // fast-forwards through the workload, pausing to snapshot at each window's
 // warmup start, and hands checkpoint i to yield as soon as it is taken.
 // The chain costs one pass of cache/predictor updates over the stream —
 // O(total instructions), but a small constant per instruction compared to
 // cycle-accurate simulation. An error from yield stops the chain and is
 // returned as is.
-func EachCheckpoint(cfg pipeline.Config, o Options, yield func(i int, ckpt []byte) error) error {
-	if err := o.Validate(); err != nil {
+func eachCheckpoint(cfg pipeline.Config, o Options, yield func(i int, ckpt []byte) error) error {
+	if err := o.validate(); err != nil {
 		return err
 	}
 	period := cfg.MeasureInstructions / uint64(o.Windows)
@@ -124,7 +120,7 @@ func EachCheckpoint(cfg pipeline.Config, o Options, yield func(i int, ckpt []byt
 // order.
 func Checkpoints(cfg pipeline.Config, o Options) ([][]byte, error) {
 	var ckpts [][]byte
-	err := EachCheckpoint(cfg, o, func(_ int, ckpt []byte) error {
+	err := eachCheckpoint(cfg, o, func(_ int, ckpt []byte) error {
 		ckpts = append(ckpts, ckpt)
 		return nil
 	})
@@ -210,11 +206,10 @@ func (e *Estimate) Scale() float64 {
 	return float64(e.TotalInstructions) / float64(uint64(e.Windows)*e.WindowInstructions)
 }
 
-// Merge combines per-window results into a whole-run estimate. It is the
-// coordinator-side merge for sharded sampled runs: each result may come
-// from a different process, as long as all ran the same window length.
+// Merge combines per-window results, in window order, into a whole-run
+// estimate. Every result must have run the window length o names.
 func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Estimate, error) {
-	if err := o.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	if len(results) == 0 {
@@ -246,7 +241,7 @@ func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Es
 }
 
 // Run is the single-process sampler: warm, checkpoint, run every window,
-// merge. It is a two-stage pipeline. The warming chain (EachCheckpoint)
+// merge. It is a two-stage pipeline. The warming chain (eachCheckpoint)
 // hands on each checkpoint as soon as it is taken, and that checkpoint's
 // detailed window starts at once on a goroutine of its own, overlapping
 // the rest of the chain. Checkpoints carry the workload generators' full
@@ -275,7 +270,7 @@ var errStopped = errors.New("sample: chain stopped after a failed window")
 // run is Run with the window step as a parameter, so tests can choose the
 // order in which windows finish.
 func run(cfg pipeline.Config, o Options, window func(i int, ckpt []byte) (*pipeline.Result, error)) (*Estimate, error) {
-	if err := o.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	results := make([]*pipeline.Result, o.Windows)
@@ -283,7 +278,7 @@ func run(cfg pipeline.Config, o Options, window func(i int, ckpt []byte) (*pipel
 	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	err := EachCheckpoint(cfg, o, func(i int, ckpt []byte) error {
+	err := eachCheckpoint(cfg, o, func(i int, ckpt []byte) error {
 		slots <- struct{}{}
 		if failed.Load() {
 			<-slots

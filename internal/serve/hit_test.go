@@ -7,10 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"loosesim/internal/pipeline"
-	"loosesim/internal/sample"
 )
 
 // post submits body through h with ?wait=1 and returns the status code and
@@ -246,45 +247,39 @@ func TestHitRetainedHeap(t *testing.T) {
 	}
 }
 
-// TestFinishedJobsReleaseCheckpoints submits sampled-window jobs, each
-// with its own copy of a checkpoint, drops every reference the submitter
-// held, and checks that the finished jobs keep none of the copies alive.
-func TestFinishedJobsReleaseCheckpoints(t *testing.T) {
-	cfg := simCfg(t, "gcc", 8)
-	cfg.WarmupInstructions = 2_000
-	cfg.MeasureInstructions = 2_000
-	opt := sample.Options{Windows: 1, WindowInstructions: 500, DetailedWarmup: 200}
-	ckpts, err := sample.Checkpoints(cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := ckpts[0]
-	wcfg := sample.WindowConfig(cfg, opt)
+// TestFinishedJobsReleaseSpecs submits raw-config jobs, no-cache and
+// cached alike, each with its own *pipeline.Config, drops every reference
+// the submitter held, and checks that the finished jobs keep none of the
+// configs alive: every config's finalizer must run.
+func TestFinishedJobsReleaseSpecs(t *testing.T) {
 	srv := New(Options{Workers: 1})
 	defer srv.Close()
-	submit := func(noCache bool) {
-		job, err := srv.Submit(JobSpec{Config: &wcfg, Checkpoint: bytes.Clone(ckpt), NoCache: noCache})
+	const jobs = 10
+	var released atomic.Int32
+	for i := 0; i < jobs; i++ {
+		cfg := new(pipeline.Config)
+		*cfg = simCfg(t, "gcc", 8)
+		cfg.WarmupInstructions = 500
+		cfg.MeasureInstructions = 1_000
+		runtime.SetFinalizer(cfg, func(*pipeline.Config) { released.Add(1) })
+		// The first cached job runs and the later ones hit.
+		job, err := srv.Submit(JobSpec{Config: cfg, NoCache: i%2 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-job.Done()
 		if st := job.Status(); st.State != StateDone {
-			t.Fatalf("window job: %s (%s)", st.State, st.Error)
+			t.Fatalf("job %d: %s (%s)", i, st.State, st.Error)
 		}
 	}
-	submit(true) // warms whatever the first run allocates for good
-	before := liveHeap()
-	const jobs = 10
-	for i := 0; i < jobs; i++ {
-		// Simulated (no-cache) and cached jobs alike.
-		submit(i%2 == 0)
+	// Finalizers run on their own goroutine after the collection that
+	// finds their object unreachable.
+	for try := 0; try < 100 && released.Load() < jobs; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
-	after := liveHeap()
-	runtime.KeepAlive(ckpts) // live across both measurements, so only the jobs' heap counts
-	grew := float64(after) - float64(before)
-	t.Logf("%d window jobs: live heap grew %.0f B; one checkpoint is %d B", jobs, grew, len(ckpt))
-	if grew > float64(len(ckpt))/4 {
-		t.Fatalf("%d finished window jobs retain %.0f B, want well under one %d B checkpoint", jobs, grew, len(ckpt))
+	if n := released.Load(); n != jobs {
+		t.Fatalf("%d of %d submitted configs released after their jobs finished", n, jobs)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"loosesim/internal/pipeline"
-	"loosesim/internal/sample"
 )
 
 // resultOf returns the "result" member of a job's response body, which is
@@ -78,6 +77,7 @@ func TestRequestIndexRejectsBadBodies(t *testing.T) {
 		`{"bench":"gcc","figure":"4"}`,
 		`{"bench":"gcc","warmup":0,"inst":500} trailing garbage`,
 		`{"bench":"gcc","warmup":0,"inst":500} {}`,
+		`{"bench":"gcc","inst":5000,"checkpoint":"AAEC"}`,
 	} {
 		var first []byte
 		for i := 0; i < 3; i++ {
@@ -223,7 +223,8 @@ func TestRequestIndexConcurrent(t *testing.T) {
 const fuzzRunLimit = 10_000
 
 // fuzzCfg is the raw config of FuzzSubmitIndex's seeds: a gcc machine with
-// caches small enough to keep its checkpoint seed small.
+// small caches. The committed seeds encode it, so a change here must
+// regenerate them (TestRegenSubmitCorpus).
 func fuzzCfg(tb testing.TB) pipeline.Config {
 	cfg := simCfg(tb, "gcc", 14)
 	cfg.Mem.L1.SizeBytes = 8 << 10
@@ -232,25 +233,18 @@ func fuzzCfg(tb testing.TB) pipeline.Config {
 }
 
 // submitCorpus returns the seed bodies of FuzzSubmitIndex, by name: a raw
-// config, a sampled window with its checkpoint, a named bench, a no-cache
-// job, an unknown field and a truncated body.
+// config, a named bench, a no-cache job, an unknown field and a truncated
+// body.
 func submitCorpus(tb testing.TB) map[string][]byte {
 	cfg := fuzzCfg(tb)
 	cfg.WarmupInstructions = 1_000
 	cfg.MeasureInstructions = 2_000
-	opt := sample.Options{Windows: 1, WindowInstructions: 500, DetailedWarmup: 200}
-	ckpts, err := sample.Checkpoints(cfg, opt)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	wcfg := sample.WindowConfig(cfg, opt)
 	warmup := uint64(0)
 	seeds := map[string][]byte{}
 	for name, spec := range map[string]JobSpec{
-		"config":     {Config: &cfg},
-		"checkpoint": {Config: &wcfg, Checkpoint: ckpts[0]},
-		"bench":      {Bench: "gcc", Seed: 3, Warmup: &warmup, Inst: 2_000},
-		"nocache":    {Config: &cfg, NoCache: true},
+		"config":  {Config: &cfg},
+		"bench":   {Bench: "gcc", Seed: 3, Warmup: &warmup, Inst: 2_000},
+		"nocache": {Config: &cfg, NoCache: true},
 	} {
 		b, err := json.Marshal(spec)
 		if err != nil {
@@ -268,7 +262,7 @@ func submitCorpus(tb testing.TB) map[string][]byte {
 //
 //	LOOSIM_REGEN_CORPUS=1 go test ./internal/serve -run TestRegenSubmitCorpus
 //
-// after a change to the checkpoint format or the JobSpec encoding.
+// after a change to fuzzCfg or the JobSpec encoding.
 func TestRegenSubmitCorpus(t *testing.T) {
 	if os.Getenv("LOOSIM_REGEN_CORPUS") != "1" {
 		t.Skip("set LOOSIM_REGEN_CORPUS=1 to rewrite testdata/fuzz")

@@ -25,7 +25,6 @@ import (
 
 	"loosesim/internal/obs"
 	"loosesim/internal/pipeline"
-	"loosesim/internal/snap"
 	"loosesim/internal/stats"
 	"loosesim/internal/trace"
 )
@@ -102,17 +101,6 @@ type JobSpec struct {
 	// are not expressible over the wire — and runs the rest as-is.
 	Config *pipeline.Config `json:"config,omitempty"`
 
-	// Checkpoint, when set, restores the machine from this sealed
-	// pipeline snapshot (base64 over JSON) instead of constructing it
-	// fresh — the wire format for one sampled-simulation window. It
-	// requires a Config job: a named bench's defaulting could drift away
-	// from the config the checkpoint was taken under, and Restore would
-	// reject the digest mismatch only after the job was queued. The
-	// job's cache key gains the checkpoint's content address as a
-	// prefix, so a window result can never alias the full run (or
-	// another window) of the same configuration.
-	Checkpoint []byte `json:"checkpoint,omitempty"`
-
 	// Job control.
 	CycleBudget int64 `json:"cycle_budget,omitempty"` // abort after this many simulated cycles
 	TimeoutMS   int64 `json:"timeout_ms,omitempty"`   // abort after this much host time
@@ -180,7 +168,7 @@ type Job struct {
 	mu sync.Mutex
 	// spec is the submission, held only while the job is queued: the
 	// worker takes it at pickup and a cancel while queued drops it, so a
-	// finished job never pins its config or its checkpoint.
+	// finished job never pins its config.
 	spec   *JobSpec
 	state  JobState
 	cached bool
@@ -450,9 +438,6 @@ func (s JobSpec) key() (string, error) {
 	if (s.Bench != "") == (s.Config != nil) {
 		return "", errors.New("serve: a job needs exactly one of bench or config")
 	}
-	if s.Checkpoint != nil && s.Config == nil {
-		return "", errors.New("serve: a checkpoint job needs a raw config")
-	}
 	cfg, err := s.config()
 	if err != nil {
 		return "", err
@@ -460,23 +445,7 @@ func (s JobSpec) key() (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	key, err := ConfigKey(cfg)
-	if err != nil {
-		return "", err
-	}
-	if s.Checkpoint != nil {
-		key = CheckpointKey(s.Checkpoint, key)
-	}
-	return key, nil
-}
-
-// CheckpointKey returns the content address of a checkpoint job whose
-// config has key configKey: the checkpoint's content address as a prefix,
-// because the same config from a different starting state is a different
-// result. A coordinator shards window jobs by it, so repeat runs of a
-// window reach the node whose cache holds it.
-func CheckpointKey(ckpt []byte, configKey string) string {
-	return snap.Digest(ckpt)[:16] + configKey
+	return ConfigKey(cfg)
 }
 
 // serveSpan opens a job's serve span. It continues the coordinator's trace
@@ -712,12 +681,7 @@ func (s *Server) runSim(job *Job, spec *JobSpec) (uint64, error) {
 		cfg.Events = &jobEventSink{server: s}
 	}
 	rsp := job.span.Child("run")
-	var m *pipeline.Machine
-	if spec.Checkpoint != nil {
-		m, err = pipeline.Restore(cfg, spec.Checkpoint)
-	} else {
-		m, err = pipeline.New(cfg)
-	}
+	m, err := pipeline.New(cfg)
 	var res *pipeline.Result
 	if err == nil {
 		res, err = m.RunContext(job.ctx)

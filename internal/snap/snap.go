@@ -34,7 +34,6 @@ package snap
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 )
@@ -411,11 +410,4 @@ func Open(data []byte, magic string, version uint32) (meta, payload []byte, err 
 	}
 	payload = body[len(body)-int(payLen):]
 	return meta, payload, nil
-}
-
-// Digest returns the hex sha256 of data — the content address of a
-// sealed checkpoint, used as a cache-key prefix.
-func Digest(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }

@@ -53,7 +53,7 @@ type Span struct {
 	// Name is the stage: "job", "post", "backoff", "local" on the
 	// coordinator; "serve", "cache", "queue", "run" on a backend.
 	Name string `json:"name"`
-	// Key is the job's content address (serve.ConfigKey or CheckpointKey), set on roots.
+	// Key is the job's content address (serve.ConfigKey), set on roots.
 	Key string `json:"key,omitempty"`
 	// Target names what the stage acted on (a backend URL), when any.
 	Target string `json:"target,omitempty"`

@@ -58,8 +58,9 @@ go test ./internal/pipeline -run '^FuzzConfig$' -fuzz '^FuzzConfig$' -fuzztime 5
 echo "==> request-index fuzz smoke (FuzzSubmitIndex, 5s past the seed corpus)"
 # A body posted twice to one server must be answered as a fresh server
 # answers it once: the request index changes how a repeat is served, never
-# what. Minimization is capped at 20 runs: a mutant of the corpus's 100 KB
-# checkpoint body otherwise spends the whole budget being minimized.
+# what. Minimization is capped at 20 runs: each candidate may run a
+# simulation, and uncapped, minimizing the first new input found from a
+# 1.6 KB config seed stalled a 30 s run for its last ~25 s.
 go test ./internal/serve -run '^FuzzSubmitIndex$' -fuzz '^FuzzSubmitIndex$' -fuzztime 5s -fuzzminimizetime 20x >/dev/null
 
 echo "==> observability smoke (loosim -intervals/-events | loostrace)"
